@@ -24,6 +24,7 @@ from .grid import GridParams, RefId, atomic_write_text
 from .ingest import (
     Patch,
     Protein,
+    _count,
     dedup_patches,
     extract_site_patches,
     parse_keyword_file,
@@ -36,7 +37,6 @@ DEFAULTS = {
     "delta": 1.0,
     "bits_per_axis": 21,
     "tau_pp": 0.9,
-    "tau_prot": 0.5,
     "mem_budget": 500_000,
     "db": None,
     "tmp": None,
@@ -68,7 +68,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         "delta": float,
         "bits_per_axis": int,
         "tau_pp": float,
-        "tau_prot": float,
         "mem_budget": int,
         "db": str,
         "tmp": str,
@@ -116,7 +115,7 @@ def _read_inputs(structure_paths, template_paths, counters) -> list[Patch]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         protein = parse_structure_file(lines, protein_id=Path(path).stem.upper())
-        counters["structures"] = counters.get("structures", 0) + 1
+        _count(counters, "structures")
         patches.extend(extract_site_patches(lines, protein, counters=counters))
     counters["site_patches"] = len(patches)
     n_before = len(patches)
@@ -407,8 +406,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="Morton bits per axis (default 21)")
     parser.add_argument("--tau-pp", dest="tau_pp", type=float,
                         help="patch match score threshold (default 0.9)")
-    parser.add_argument("--tau-prot", dest="tau_prot", type=float,
-                        help="protein identity threshold (default 0.5)")
     parser.add_argument("--mem-budget", dest="mem_budget", type=int,
                         help="external-sort memory budget in entries")
     parser.add_argument("--db", help="database directory")

@@ -25,11 +25,12 @@ commit point for grid updates.
 from __future__ import annotations
 
 import heapq
-import math
+import itertools
 import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -112,37 +113,13 @@ class RunInfo:
 # Quantization
 
 
-def _quantize_component(x: float, delta: float) -> int:
-    q = x / delta
-    k = round(q)
-    if abs(x - k * delta) < BOUNDARY_SNAP:
-        return k
-    return math.floor(q)
-
-
-def cell_of(p, params: GridParams) -> CellIndex:
-    """Quantize a point to its cell: component-wise floor(p / delta).
-
-    Raises OutOfExtent when any component falls outside the addressable
-    range [-half_extent_cells, half_extent_cells - 1].
-    """
-    h = params.half_extent_cells
-    idx = []
-    for x in (p[0], p[1], p[2]):
-        c = _quantize_component(float(x), params.delta)
-        if not (-h <= c <= h - 1):
-            raise OutOfExtent(f"coordinate {x} maps to cell {c}, outside +-{h}")
-        idx.append(int(c))
-    return CellIndex(*idx)
-
-
 def cells_of_points(points: np.ndarray, params: GridParams):
-    """Vectorized cell_of over an (n, 3) array.
+    """Quantize an (n, 3) array of points: component-wise floor(p / delta).
 
     Returns ``(cells, in_extent)`` where ``cells`` is an int64 (n, 3) array
     (rows with ``in_extent`` False are zeroed) and ``in_extent`` a boolean
-    mask. Uses exactly the same float operations as the scalar cell_of so
-    both paths quantize identically.
+    mask, False where any component falls outside the addressable range
+    [-half_extent_cells, half_extent_cells - 1].
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     q = pts / params.delta
@@ -153,6 +130,15 @@ def cells_of_points(points: np.ndarray, params: GridParams):
     in_extent = ((c >= -h) & (c <= h - 1)).all(axis=1)
     cells = np.where(in_extent[:, None], c, 0.0).astype(np.int64)
     return cells, in_extent
+
+
+def cell_of(p, params: GridParams) -> CellIndex:
+    """Quantize one point with cells_of_points; raises OutOfExtent when it
+    falls outside the addressable range."""
+    cells, in_extent = cells_of_points(p, params)
+    if not in_extent[0]:
+        raise OutOfExtent(f"point {tuple(p)} maps outside +-{params.half_extent_cells} cells")
+    return CellIndex(*(int(c) for c in cells[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +453,8 @@ class GridCursor:
         self._readers = [
             _RunReader(grid.run_path(info)) for info in grid.runs if info.n_cells > 0
         ]
-        streams = [
-            ((cell.z, idx, cell) for cell in reader)
-            for idx, reader in enumerate(self._readers)
-        ]
-        if len(streams) == 1:
-            self._merged = iter(streams[0])
-        else:
-            self._merged = heapq.merge(*streams, key=lambda item: (item[0], item[1]))
-        self._pending: tuple[int, int, Cell] | None = None
-        self._exhausted = not self._readers
+        by_z = attrgetter("z")
+        self._groups = itertools.groupby(heapq.merge(*self._readers, key=by_z), key=by_z)
 
     @property
     def physical_cells_read(self) -> int:
@@ -486,33 +464,11 @@ class GridCursor:
         return self
 
     def __next__(self) -> Cell:
-        if self._exhausted:
-            raise StopIteration
-        if self._pending is not None:
-            z, _, cell = self._pending
-            self._pending = None
-        else:
-            try:
-                z, _, cell = next(self._merged)
-            except StopIteration:
-                self._exhausted = True
-                raise
-        group = [cell]
-        while True:
-            try:
-                item = next(self._merged)
-            except StopIteration:
-                self._exhausted = True
-                break
-            if item[0] == z:
-                group.append(item[2])
-            else:
-                self._pending = item
-                break
-        if len(group) == 1:
-            return group[0]
-        merged_entries = sorted(set().union(*(g.entries for g in group)))
-        return Cell(z, merged_entries)
+        z, group = next(self._groups)
+        cells = list(group)
+        if len(cells) == 1:
+            return cells[0]
+        return Cell(z, sorted(set().union(*(c.entries for c in cells))))
 
     def close(self) -> None:
         for r in self._readers:

@@ -330,6 +330,6 @@ def parse_keyword_file(stream: IO[str] | Iterable[str]) -> list[KeywordAnnotatio
     return [KeywordAnnotation(eid, frozenset(kws)) for eid, kws in merged.items()]
 
 
-def _count(counters: dict[str, int] | None, key: str) -> None:
+def _count(counters: dict[str, int] | None, key: str, n: int = 1) -> None:
     if counters is not None:
-        counters[key] = counters.get(key, 0) + 1
+        counters[key] = counters.get(key, 0) + n

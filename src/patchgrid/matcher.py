@@ -34,7 +34,7 @@ from .grid import (
     cells_of_points,
     scan,
 )
-from .ingest import OriginTag, Patch, Protein
+from .ingest import OriginTag, Patch, Protein, _count
 from .preprocess import PatchDatabase, build_patch_database, residue_frames
 
 DEFAULT_SCORE_BUDGET = 1_000_000
@@ -56,22 +56,20 @@ class MatchResult:
 class ScoreTable:
     """Aggregation map (db ref, query ref) -> matched count, spillable.
 
-    Pairs live in a dict up to ``budget`` entries; beyond that everything is
-    flushed to sorted partition chunks on disk (partitioned by a stable hash
-    of the database ref) and summed back together during iteration. Iteration
-    order is per-partition, not globally sorted; callers sort final results.
+    Pairs live in a dict up to ``budget`` entries; beyond that the dict is
+    written to disk as one sorted chunk and cleared. ``items()`` merges all
+    chunks once, summing the counts of equal keys, and yields keys in
+    ascending order whether or not the table spilled.
     """
 
-    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, tmp_dir: Path | None = None,
-                 n_partitions: int = 16):
+    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, tmp_dir: Path | None = None):
         if budget < 1:
             raise ValueError("score table budget must be >= 1")
         self._live: dict[tuple[int, int, int, int], int] = {}
         self._budget = budget
         self._tmp_dir = tmp_dir
-        self._n_partitions = n_partitions
         self._spill_dir: str | None = None
-        self._chunks: dict[int, list[Path]] = {}
+        self._chunks: list[Path] = []
         self.spills = 0
 
     def add(self, db_ref: RefId, query_ref: RefId, count: int) -> None:
@@ -85,26 +83,16 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self._live)
 
-    def _partition(self, key: tuple[int, int, int, int]) -> int:
-        # Stable mix of the database ref only, per the spill design.
-        return ((key[0] * 2654435761 + key[1]) & 0xFFFFFFFF) % self._n_partitions
-
     def _spill(self) -> None:
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(
                 prefix="scoretable-", dir=str(self._tmp_dir) if self._tmp_dir else None
             )
-        buckets: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
-        for key, count in self._live.items():
-            buckets.setdefault(self._partition(key), []).append((key, count))
-        for part, items in buckets.items():
-            items.sort()
-            chunk_list = self._chunks.setdefault(part, [])
-            path = Path(self._spill_dir) / f"p{part:02d}_c{len(chunk_list):06d}.bin"
-            with open(path, "wb") as fh:
-                for key, count in items:
-                    fh.write(_PAIR_RECORD.pack(*key, count))
-            chunk_list.append(path)
+        path = Path(self._spill_dir) / f"chunk_{len(self._chunks):06d}.bin"
+        with open(path, "wb") as fh:
+            for key, count in sorted(self._live.items()):
+                fh.write(_PAIR_RECORD.pack(*key, count))
+        self._chunks.append(path)
         self._live.clear()
         self.spills += 1
 
@@ -119,34 +107,31 @@ class ScoreTable:
                     yield (a, b, c, d), count
 
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        """Yield each (key, total count) pair exactly once."""
+        """Yield each (key, total count) pair exactly once, in ascending key order."""
         if not self._chunks:
             yield from sorted(self._live.items())
             return
         if self._live:
             self._spill()
-        for part in sorted(self._chunks):
-            streams = [self._read_chunk(p) for p in self._chunks[part]]
-            merged = heapq.merge(*streams, key=lambda item: item[0])
-            current: tuple[int, int, int, int] | None = None
-            total = 0
-            for key, count in merged:
-                if key == current:
-                    total += count
-                else:
-                    if current is not None:
-                        yield current, total
-                    current, total = key, count
-            if current is not None:
-                yield current, total
+        merged = heapq.merge(*map(self._read_chunk, self._chunks), key=lambda item: item[0])
+        current: tuple[int, int, int, int] | None = None
+        total = 0
+        for key, count in merged:
+            if key == current:
+                total += count
+            else:
+                if current is not None:
+                    yield current, total
+                current, total = key, count
+        if current is not None:
+            yield current, total
 
     def close(self) -> None:
-        for chunks in self._chunks.values():
-            for p in chunks:
-                try:
-                    p.unlink()
-                except OSError:
-                    pass
+        for p in self._chunks:
+            try:
+                p.unlink()
+            except OSError:
+                pass
         if self._spill_dir is not None:
             try:
                 os.rmdir(self._spill_dir)
@@ -188,10 +173,8 @@ def build_query_grid(
             keep = point_norms(coords) <= mps
             cells, in_extent = cells_of_points(coords, params)
             dropped = int((keep & ~in_extent).sum())
-            if dropped and counters is not None:
-                counters["entries_out_of_extent"] = (
-                    counters.get("entries_out_of_extent", 0) + dropped
-                )
+            if dropped:
+                _count(counters, "entries_out_of_extent", dropped)
             keep &= in_extent
             ref = RefId(structure_key, residue_ordinal)
             for i in keep.nonzero()[0]:

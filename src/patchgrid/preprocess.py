@@ -33,7 +33,7 @@ from .grid import (
     build_sorted_run,
     cells_of_points,
 )
-from .ingest import Patch
+from .ingest import Patch, _count
 
 ANCHOR_ATOM_NAMES = ("CA", "N", "C")
 
@@ -204,56 +204,24 @@ def build_patch_database(
 ) -> PatchDatabase:
     """Index a patch collection into a fresh database directory.
 
-    Structure keys are assigned densely in input order; patches without a
-    single valid frame are excluded and counted under
-    ``counters['patches_excluded']``. The manifest entry total equals the sum
-    of n*m over the indexed patches, exactly.
+    Appends the patches to an empty database as its first run (see
+    add_patches): structure keys are assigned densely in input order, and
+    the manifest entry total equals the sum of n*m over the indexed patches,
+    exactly. Raises NoValidFrame when no patch yields a frame.
     """
     if not patches:
         raise ValueError("at least one patch is required")
-    seen_ids: set[str] = set()
-    for patch in patches:
-        if patch.patch_id in seen_ids:
-            raise DuplicatePatchId(patch.patch_id)
-        seen_ids.add(patch.patch_id)
-
     db_dir = Path(db_dir)
-    grid_dir = db_dir / GRID_SUBDIR
-    grid_dir.mkdir(parents=True, exist_ok=True)
-
-    streams = []
-    meta: dict[int, PatchMeta] = {}
-    build_stats: dict = {}
-    for patch in patches:
-        frames = residue_frames(patch.atoms, counters=counters)
-        if not frames:
-            _count(counters, "patches_excluded")
-            continue
-        key = len(meta)
-        meta[key] = PatchMeta(key, patch.patch_id, patch.source_protein_id, len(patch.atoms), len(frames))
-        streams.append(_patch_entries(patch, frames, params, key, build_stats))
-    if not meta:
-        raise NoValidFrame("no patch yields a frame")
-
-    info = build_sorted_run(
-        itertools.chain.from_iterable(streams),
-        params,
-        grid_dir / "run_000000.bin",
-        memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
-        tmp_dir=tmp_dir,
-    )
-    grid = DiskGrid(params=params, directory=grid_dir, runs=[info])
-    db = PatchDatabase(
+    empty = PatchDatabase(
         params=params,
-        grid=grid,
-        patch_meta=meta,
-        mps=build_stats.get("max_radius", 0.0),
+        grid=DiskGrid(params=params, directory=db_dir / GRID_SUBDIR),
+        patch_meta={},
+        mps=0.0,
         directory=db_dir,
     )
-    db.save_metadata()
-    grid.save_manifest()
-    if counters is not None:
-        counters["patches_indexed"] = len(meta)
+    db = _append_run(empty, patches, memory_budget_entries, tmp_dir, counters)
+    if db is None:
+        raise NoValidFrame("no patch yields a frame")
     return db
 
 
@@ -268,11 +236,29 @@ def add_patches(
 
     Query results over the resulting multi-run grid equal results over a
     full rebuild with the combined patch list. Raises DuplicatePatchId if a
-    patch id is already registered. Write order is run file, patch_meta,
-    db_params, then the grid manifest as commit point.
+    patch id is already registered. Returns ``db`` unchanged when no patch
+    yields a frame.
     """
     if not patches:
         return db
+    return _append_run(db, patches, memory_budget_entries, tmp_dir, counters) or db
+
+
+def _append_run(
+    db: PatchDatabase,
+    patches: Sequence[Patch],
+    memory_budget_entries: int | None,
+    tmp_dir: Path | None,
+    counters: dict[str, int] | None,
+) -> PatchDatabase | None:
+    """Index patches into one new sorted run of ``db`` and commit it.
+
+    Structure keys continue after the largest existing key. Patches without
+    a single valid frame are excluded and counted under
+    ``counters['patches_excluded']``; None is returned, and nothing written,
+    when no patch is left. Write order is run file, patch_meta, db_params,
+    then the grid manifest as commit point.
+    """
     existing = db.patch_ids
     new_ids: set[str] = set()
     for patch in patches:
@@ -295,9 +281,10 @@ def add_patches(
         streams.append(_patch_entries(patch, frames, db.params, next_key, build_stats))
         next_key += 1
     if not streams:
-        return db
+        return None
 
     grid = DiskGrid(params=db.params, directory=db.grid.directory, runs=list(db.grid.runs))
+    grid.directory.mkdir(parents=True, exist_ok=True)
     run_name = grid.next_run_name()
     info = build_sorted_run(
         itertools.chain.from_iterable(streams),
@@ -333,8 +320,3 @@ def compact(db: PatchDatabase) -> PatchDatabase:
         mps=db.mps,
         directory=db.directory,
     )
-
-
-def _count(counters: dict[str, int] | None, key: str) -> None:
-    if counters is not None:
-        counters[key] = counters.get(key, 0) + 1

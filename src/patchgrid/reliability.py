@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingSourceProtein, UndefinedTP
 from .grid import GridParams
-from .ingest import KeywordAnnotation, Protein
+from .ingest import KeywordAnnotation, Protein, _count
 from .matcher import MatchResult, structural_identity
 from .preprocess import PatchDatabase
 
@@ -271,8 +271,3 @@ def sweep(
                 )
             )
     return report
-
-
-def _count(counters: dict[str, int] | None, key: str) -> None:
-    if counters is not None:
-        counters[key] = counters.get(key, 0) + 1

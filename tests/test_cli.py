@@ -201,7 +201,7 @@ def test_eval_missing_annotations(workspace, capsys):
 class _Args:
     def __init__(self, **kw):
         self.config = kw.pop("config", None)
-        for key in ("delta", "bits_per_axis", "tau_pp", "tau_prot", "mem_budget", "db", "tmp"):
+        for key in ("delta", "bits_per_axis", "tau_pp", "mem_budget", "db", "tmp"):
             setattr(self, key, kw.get(key))
 
 
@@ -220,4 +220,4 @@ def test_config_precedence(tmp_path, monkeypatch):
     resolved = resolve_config(_Args())
     assert resolved["delta"] == 1.0            # default
     assert resolved["bits_per_axis"] == 21
-    assert resolved["tau_prot"] == 0.5
+    assert "tau_prot" not in resolved

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from patchgrid.errors import OutOfExtent
 from patchgrid.grid import (
+    BOUNDARY_SNAP,
     Cell,
     CellEntry,
     CellIndex,
@@ -37,6 +38,21 @@ def interleave_oracle(x: int, y: int, z: int) -> int:
         code |= ((y >> i) & 1) << (3 * i + 1)
         code |= ((z >> i) & 1) << (3 * i + 2)
     return code
+
+
+def quantize_oracle(p, params: GridParams) -> CellIndex:
+    # One point in plain Python floats: floor(x / delta) per axis, snapped
+    # onto a boundary within BOUNDARY_SNAP of it.
+    h = params.half_extent_cells
+    idx = []
+    for x in p:
+        q = x / params.delta
+        k = round(q)
+        c = k if abs(x - k * params.delta) < BOUNDARY_SNAP else math.floor(q)
+        if not (-h <= c <= h - 1):
+            raise OutOfExtent(f"coordinate {x} maps to cell {c}")
+        idx.append(c)
+    return CellIndex(*idx)
 
 
 def entry(sk, ro, ao):
@@ -101,7 +117,7 @@ def test_batch_quantization_matches_scalar():
     cells, in_extent = cells_of_points(np.array(pts), params)
     for i, p in enumerate(pts):
         try:
-            expected = cell_of(p, params)
+            expected = quantize_oracle(p, params)
             assert in_extent[i]
             assert CellIndex(*cells[i]) == expected
         except OutOfExtent:

@@ -243,6 +243,24 @@ def test_finalize_unknown_ref(tmp_path):
         finalize_scores(table, db)
 
 
+def test_score_table_spilled_items_sorted_and_summed(tmp_path):
+    rng = random.Random(41)
+    for budget in (1, 2, 3):
+        table = ScoreTable(budget=budget, tmp_dir=tmp_path)
+        expected: dict = {}
+        for _ in range(300):
+            db_ref = RefId(rng.randrange(4), rng.randrange(6))
+            query_ref = RefId(rng.randrange(2), rng.randrange(6))
+            count = rng.randint(1, 3)
+            table.add(db_ref, query_ref, count)
+            key = (*db_ref, *query_ref)
+            expected[key] = expected.get(key, 0) + count
+        assert list(table.items()) == sorted(expected.items())
+        assert table.spills > 0
+        table.close()
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_threshold_filter_bounds():
     def result(score):
         return MatchResult(RefId(0, 0), RefId(0, 0), score, "P_0", "P")

@@ -10,6 +10,7 @@ from .baseline import FrameMode, TripleFrameId, naive_frames, naive_match
 from .errors import (
     CapExceeded,
     CollinearAtoms,
+    CorruptDatabase,
     DuplicatePatchId,
     EmptyStructure,
     MalformedRecord,

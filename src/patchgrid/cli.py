@@ -33,13 +33,14 @@ from .ingest import (
 )
 from .preprocess import PatchDatabase
 
-DEFAULTS = {
-    "delta": 1.0,
-    "bits_per_axis": 21,
-    "tau_pp": 0.9,
-    "mem_budget": 500_000,
-    "db": None,
-    "tmp": None,
+# Options resolved by resolve_config: name -> (type, default, help).
+SHARED_OPTIONS = {
+    "delta": (float, 1.0, "cell edge length in Angstroms (default 1.0)"),
+    "bits_per_axis": (int, 21, "Morton bits per axis (default 21)"),
+    "tau_pp": (float, 0.9, "patch match score threshold (default 0.9)"),
+    "mem_budget": (int, 500_000, "external-sort memory budget in entries"),
+    "db": (str, None, "database directory"),
+    "tmp": (str, None, "directory for temporary files"),
 }
 
 ENV_PREFIX = "PATCHGRID_"
@@ -64,16 +65,7 @@ def _load_config_file(path: str | None) -> dict[str, str]:
 def resolve_config(args: argparse.Namespace) -> dict:
     file_values = _load_config_file(getattr(args, "config", None))
     resolved = {}
-    casts = {
-        "delta": float,
-        "bits_per_axis": int,
-        "tau_pp": float,
-        "mem_budget": int,
-        "db": str,
-        "tmp": str,
-    }
-    for key, default in DEFAULTS.items():
-        cast = casts[key]
+    for key, (cast, default, _) in SHARED_OPTIONS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = cast(flag)
@@ -400,16 +392,11 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, help="cell edge length in Angstroms (default 1.0)")
-    parser.add_argument("--bits-per-axis", dest="bits_per_axis", type=int,
-                        help="Morton bits per axis (default 21)")
-    parser.add_argument("--tau-pp", dest="tau_pp", type=float,
-                        help="patch match score threshold (default 0.9)")
-    parser.add_argument("--mem-budget", dest="mem_budget", type=int,
-                        help="external-sort memory budget in entries")
-    parser.add_argument("--db", help="database directory")
-    parser.add_argument("--tmp", help="directory for temporary files")
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared options, plus --tmp and --config, to a subcommand."""
+    for name in (*names, "tmp"):
+        cast, _, text = SHARED_OPTIONS[name]
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=cast, help=text)
     parser.add_argument("--config", help="flat key=value config file")
 
 
@@ -423,20 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-db", help="build a patch database from structure/template files")
     p.add_argument("structures", nargs="*", help="structure files with ATOM/SITE records")
     p.add_argument("--templates", nargs="*", help="tabular template files")
-    _add_common(p)
+    _add_shared(p, "delta", "bits_per_axis", "mem_budget", "db")
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("query", help="match a query structure against a database")
     p.add_argument("query", help="query structure file")
     p.add_argument("--out", help="output prefix (default: query file stem)")
-    _add_common(p)
+    _add_shared(p, "tau_pp", "mem_budget", "db")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("add", help="append patches to an existing database")
     p.add_argument("structures", nargs="*", help="structure files with ATOM/SITE records")
     p.add_argument("--templates", nargs="*", help="tabular template files")
     p.add_argument("--compact", action="store_true", help="merge all runs after adding")
-    _add_common(p)
+    _add_shared(p, "mem_budget", "db")
     p.set_defaults(func=cmd_add)
 
     p = sub.add_parser("eval", help="keyword-recovery TP-rate sweep over match results")
@@ -450,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tau_pp values (default 0.8,0.85,0.9,0.95)")
     p.add_argument("--tau-prot-list", dest="tau_prot_list",
                    help="comma-separated tau_prot values (default 0.1..1.0)")
-    _add_common(p)
+    _add_shared(p, "db")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle-compare", help="diff the disk engine against the naive baseline")
@@ -465,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="atom count for all-triples enumeration")
     p.add_argument("--triple-cap", dest="triple_cap", type=int,
                    default=baseline.DEFAULT_TRIPLE_CAP)
-    _add_common(p)
+    _add_shared(p, "delta", "bits_per_axis")
     p.set_defaults(func=cmd_oracle_compare)
 
     return parser

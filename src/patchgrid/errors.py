@@ -35,6 +35,10 @@ class DuplicatePatchId(PatchGridError):
     """A patch id is already registered in the database."""
 
 
+class CorruptDatabase(PatchGridError):
+    """A database's manifest disagrees with itself or with its run files."""
+
+
 class ParamsMismatch(PatchGridError):
     """Two grids were combined with differing grid parameters."""
 

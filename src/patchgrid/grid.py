@@ -17,9 +17,9 @@ test):
                                     atom_ordinal    uint32)
 
 Entries within a cell are sorted by (structure_key, residue_ordinal,
-atom_ordinal) and deduplicated. A plain-text ``manifest.tsv`` beside the
-run files lists ``filename<TAB>n_cells<TAB>n_entries`` per run and is the
-commit point for grid updates.
+atom_ordinal) and deduplicated. A ``DiskGrid`` is the in-memory list of a
+grid's runs; which runs make up a database is recorded by the database's
+manifest (see ``preprocess.PatchDatabase``), never by the grid itself.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ DEFAULT_MEMORY_BUDGET = 500_000
 _CELL_HEADER = struct.Struct("<QI")
 _ENTRY = struct.Struct("<III")
 _CHUNK_RECORD = struct.Struct("<QIII")
-
-MANIFEST_NAME = "manifest.tsv"
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,11 @@ class RunInfo:
     file_name: str
     n_cells: int
     n_entries: int
+
+    @property
+    def n_bytes(self) -> int:
+        """Size of the run file these counts describe."""
+        return _CELL_HEADER.size * self.n_cells + _ENTRY.size * self.n_entries
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +397,7 @@ def build_sorted_run(
 
 @dataclass
 class DiskGrid:
-    """A disk-resident grid: parameters plus an ordered list of sorted runs."""
+    """Grid parameters plus the ordered list of sorted run files in ``directory``."""
 
     params: GridParams
     directory: Path
@@ -420,25 +423,6 @@ class DiskGrid:
         while f"run_{i:06d}.bin" in used:
             i += 1
         return f"run_{i:06d}.bin"
-
-    def save_manifest(self) -> None:
-        lines = ["#run_file\tn_cells\tn_entries"]
-        for r in self.runs:
-            lines.append(f"{r.file_name}\t{r.n_cells}\t{r.n_entries}")
-        atomic_write_text(self.directory / MANIFEST_NAME, "\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, directory: Path, params: GridParams) -> "DiskGrid":
-        directory = Path(directory)
-        runs = []
-        with open(directory / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                name, n_cells, n_entries = line.split("\t")
-                runs.append(RunInfo(name, int(n_cells), int(n_entries)))
-        return cls(params=params, directory=directory, runs=runs)
 
 
 class GridCursor:
@@ -488,11 +472,14 @@ def scan(grid: DiskGrid) -> GridCursor:
 
 
 def merge_runs(grid: DiskGrid) -> DiskGrid:
-    """Compact a grid to a single run. A single-run grid is returned as is."""
+    """Write the grid's cells as one new run and return the grid made of it.
+
+    The old run files are left in place for the caller to delete once the
+    new grid is committed. A single-run grid is returned as is.
+    """
     if len(grid.runs) <= 1:
         return grid
-    out_name = grid.next_run_name()
-    writer = _RunWriter(grid.directory / out_name)
+    writer = _RunWriter(grid.directory / grid.next_run_name())
     cursor = scan(grid)
     try:
         for cell in cursor:
@@ -503,13 +490,4 @@ def merge_runs(grid: DiskGrid) -> DiskGrid:
         raise
     finally:
         cursor.close()
-    info = writer.close()
-    old = list(grid.runs)
-    merged = DiskGrid(params=grid.params, directory=grid.directory, runs=[info])
-    merged.save_manifest()
-    for r in old:
-        try:
-            (grid.directory / r.file_name).unlink()
-        except OSError:
-            pass
-    return merged
+    return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])

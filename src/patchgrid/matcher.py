@@ -17,7 +17,7 @@ import heapq
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -192,9 +192,7 @@ def build_query_grid(
         memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
         tmp_dir=tmp_dir,
     )
-    grid = DiskGrid(params=params, directory=out_dir, runs=[info])
-    grid.save_manifest()
-    return grid
+    return DiskGrid(params=params, directory=out_dir, runs=[info])
 
 
 def merge_scan_match(
@@ -346,13 +344,5 @@ def structural_identity(
         prefix="identity-", dir=str(tmp_dir) if tmp_dir else None
     ) as work:
         db = build_patch_database([pseudo], params, Path(work) / "db", tmp_dir=tmp_dir)
-        gq = build_query_grid(
-            a, params, float("inf"), Path(work) / "gq", tmp_dir=tmp_dir
-        )
-        table = ScoreTable(tmp_dir=tmp_dir)
-        try:
-            merge_scan_match(db.grid, gq, table)
-            results = finalize_scores(table, db)
-        finally:
-            table.close()
+        results = match_query(a, replace(db, mps=float("inf")), 0.0, tmp_dir=tmp_dir)
     return results[0].score if results else 0.0

@@ -3,10 +3,15 @@
 For every residue owning a complete (CA, N, C) backbone triple, one
 reference frame is generated and all patch atoms are expressed in it, so a
 patch with n atoms and m usable residues contributes exactly n*m grid
-entries. The database directory holds the grid runs plus two TSV sidecars::
-
-    db_params.tsv   delta / bits_per_axis / mps, one "key<TAB>value" per line
-    patch_meta.tsv  structure_key, patch_id, source_protein_id, n_atoms, n_frames
+entries. A database directory holds ``manifest.tsv`` and the run files
+under ``grid/``. The tab-separated manifest is the database's only root:
+``delta``, ``bits_per_axis`` and ``mps`` rows, one ``run`` row per run file
+(file_name, n_cells, n_entries) and one ``patch`` row per patch
+(structure_key, patch_id, source_protein_id, n_atoms, n_frames). An update
+writes its run file first and commits by replacing the manifest in one
+atomic rename, so an interrupted update leaves the old database or the new
+one. Run files the manifest does not list are never read; an update that
+picks the same run name overwrites them.
 
 ``mps`` is the maximum frame-origin-to-atom radius over all patches and
 frames; the matcher clips query entries to that radius, and this definition
@@ -16,11 +21,12 @@ guarantees the clip never loses a true match.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CollinearAtoms, DuplicatePatchId, NoValidFrame, OutOfExtent
+from .errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame, OutOfExtent
 from .geometry import AtomRecord, RigidFrame, frame_from_triple, point_norms, positions_array, transform_points
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
@@ -29,17 +35,18 @@ from .grid import (
     DiskGrid,
     GridParams,
     RefId,
+    RunInfo,
     atomic_write_text,
     build_sorted_run,
     cells_of_points,
+    merge_runs,
 )
 from .ingest import Patch, _count
 
 ANCHOR_ATOM_NAMES = ("CA", "N", "C")
 
 GRID_SUBDIR = "grid"
-PARAMS_FILE = "db_params.tsv"
-META_FILE = "patch_meta.tsv"
+MANIFEST_FILE = "manifest.tsv"
 
 
 class PatchMeta(NamedTuple):
@@ -149,49 +156,58 @@ class PatchDatabase:
     def source_protein_ids(self) -> set[str]:
         return {meta.source_protein_id for meta in self.patch_meta.values()}
 
-    def save_metadata(self) -> None:
-        lines = ["#structure_key\tpatch_id\tsource_protein_id\tn_atoms\tn_frames"]
-        for key in sorted(self.patch_meta):
-            m = self.patch_meta[key]
-            lines.append(
-                f"{m.structure_key}\t{m.patch_id}\t{m.source_protein_id}\t{m.n_atoms}\t{m.n_frames}"
-            )
-        atomic_write_text(Path(self.directory) / META_FILE, "\n".join(lines) + "\n")
-        params_text = (
-            f"delta\t{self.params.delta!r}\n"
-            f"bits_per_axis\t{self.params.bits_per_axis}\n"
-            f"mps\t{self.mps!r}\n"
-        )
-        atomic_write_text(Path(self.directory) / PARAMS_FILE, params_text)
+    def save(self) -> None:
+        """Commit the database by replacing its manifest in one atomic rename."""
+        lines = [
+            f"delta\t{self.params.delta!r}",
+            f"bits_per_axis\t{self.params.bits_per_axis}",
+            f"mps\t{self.mps!r}",
+        ]
+        lines += [f"run\t{r.file_name}\t{r.n_cells}\t{r.n_entries}" for r in self.grid.runs]
+        lines += ["\t".join(map(str, ("patch", *m))) for _, m in sorted(self.patch_meta.items())]
+        atomic_write_text(Path(self.directory) / MANIFEST_FILE, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, directory: Path) -> "PatchDatabase":
+        """Read a database from its manifest and check it against its runs.
+
+        Raises CorruptDatabase when the patches' sum of n_atoms*n_frames
+        differs from the runs' entry total, or when a listed run file is
+        missing or its size disagrees with its cell and entry counts.
+        """
         directory = Path(directory)
         values: dict[str, str] = {}
-        with open(directory / PARAMS_FILE, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                key, value = line.split("\t")
-                values[key] = value
-        params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
+        runs: list[RunInfo] = []
         meta: dict[int, PatchMeta] = {}
-        with open(directory / META_FILE, "r", encoding="utf-8") as fh:
+        with open(directory / MANIFEST_FILE, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                key, patch_id, source_id, n_atoms, n_frames = line.split("\t")
-                meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
-        grid = DiskGrid.load(directory / GRID_SUBDIR, params)
-        return cls(
+                kind, *fields = line.rstrip("\n").split("\t")
+                if kind == "run":
+                    name, n_cells, n_entries = fields
+                    runs.append(RunInfo(name, int(n_cells), int(n_entries)))
+                elif kind == "patch":
+                    key, patch_id, source_id, n_atoms, n_frames = fields
+                    meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
+                else:
+                    (values[kind],) = fields
+        params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
+        db = cls(
             params=params,
-            grid=grid,
+            grid=DiskGrid(params=params, directory=directory / GRID_SUBDIR, runs=runs),
             patch_meta=meta,
             mps=float(values["mps"]),
             directory=directory,
         )
+        if db.expected_entries != db.grid.total_entries:
+            raise CorruptDatabase(
+                f"{directory}: patches account for {db.expected_entries} entries, "
+                f"runs hold {db.grid.total_entries}"
+            )
+        for run in runs:
+            path = db.grid.run_path(run)
+            if not path.is_file() or path.stat().st_size != run.n_bytes:
+                raise CorruptDatabase(f"{path}: missing or not {run.n_bytes} bytes long")
+        return db
 
 
 def build_patch_database(
@@ -256,8 +272,8 @@ def _append_run(
     Structure keys continue after the largest existing key. Patches without
     a single valid frame are excluded and counted under
     ``counters['patches_excluded']``; None is returned, and nothing written,
-    when no patch is left. Write order is run file, patch_meta, db_params,
-    then the grid manifest as commit point.
+    when no patch is left. The run file is written first, then the manifest
+    is replaced as the commit point.
     """
     existing = db.patch_ids
     new_ids: set[str] = set()
@@ -285,11 +301,10 @@ def _append_run(
 
     grid = DiskGrid(params=db.params, directory=db.grid.directory, runs=list(db.grid.runs))
     grid.directory.mkdir(parents=True, exist_ok=True)
-    run_name = grid.next_run_name()
     info = build_sorted_run(
         itertools.chain.from_iterable(streams),
         db.params,
-        grid.directory / run_name,
+        grid.directory / grid.next_run_name(),
         memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
         tmp_dir=tmp_dir,
     )
@@ -301,22 +316,23 @@ def _append_run(
         mps=max(db.mps, build_stats.get("max_radius", 0.0)),
         directory=db.directory,
     )
-    updated.save_metadata()
-    grid.save_manifest()
+    updated.save()
     if counters is not None:
         counters["patches_indexed"] = len(meta) - len(db.patch_meta)
     return updated
 
 
 def compact(db: PatchDatabase) -> PatchDatabase:
-    """Merge all grid runs into one; metadata is unchanged."""
-    from .grid import merge_runs
+    """Merge all grid runs into one and commit it; metadata is unchanged.
 
+    The old run files are deleted only after the new manifest is in place.
+    """
     merged = merge_runs(db.grid)
-    return PatchDatabase(
-        params=db.params,
-        grid=merged,
-        patch_meta=db.patch_meta,
-        mps=db.mps,
-        directory=db.directory,
-    )
+    if merged is db.grid:
+        return db
+    compacted = replace(db, grid=merged)
+    compacted.save()
+    for run in db.grid.runs:
+        with suppress(OSError):
+            db.grid.run_path(run).unlink()
+    return compacted

@@ -86,11 +86,13 @@ def pair_identity(
     identity_cache: dict | None = None,
     tmp_dir: Path | None = None,
 ) -> float:
-    """Structural identity for one protein pair, cached on the unordered pair.
+    """Structural identity of ``query_id`` against ``source_id``, cached on
+    the ordered pair: the identity is normalized by the source's atom count,
+    so it depends on direction.
 
     Raises MissingSourceProtein when the source structure is unavailable.
     """
-    cache_key = tuple(sorted((query_id, source_id)))
+    cache_key = (query_id, source_id)
     if identity_cache is not None and cache_key in identity_cache:
         return identity_cache[cache_key]
     if query_id == source_id:

@@ -372,8 +372,7 @@ def test_acceptance_09_tp_rate_machinery(tmp_path):
         pair("Q2", "S3", 0.87), pair("Q1", "S2", 0.87),
         pair("Q1", "S4", 0.82), pair("Q2", "S4", 0.82),
     ]
-    cache = {tuple(sorted((q, s))): 0.0 for q in ("Q1", "Q2")
-             for s in ("S1", "S2", "S3", "S4")}
+    cache = {(q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")}
     report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {},
                    db, db.params, identity_cache=cache)
     # hand computation: R = 4/8; D per tau_pp tier; TP = (D - R) / (1 - R)
@@ -428,8 +427,8 @@ def test_acceptance_10_threshold_semantics(tmp_path):
         removed_by_tau[tau_prot] = {p.result.source_protein_id for p in pairs} - {
             p.result.source_protein_id for p in kept
         }
-    assert cache[tuple(sorted(("Q", "A")))] == 0.7
-    assert cache[tuple(sorted(("Q", "B")))] == 0.3
+    assert cache[("Q", "A")] == 0.7
+    assert cache[("Q", "B")] == 0.3
     for tau_prot, removed in removed_by_tau.items():
         expected = {sid for sid, identity in (("A", 0.7), ("B", 0.3)) if identity > tau_prot}
         assert removed == expected, f"tau_prot={tau_prot}"

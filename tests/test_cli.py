@@ -221,3 +221,21 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert resolved["delta"] == 1.0            # default
     assert resolved["bits_per_axis"] == 21
     assert "tau_prot" not in resolved
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-db", "--db", "db", "--tau-pp", "0.5"],
+    ["query", "q.pdb", "--db", "db", "--delta", "2.0"],
+    ["query", "q.pdb", "--db", "db", "--bits-per-axis", "10"],
+    ["add", "--db", "db", "--delta", "2.0"],
+    ["add", "--db", "db", "--tau-pp", "0.5"],
+    ["eval", "--results", "Q=r.tsv", "--annotations", "k.tsv", "--structures", ".",
+     "--mem-budget", "10"],
+    ["oracle-compare", "--db", "db"],
+    ["oracle-compare", "--mem-budget", "10"],
+])
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -347,27 +347,18 @@ def test_merge_runs_disjoint_and_shared(tmp_path):
     b = make_run(tmp_path, "b.bin", items(2, 40))
     oracle = union_oracle([DiskGrid(P1, tmp_path, [a]), DiskGrid(P1, tmp_path, [b])])
     grid = DiskGrid(P1, tmp_path, [a, b])
-    grid.save_manifest()
     merged = merge_runs(grid)
     assert len(merged.runs) == 1
     cells = read_cells(merged)
     assert {c.z: sorted(c.entries) for c in cells} == oracle
     assert merged.total_entries == sum(len(v) for v in oracle.values())
-    assert not (tmp_path / "a.bin").exists() and not (tmp_path / "b.bin").exists()
+    # the old runs stay until the caller has committed the merged grid
+    assert (tmp_path / "a.bin").exists() and (tmp_path / "b.bin").exists()
     # disjoint-z case: cell count adds up
     c_ = make_run(tmp_path, "c.bin", [(CellIndex(5, 5, 5), entry(9, 9, 9))])
     grid2 = DiskGrid(P1, tmp_path, [merged.runs[0], c_])
     merged2 = merge_runs(grid2)
     assert merged2.total_cells == len(cells) + 1
-
-
-def test_manifest_round_trip(tmp_path):
-    info = make_run(tmp_path, "m.bin", [(CellIndex(0, 0, 0), entry(0, 0, 0))])
-    grid = DiskGrid(P1, tmp_path, [info])
-    grid.save_manifest()
-    loaded = DiskGrid.load(tmp_path, P1)
-    assert loaded.runs == grid.runs
-    assert loaded.total_cells == 1 and loaded.total_entries == 1
 
 
 @settings(max_examples=200, deadline=None)

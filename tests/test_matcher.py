@@ -47,9 +47,7 @@ def run_from_z(tmp_path, name, z_to_entries, params=P1):
         for sk, ro, ao in entries:
             items.append((cell_index, CellEntry(RefId(sk, ro), ao)))
     info = build_sorted_run(iter(items), params, tmp_path / name)
-    grid = DiskGrid(params, tmp_path, [info])
-    grid.save_manifest()
-    return grid
+    return DiskGrid(params, tmp_path, [info])
 
 
 def join_oracle(gp, gq):

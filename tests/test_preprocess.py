@@ -1,9 +1,13 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import corpus
-from patchgrid.errors import DuplicatePatchId, NoValidFrame
+from patchgrid import grid
+from patchgrid.cli import main
+from patchgrid.errors import CorruptDatabase, DuplicatePatchId, NoValidFrame
 from patchgrid.geometry import (
     AtomRecord,
     Point3,
@@ -18,6 +22,7 @@ from patchgrid.preprocess import (
     PatchDatabase,
     add_patches,
     build_patch_database,
+    compact,
     insert_patch,
     residue_frames,
 )
@@ -174,8 +179,8 @@ def test_build_is_deterministic(tmp_path):
     blob1 = (db1.grid.directory / db1.grid.runs[0].file_name).read_bytes()
     blob2 = (db2.grid.directory / db2.grid.runs[0].file_name).read_bytes()
     assert blob1 == blob2
-    assert (tmp_path / "db1" / "patch_meta.tsv").read_text() == (
-        tmp_path / "db2" / "patch_meta.tsv"
+    assert (tmp_path / "db1" / "manifest.tsv").read_text() == (
+        tmp_path / "db2" / "manifest.tsv"
     ).read_text()
 
 
@@ -224,3 +229,141 @@ def test_out_of_extent_patch_rejected(tmp_path):
 
     with pytest.raises(OutOfExtent):
         list(insert_patch(patch, params))
+
+
+# ---------------------------------------------------------------------------
+# crash safety: the manifest is the single commit point
+
+
+class Crash(Exception):
+    """Stands in for the process dying at an injected write step."""
+
+
+WRITE_STEPS = ("run write", "run rename", "manifest replace")
+
+
+def hook_write_steps(monkeypatch, log, crash=None):
+    """Append each write step reached to ``log``; the first time step
+    ``crash`` is reached, raise Crash. The clean-up of a half-written run
+    file, which a killed process never runs, is off."""
+    real_replace, real_flush, real_unlink = os.replace, grid._RunWriter._flush_cell, Path.unlink
+
+    def reach(step):
+        log.append(step)
+        if step == crash:
+            raise Crash(step)
+
+    def replace(src, dst):
+        name = Path(dst).name
+        if name == "manifest.tsv":
+            reach("manifest replace")
+        elif name.endswith(".bin"):
+            reach("run rename")
+        real_replace(src, dst)
+
+    def flush(writer):
+        real_flush(writer)
+        reach("run write")
+
+    def unlink(path, *args, **kwargs):
+        if path.parent.name == "grid":
+            reach("run delete")
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(grid._RunWriter, "_flush_cell", flush)
+    monkeypatch.setattr(grid._RunWriter, "abort", lambda writer: writer._fh.close())
+    monkeypatch.setattr(Path, "unlink", unlink)
+
+
+def prepare(kind, db_dir, a, b):
+    """The database before the operation under test; None before a build."""
+    if kind == "build":
+        return None
+    db = build_patch_database(a, P1, db_dir)
+    return db if kind == "add" else add_patches(db, b)
+
+
+def operate(kind, db_dir, a, b):
+    if kind == "build":
+        return build_patch_database(a + b, P1, db_dir)
+    db = PatchDatabase.load(db_dir)
+    return add_patches(db, b) if kind == "add" else compact(db)
+
+
+def state(db):
+    return db.patch_meta, db.grid.runs, db.mps
+
+
+@pytest.mark.parametrize("kind", ["build", "add", "compact"])
+def test_manifest_replace_is_the_last_write(tmp_path, monkeypatch, kind):
+    _, patches = corpus(seed=8, n_proteins=6)
+    a, b = patches[:7], patches[7:]
+    prepare(kind, tmp_path / "db", a, b)
+    log: list[str] = []
+    with monkeypatch.context() as patched:
+        hook_write_steps(patched, log)
+        operate(kind, tmp_path / "db", a, b)
+    assert log.count("manifest replace") == 1
+    after = log[log.index("manifest replace") + 1:]
+    assert after == (["run delete", "run delete"] if kind == "compact" else [])
+
+
+@pytest.mark.parametrize(
+    "kind, step",
+    [(kind, step) for kind in ("build", "add", "compact") for step in WRITE_STEPS]
+    + [("compact", "run delete")],
+)
+def test_crash_leaves_old_or_new_database_and_retry_succeeds(tmp_path, monkeypatch, kind, step):
+    _, patches = corpus(seed=8, n_proteins=6)
+    a, b = patches[:7], patches[7:]
+    full = build_patch_database(a + b, P1, tmp_path / "full")
+    prepare(kind, tmp_path / "ref", a, b)
+    new = operate(kind, tmp_path / "ref", a, b)
+    db_dir = tmp_path / "db"
+    old = prepare(kind, db_dir, a, b)
+
+    with monkeypatch.context() as patched:
+        hook_write_steps(patched, [], crash=step)
+        with pytest.raises(Crash):
+            operate(kind, db_dir, a, b)
+
+    if old is None:  # a build that never committed leaves no database
+        with pytest.raises(FileNotFoundError):
+            PatchDatabase.load(db_dir)
+    else:
+        loaded = PatchDatabase.load(db_dir)
+        assert state(loaded) == state(new if step == "run delete" else old)
+        assert loaded.expected_entries == loaded.grid.total_entries
+
+    retried = operate(kind, db_dir, a, b)
+    assert state(retried) == state(PatchDatabase.load(db_dir)) == state(new)
+    listed = {"manifest.tsv", "grid"} | {f"grid/{r.file_name}" for r in retried.grid.runs}
+    on_disk = {path.relative_to(db_dir).as_posix() for path in db_dir.rglob("*")}
+    if step == "run delete":
+        assert listed < on_disk  # the old runs are orphans, never listed
+    else:
+        assert on_disk == listed  # orphaned and half-written files were overwritten
+
+    final = compact(retried)
+    assert (final.patch_meta, final.mps) == (full.patch_meta, full.mps)
+    (run,) = final.grid.runs
+    assert final.grid.run_path(run).read_bytes() == full.grid.run_path(full.grid.runs[0]).read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["drop run row", "truncate run file"])
+def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
+    _, patches = corpus(seed=8, n_proteins=6)
+    db_dir = tmp_path / "db"
+    db = add_patches(build_patch_database(patches[:7], P1, db_dir), patches[7:])
+    if damage == "drop run row":
+        manifest = db_dir / "manifest.tsv"
+        rows = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(row for row in rows if not row.startswith("run\trun_000001")))
+    else:
+        path = db.grid.run_path(db.grid.runs[0])
+        path.write_bytes(path.read_bytes()[:-12])
+    with pytest.raises(CorruptDatabase):
+        PatchDatabase.load(db_dir)
+    assert main(["add", "--db", str(db_dir)]) == 1
+    assert "error:" in capsys.readouterr().err

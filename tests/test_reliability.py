@@ -12,6 +12,7 @@ from patchgrid.reliability import (
     EvalPair,
     compute_D,
     compute_R,
+    pair_identity,
     redundancy_filter,
     same_keywords,
     sweep,
@@ -141,8 +142,8 @@ def test_compute_R_undefined_without_annotations(tmp_path):
 
 def test_redundancy_filter_with_planted_identities(tmp_path):
     cache = {
-        tuple(sorted(("Q", "A"))): 0.7,
-        tuple(sorted(("Q", "B"))): 0.3,
+        ("Q", "A"): 0.7,
+        ("Q", "B"): 0.3,
     }
     pairs = [pair("Q", "A", 0.9), pair("Q", "B", 0.9)]
     counters: dict[str, int] = {}
@@ -152,7 +153,7 @@ def test_redundancy_filter_with_planted_identities(tmp_path):
 
 
 def test_redundancy_filter_tau_one_keeps_all():
-    cache = {tuple(sorted(("Q", "A"))): 1.0}
+    cache = {("Q", "A"): 1.0}
     pairs = [pair("Q", "A", 0.9)]
     assert redundancy_filter(pairs, {}, {}, 1.0, P1, identity_cache=cache) == pairs
 
@@ -165,7 +166,7 @@ def test_redundancy_filter_self_pair_removed():
 
 
 def test_redundancy_filter_strict_boundary():
-    cache = {tuple(sorted(("Q", "A"))): 0.7}
+    cache = {("Q", "A"): 0.7}
     pairs = [pair("Q", "A", 0.9)]
     assert redundancy_filter(pairs, {}, {}, 0.7, P1, identity_cache=cache) == pairs
 
@@ -182,7 +183,7 @@ def test_redundancy_filter_missing_source_dropped():
 def test_redundancy_filter_monotone_in_tau():
     rng = random.Random(4)
     sources = [f"S{i}" for i in range(8)]
-    cache = {tuple(sorted(("Q", s))): rng.random() for s in sources}
+    cache = {("Q", s): rng.random() for s in sources}
     pairs = [pair("Q", s, 0.9) for s in sources]
     previous = None
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -220,9 +221,28 @@ def test_redundancy_filter_engine_identities(tmp_path):
         pairs, {"Q": query}, {"A": source_a, "B": source_b}, 0.5, P1,
         identity_cache=cache, tmp_dir=tmp_path,
     )
-    assert cache[tuple(sorted(("Q", "A")))] == 0.7
-    assert cache[tuple(sorted(("Q", "B")))] == 0.3
+    assert cache[("Q", "A")] == 0.7
+    assert cache[("Q", "B")] == 0.3
     assert [p.result.source_protein_id for p in kept] == ["B"]
+
+
+def test_pair_identity_cache_is_ordered(tmp_path):
+    # identity is normalized by the source's atom count: B (7 of A's 10 atoms,
+    # moved) scores 7/10 against A, and A scores 7/7 against B
+    rng = random.Random(5)
+    patch_a = lattice_patch("A_0", "A", 1.0, rng, n_extra_atoms=7)
+    proteins = {
+        "A": Protein("A", patch_a.atoms),
+        "B": Protein("B", tuple(move_atoms(patch_a.atoms[:7], *rigid_motion(rng)))),
+    }
+    expected = {("B", "A"): 0.7, ("A", "B"): 1.0}
+    for order in (list(expected), list(reversed(expected))):
+        cache: dict = {}
+        for query_id, source_id in order:
+            identity = pair_identity(query_id, source_id, proteins, proteins, P1,
+                                     identity_cache=cache, tmp_dir=tmp_path)
+            assert identity == expected[(query_id, source_id)]
+        assert cache == expected
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +266,7 @@ def hand_built_sweep_inputs(tmp_path):
         pair("Q1", "S4", 0.82), pair("Q2", "S4", 0.82),
     ]
     identity_cache = {
-        tuple(sorted((q, s))): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")
+        (q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")
     }
     return annotations, db, pairs, identity_cache
 
@@ -293,7 +313,7 @@ def test_sweep_empty_results_all_na(tmp_path):
 
 def test_sweep_pair_count_consistency(tmp_path):
     annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
-    cache[tuple(sorted(("Q1", "S1")))] = 0.95  # planted redundant pair
+    cache[("Q1", "S1")] = 0.95  # planted redundant pair
     counters: dict[str, int] = {}
     report = sweep(pairs, EvalConfig(tau_pp_values=(0.8,), tau_prot_values=(0.5,)),
                    annotations, {"Q1": None, "Q2": None}, {}, db, P1,

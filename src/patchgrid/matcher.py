@@ -9,17 +9,25 @@ cell adds c to its pair score with every query frame present in the cell.
 The final score of a (database frame, query frame) pair is its matched-atom
 count divided by the atom count of the patch owning the database frame,
 which keeps scores in [0, 1].
+
+Scores stay columnar from the merge scan to the threshold: the score table
+buffers one increment row per (database frame, query frame, count) and
+reduces the rows with numpy, ``budget`` buffered rows at a time, spilling
+each reduced block as one sorted chunk; the final merge concatenates and
+reduces every chunk row in memory. The threshold is applied to the raw
+counts, so a ``MatchResult`` is built only for a pair that is kept.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import struct
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NoValidFrame, ParamsMismatch, PatchGridError, UnknownRefId
 from .geometry import point_norms, positions_array, transform_points
@@ -35,11 +43,15 @@ from .grid import (
     scan,
 )
 from .ingest import OriginTag, Patch, Protein, _count
-from .preprocess import PatchDatabase, build_patch_database, residue_frames
+from .preprocess import PatchDatabase, PatchMeta, build_patch_database, residue_frames
 
 DEFAULT_SCORE_BUDGET = 1_000_000
 
-_PAIR_RECORD = struct.Struct("<IIIIQ")
+# One score row: packed database ref, packed query ref, matched count. A ref
+# packs as structure_key << 32 | residue_ordinal, both u32 as in run files,
+# so ascending packed keys are ascending (db ref, query ref) tuples.
+_PAIR_DTYPE = np.dtype([("db", "<u8"), ("q", "<u8"), ("count", "<u8")])
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -53,35 +65,61 @@ class MatchResult:
     source_protein_id: str
 
 
-class ScoreTable:
-    """Aggregation map (db ref, query ref) -> matched count, spillable.
+def _reduce_pairs(rows: np.ndarray) -> np.ndarray:
+    """Sort score rows by (db, q) and sum the counts of equal keys."""
+    if not len(rows):
+        return rows
+    rows = rows[np.lexsort((rows["q"], rows["db"]))]
+    db, q = rows["db"], rows["q"]
+    starts = np.flatnonzero(np.concatenate(([True], (db[1:] != db[:-1]) | (q[1:] != q[:-1]))))
+    reduced = rows[starts]
+    reduced["count"] = np.add.reduceat(rows["count"], starts)
+    return reduced
 
-    Pairs live in a dict up to ``budget`` entries; beyond that the dict is
-    written to disk as one sorted chunk and cleared. ``items()`` merges all
-    chunks once, summing the counts of equal keys, and yields keys in
-    ascending order whether or not the table spilled.
+
+class ScoreTable:
+    """Aggregation of (db ref, query ref) -> matched count, spillable.
+
+    ``add`` appends increment rows to flat lists of packed keys; once more
+    than ``budget`` rows are buffered, they are sorted and reduced with
+    numpy and written to disk as one sorted chunk. ``pairs()`` concatenates
+    every chunk with the reduced buffer and reduces them once, so the final
+    merge holds every chunk row in memory.
     """
 
     def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, tmp_dir: Path | None = None):
         if budget < 1:
             raise ValueError("score table budget must be >= 1")
-        self._live: dict[tuple[int, int, int, int], int] = {}
+        self._db: list[int] = []
+        self._q: list[int] = []
+        self._counts: list[int] = []
         self._budget = budget
         self._tmp_dir = tmp_dir
         self._spill_dir: str | None = None
         self._chunks: list[Path] = []
         self.spills = 0
 
-    def add(self, db_ref: RefId, query_ref: RefId, count: int) -> None:
-        key = (db_ref.structure_key, db_ref.residue_ordinal,
-               query_ref.structure_key, query_ref.residue_ordinal)
-        live = self._live
-        live[key] = live.get(key, 0) + count
-        if len(live) > self._budget:
+    def add(
+        self,
+        db_refs: Sequence[RefId],
+        query_refs: Sequence[RefId],
+        counts: Sequence[int],
+    ) -> None:
+        """Add ``counts[i]`` to the pair (db_refs[i], q) for every q in query_refs."""
+        db_keys = [sk << 32 | ro for sk, ro in db_refs]
+        for sk, ro in query_refs:
+            self._q.extend([sk << 32 | ro] * len(db_keys))
+        self._db.extend(db_keys * len(query_refs))
+        self._counts.extend(list(counts) * len(query_refs))
+        if len(self._db) > self._budget:
             self._spill()
 
-    def __len__(self) -> int:
-        return len(self._live)
+    def _buffered(self) -> np.ndarray:
+        rows = np.empty(len(self._db), dtype=_PAIR_DTYPE)
+        rows["db"] = self._db
+        rows["q"] = self._q
+        rows["count"] = self._counts
+        return _reduce_pairs(rows)
 
     def _spill(self) -> None:
         if self._spill_dir is None:
@@ -89,56 +127,46 @@ class ScoreTable:
                 prefix="scoretable-", dir=str(self._tmp_dir) if self._tmp_dir else None
             )
         path = Path(self._spill_dir) / f"chunk_{len(self._chunks):06d}.bin"
-        with open(path, "wb") as fh:
-            for key, count in sorted(self._live.items()):
-                fh.write(_PAIR_RECORD.pack(*key, count))
+        self._buffered().tofile(path)
         self._chunks.append(path)
-        self._live.clear()
+        self._db.clear()
+        self._q.clear()
+        self._counts.clear()
         self.spills += 1
 
-    @staticmethod
-    def _read_chunk(path: Path) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        with open(path, "rb") as fh:
-            while True:
-                blob = fh.read(_PAIR_RECORD.size * 4096)
-                if not blob:
-                    return
-                for a, b, c, d, count in _PAIR_RECORD.iter_unpack(blob):
-                    yield (a, b, c, d), count
+    def pairs(self) -> np.ndarray:
+        """Every reduced pair once, in ascending (db, q) key order, as ``_PAIR_DTYPE`` rows."""
+        if not self._chunks:
+            return self._buffered()
+        chunks = [np.fromfile(p, dtype=_PAIR_DTYPE) for p in self._chunks]
+        return _reduce_pairs(np.concatenate([*chunks, self._buffered()]))
 
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        """Yield each (key, total count) pair exactly once, in ascending key order."""
-        if not self._chunks:
-            yield from sorted(self._live.items())
-            return
-        if self._live:
-            self._spill()
-        merged = heapq.merge(*map(self._read_chunk, self._chunks), key=lambda item: item[0])
-        current: tuple[int, int, int, int] | None = None
-        total = 0
-        for key, count in merged:
-            if key == current:
-                total += count
-            else:
-                if current is not None:
-                    yield current, total
-                current, total = key, count
-        if current is not None:
-            yield current, total
+        """Yield ((db sk, db ro, q sk, q ro), total count) from ``pairs()``, in key order."""
+        for db, q, count in self.pairs().tolist():
+            yield (db >> 32, db & _LOW32, q >> 32, q & _LOW32), count
 
     def close(self) -> None:
         for p in self._chunks:
-            try:
+            with suppress(OSError):
                 p.unlink()
-            except OSError:
-                pass
         if self._spill_dir is not None:
-            try:
+            with suppress(OSError):
                 os.rmdir(self._spill_dir)
-            except OSError:
-                pass
         self._chunks.clear()
         self._spill_dir = None
+
+
+@dataclass(frozen=True)
+class ScoredPairs:
+    """Every scored pair, columnar: reduced score rows plus each row's patch atom count."""
+
+    pairs: np.ndarray
+    n_atoms: np.ndarray
+    patch_meta: Mapping[int, PatchMeta]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 def build_query_grid(
@@ -225,9 +253,7 @@ def merge_scan_match(
                 for entry in cell_p.entries:
                     counts[entry.ref_id] = counts.get(entry.ref_id, 0) + 1
                 query_refs = {entry.ref_id for entry in cell_q.entries}
-                for query_ref in query_refs:
-                    for db_ref, count in counts.items():
-                        table.add(db_ref, query_ref, count)
+                table.add(list(counts), list(query_refs), list(counts.values()))
                 cell_p = next(cur_p, None)
                 cell_q = next(cur_q, None)
         # Drain both sides: a full scan reads every stored cell once.
@@ -246,29 +272,52 @@ def merge_scan_match(
     return table
 
 
-def finalize_scores(table: ScoreTable, db: PatchDatabase) -> list[MatchResult]:
-    """Normalize matched counts by patch atom count and order the results.
+def finalize_scores(table: ScoreTable, db: PatchDatabase) -> ScoredPairs:
+    """Attach to every reduced pair the atom count of the patch owning its db frame.
 
-    Results are sorted by score descending; ties break on (patch id, query
-    ref, database residue ordinal) so the ordering is total and runs are
-    reproducible. Raises UnknownRefId when a table key references a
-    structure key absent from the patch metadata.
+    Raises UnknownRefId when a pair references a structure key absent from
+    the patch metadata, and PatchGridError when a pair count exceeds the
+    patch's atom count.
     """
-    results: list[MatchResult] = []
-    for (db_key, db_residue, q_key, q_residue), count in table.items():
-        meta = db.patch_meta.get(db_key)
+    pairs = table.pairs()
+    keys, row_key = np.unique(pairs["db"] >> 32, return_inverse=True)
+    metas = []
+    for key in keys.tolist():
+        meta = db.patch_meta.get(key)
         if meta is None:
-            raise UnknownRefId(f"structure key {db_key} not in patch metadata")
-        if count > meta.n_atoms:
-            raise PatchGridError(
-                f"corrupt score table: pair count {count} exceeds atom count "
-                f"{meta.n_atoms} of patch {meta.patch_id}"
-            )
+            raise UnknownRefId(f"structure key {key} not in patch metadata")
+        metas.append(meta)
+    n_atoms = np.array([m.n_atoms for m in metas], dtype=np.uint64)[row_key]
+    over = np.flatnonzero(pairs["count"] > n_atoms)
+    if over.size:
+        i = over[0]
+        raise PatchGridError(
+            f"corrupt score table: pair count {pairs['count'][i]} exceeds atom count "
+            f"{n_atoms[i]} of patch {metas[row_key[i]].patch_id}"
+        )
+    return ScoredPairs(pairs, n_atoms, db.patch_meta)
+
+
+def threshold_filter(scored: ScoredPairs, tau_pp: float) -> list[MatchResult]:
+    """Keep pairs with score = count / n_atoms >= tau_pp (boundary inclusive).
+
+    The float64 division is the correctly rounded one Python's ``int / int``
+    does, so scores are the same floats. Results are sorted by score
+    descending; ties break on (patch id, query ref, database residue
+    ordinal) so the ordering is total and runs are reproducible.
+    """
+    if not (0.0 <= tau_pp <= 1.0):
+        raise ValueError("tau_pp must be in [0, 1]")
+    scores = scored.pairs["count"] / scored.n_atoms
+    kept = np.flatnonzero(scores >= tau_pp)
+    results = []
+    for (db_key, q_key, _), score in zip(scored.pairs[kept].tolist(), scores[kept].tolist()):
+        meta = scored.patch_meta[db_key >> 32]
         results.append(
             MatchResult(
-                db_ref_id=RefId(db_key, db_residue),
-                query_ref_id=RefId(q_key, q_residue),
-                score=count / meta.n_atoms,
+                db_ref_id=RefId(db_key >> 32, db_key & _LOW32),
+                query_ref_id=RefId(q_key >> 32, q_key & _LOW32),
+                score=score,
                 patch_id=meta.patch_id,
                 source_protein_id=meta.source_protein_id,
             )
@@ -277,13 +326,6 @@ def finalize_scores(table: ScoreTable, db: PatchDatabase) -> list[MatchResult]:
         key=lambda r: (-r.score, r.patch_id, r.query_ref_id, r.db_ref_id.residue_ordinal)
     )
     return results
-
-
-def threshold_filter(results: Iterable[MatchResult], tau_pp: float) -> list[MatchResult]:
-    """Keep results with score >= tau_pp (boundary inclusive)."""
-    if not (0.0 <= tau_pp <= 1.0):
-        raise ValueError("tau_pp must be in [0, 1]")
-    return [r for r in results if r.score >= tau_pp]
 
 
 def match_query(
@@ -313,12 +355,13 @@ def match_query(
         table = ScoreTable(budget=score_budget, tmp_dir=tmp_dir)
         try:
             merge_scan_match(db.grid, gq, table, stats=stats)
-            results = finalize_scores(table, db)
+            scored = finalize_scores(table, db)
         finally:
             table.close()
     if stats is not None:
-        stats["pairs_scored"] = len(results)
-    return threshold_filter(results, tau_pp)
+        stats["pairs_scored"] = len(scored)
+        stats["score_spills"] = table.spills
+    return threshold_filter(scored, tau_pp)
 
 
 def structural_identity(

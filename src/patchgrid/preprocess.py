@@ -171,31 +171,39 @@ class PatchDatabase:
     def load(cls, directory: Path) -> "PatchDatabase":
         """Read a database from its manifest and check it against its runs.
 
-        Raises CorruptDatabase when the patches' sum of n_atoms*n_frames
-        differs from the runs' entry total, or when a listed run file is
-        missing or its size disagrees with its cell and entry counts.
+        Raises CorruptDatabase when a manifest row is missing or malformed,
+        when the patches' sum of n_atoms*n_frames differs from the runs'
+        entry total, or when a listed run file is missing or its size
+        disagrees with its cell and entry counts.
         """
         directory = Path(directory)
         values: dict[str, str] = {}
         runs: list[RunInfo] = []
         meta: dict[int, PatchMeta] = {}
-        with open(directory / MANIFEST_FILE, "r", encoding="utf-8") as fh:
-            for line in fh:
-                kind, *fields = line.rstrip("\n").split("\t")
-                if kind == "run":
-                    name, n_cells, n_entries = fields
-                    runs.append(RunInfo(name, int(n_cells), int(n_entries)))
-                elif kind == "patch":
-                    key, patch_id, source_id, n_atoms, n_frames = fields
-                    meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
-                else:
-                    (values[kind],) = fields
-        params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
+        manifest = directory / MANIFEST_FILE
+        try:
+            with open(manifest, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    kind, *fields = line.rstrip("\n").split("\t")
+                    if kind == "run":
+                        name, n_cells, n_entries = fields
+                        runs.append(RunInfo(name, int(n_cells), int(n_entries)))
+                    elif kind == "patch":
+                        key, patch_id, source_id, n_atoms, n_frames = fields
+                        meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
+                    else:
+                        (values[kind],) = fields
+            params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
+            mps = float(values["mps"])
+        except KeyError as exc:
+            raise CorruptDatabase(f"{manifest}: no {exc.args[0]} row") from exc
+        except ValueError as exc:
+            raise CorruptDatabase(f"{manifest}: malformed row: {exc}") from exc
         db = cls(
             params=params,
             grid=DiskGrid(params=params, directory=directory / GRID_SUBDIR, runs=runs),
             patch_meta=meta,
-            mps=float(values["mps"]),
+            mps=mps,
             directory=directory,
         )
         if db.expected_entries != db.grid.total_entries:
@@ -325,14 +333,18 @@ def _append_run(
 def compact(db: PatchDatabase) -> PatchDatabase:
     """Merge all grid runs into one and commit it; metadata is unchanged.
 
-    The old run files are deleted only after the new manifest is in place.
+    After the commit, every ``run_*.bin`` file in the grid directory that
+    the committed manifest does not list is deleted: the old runs, and any
+    left by an earlier compact interrupted before its deletes. A single-run
+    database is not rewritten, but its unlisted run files are deleted too.
     """
     merged = merge_runs(db.grid)
-    if merged is db.grid:
-        return db
-    compacted = replace(db, grid=merged)
-    compacted.save()
-    for run in db.grid.runs:
-        with suppress(OSError):
-            db.grid.run_path(run).unlink()
-    return compacted
+    if merged is not db.grid:
+        db = replace(db, grid=merged)
+        db.save()
+    listed = {run.file_name for run in db.grid.runs}
+    for path in sorted(db.grid.directory.glob("run_*.bin")):
+        if path.name not in listed:
+            with suppress(OSError):
+                path.unlink()
+    return db

@@ -62,6 +62,9 @@ def test_build_query_add_eval_round_trip(workspace, capsys):
     stats_text = (tmp_path / "q0.stats.txt").read_text()
     assert "query_id=SRC0" in stats_text
     assert "gp_cells_read=" in stats_text
+    assert [line for line in stats_text.splitlines() if line.startswith("score_spills=")] == [
+        "score_spills=0"
+    ]
 
     # empty result is still exit 0
     far = random_protein(random.Random(999), "FARAWAY", 2)

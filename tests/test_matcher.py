@@ -1,6 +1,10 @@
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
@@ -17,7 +21,9 @@ from patchgrid.grid import (
     morton_encode,
     scan,
 )
+from patchgrid.ingest import Protein
 from patchgrid.matcher import (
+    DEFAULT_SCORE_BUDGET,
     MatchResult,
     ScoreTable,
     build_query_grid,
@@ -30,6 +36,7 @@ from patchgrid.matcher import (
 from patchgrid.preprocess import build_patch_database, residue_frames
 from patchgrid.synthetic import (
     lattice_patch,
+    move_atoms,
     move_protein,
     planted_instance,
     random_protein,
@@ -216,15 +223,33 @@ def _db_with_patch(tmp_path):
     return build_patch_database(patches[:1], P1, tmp_path / "db"), patches[0]
 
 
+def _lattice_db(tmp_path, n_atoms):
+    """A database of one single-residue patch with exactly ``n_atoms`` atoms."""
+    patch = lattice_patch("T_0", "T", 1.0, random.Random(n_atoms), n_extra_atoms=n_atoms - 3)
+    db = build_patch_database([patch], P1, tmp_path / f"db{n_atoms}")
+    assert db.patch_meta[0].n_atoms == n_atoms
+    return db, patch
+
+
+def _scored(db, counts):
+    """Scored pairs where database frame i matched ``counts[i]`` atoms of query frame 0."""
+    table = ScoreTable()
+    table.add([RefId(0, i) for i in range(len(counts))], [RefId(0, 0)], counts)
+    try:
+        return finalize_scores(table, db)
+    finally:
+        table.close()
+
+
 def test_finalize_scores_division(tmp_path):
     db, patch = _db_with_patch(tmp_path)
     n = db.patch_meta[0].n_atoms
-    table = ScoreTable()
-    table.add(RefId(0, 1), RefId(0, 5), n)      # full match
-    table.add(RefId(0, 2), RefId(0, 5), 1)
-    results = finalize_scores(table, db)
+    scored = _scored(db, [n, 1])  # a full match and a single atom
+    assert len(scored) == 2
+    results = threshold_filter(scored, 0.0)
     assert results[0].score == 1.0
     assert results[1].score == 1 / n
+    assert type(results[1].score) is float
     assert results[0].patch_id == patch.patch_id
 
 
@@ -236,7 +261,7 @@ def test_finalize_scores_seven_tenths():
 def test_finalize_unknown_ref(tmp_path):
     db, _ = _db_with_patch(tmp_path)
     table = ScoreTable()
-    table.add(RefId(99, 0), RefId(0, 0), 1)
+    table.add([RefId(99, 0)], [RefId(0, 0)], [1])
     with pytest.raises(UnknownRefId):
         finalize_scores(table, db)
 
@@ -250,7 +275,7 @@ def test_score_table_spilled_items_sorted_and_summed(tmp_path):
             db_ref = RefId(rng.randrange(4), rng.randrange(6))
             query_ref = RefId(rng.randrange(2), rng.randrange(6))
             count = rng.randint(1, 3)
-            table.add(db_ref, query_ref, count)
+            table.add([db_ref], [query_ref], [count])
             key = (*db_ref, *query_ref)
             expected[key] = expected.get(key, 0) + count
         assert list(table.items()) == sorted(expected.items())
@@ -259,29 +284,104 @@ def test_score_table_spilled_items_sorted_and_summed(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-def test_threshold_filter_bounds():
-    def result(score):
-        return MatchResult(RefId(0, 0), RefId(0, 0), score, "P_0", "P")
+_FIELD = st.one_of(st.integers(0, 3), st.just(2**32 - 1))
+_REF = st.builds(RefId, _FIELD, _FIELD)
+_CELL = st.tuples(
+    st.dictionaries(_REF, st.integers(1, 5), min_size=1, max_size=4),
+    st.lists(_REF, min_size=1, max_size=3, unique=True),
+)
 
-    results = [result(0.95), result(0.85), result(0.8), result(0.75)]
-    assert threshold_filter(results, 0.0) == results
-    assert threshold_filter(results, 1.0) == []
-    assert len(threshold_filter([result(0.95), result(0.85), result(0.75)], 0.8)) == 2
-    assert len(threshold_filter(results, 0.8)) == 3  # boundary inclusive
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(_CELL, max_size=12),
+       budget=st.sampled_from([1, 2, 3, 4, 5, DEFAULT_SCORE_BUDGET]))
+def test_score_table_equals_dict_oracle(cells, budget):
+    # per-cell batches, as merge_scan_match adds them, against a plain dict
+    expected: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        table = ScoreTable(budget=budget, tmp_dir=tmp)
+        try:
+            for db_counts, query_refs in cells:
+                table.add(list(db_counts), query_refs, list(db_counts.values()))
+                for query_ref in query_refs:
+                    for db_ref, count in db_counts.items():
+                        key = (*db_ref, *query_ref)
+                        expected[key] = expected.get(key, 0) + count
+            first = list(table.items())
+            assert first == sorted(expected.items())
+            assert list(table.items()) == first  # items() does not consume the table
+            assert len(table.pairs()) == len(expected)
+            if budget == DEFAULT_SCORE_BUDGET:
+                assert table.spills == 0
+        finally:
+            table.close()
+        assert os.listdir(tmp) == []
+
+
+def test_threshold_filter_bounds(tmp_path):
+    db, _ = _lattice_db(tmp_path, 20)
+    scored = _scored(db, [19, 17, 16, 15])
+    assert [r.score for r in threshold_filter(scored, 0.0)] == [0.95, 0.85, 0.8, 0.75]
+    assert threshold_filter(scored, 1.0) == []
+    assert len(threshold_filter(_scored(db, [19, 17, 15]), 0.8)) == 2
+    assert len(threshold_filter(scored, 0.8)) == 3  # boundary inclusive
     with pytest.raises(ValueError):
-        threshold_filter(results, 1.5)
+        threshold_filter(scored, 1.5)
 
 
-def test_threshold_monotonicity():
+def test_threshold_monotonicity(tmp_path):
     rng = random.Random(40)
-    results = [
-        MatchResult(RefId(0, i), RefId(0, 0), rng.random(), f"P{i}_0", f"P{i}")
-        for i in range(50)
-    ]
-    taus = sorted(rng.random() for _ in range(5))
-    kept = [set((r.db_ref_id, r.score) for r in threshold_filter(results, t)) for t in taus]
+    db, _ = _lattice_db(tmp_path, 20)
+    scored = _scored(db, [rng.randint(1, 20) for _ in range(50)])
+    taus = sorted([rng.random() for _ in range(5)] + [0.5, 0.7])
+    kept = [set((r.db_ref_id, r.score) for r in threshold_filter(scored, t)) for t in taus]
     for lower, higher in zip(kept, kept[1:]):
         assert higher <= lower
+
+
+def match_reference(query, db, tau_pp, tmp_path):
+    """The pipeline before threshold pushdown, over the nested-loop join oracle:
+    a MatchResult for every scored pair, all sorted, then filtered."""
+    gq = build_query_grid(query, db.params, db.mps, tmp_path / "gq_reference")
+    results = []
+    for (db_key, db_residue, q_key, q_residue), count in join_oracle(db.grid, gq).items():
+        meta = db.patch_meta[db_key]
+        results.append(
+            MatchResult(RefId(db_key, db_residue), RefId(q_key, q_residue),
+                        count / meta.n_atoms, meta.patch_id, meta.source_protein_id)
+        )
+    results.sort(
+        key=lambda r: (-r.score, r.patch_id, r.query_ref_id, r.db_ref_id.residue_ordinal)
+    )
+    return [r for r in results if r.score >= tau_pp]
+
+
+@pytest.mark.parametrize("seed", [78, 79])
+def test_threshold_pushdown_equals_reference(tmp_path, seed):
+    instance = planted_instance(seed=seed, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    everything = match_reference(instance.query, db, 0.0, tmp_path)
+    scores = sorted({r.score for r in everything})
+    assert len(scores) > 2
+    for tau in (0.0, 0.5, 1.0, scores[len(scores) // 2]):  # the last one is an exact score
+        expected = match_reference(instance.query, db, tau, tmp_path)
+        for budget in (3, DEFAULT_SCORE_BUDGET):
+            results = match_query(instance.query, db, tau, tmp_dir=tmp_path, score_budget=budget)
+            assert results == expected
+            assert all(type(r.score) is float for r in results)
+
+
+def test_threshold_pushdown_exact_boundary(tmp_path):
+    # 7 of a 10-atom patch's atoms score exactly 7/10, kept at tau 0.7 only
+    rng = random.Random(8)
+    db, patch = _lattice_db(tmp_path, 10)
+    query = Protein("A", move_atoms(patch.atoms[:7], *rigid_motion(rng)))  # anchors + 4
+    expected = match_reference(query, db, 0.7, tmp_path)
+    results = match_query(query, db, 0.7, tmp_dir=tmp_path)
+    assert results == expected
+    assert [r.score for r in results] == [0.7]
+    assert type(results[0].score) is float
+    assert match_query(query, db, 0.7000000000000001, tmp_dir=tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,8 @@ def test_crash_leaves_old_or_new_database_and_retry_succeeds(tmp_path, monkeypat
     assert state(retried) == state(PatchDatabase.load(db_dir)) == state(new)
     listed = {"manifest.tsv", "grid"} | {f"grid/{r.file_name}" for r in retried.grid.runs}
     on_disk = {path.relative_to(db_dir).as_posix() for path in db_dir.rglob("*")}
-    if step == "run delete":
-        assert listed < on_disk  # the old runs are orphans, never listed
-    else:
-        assert on_disk == listed  # orphaned and half-written files were overwritten
+    # orphaned and half-written files were overwritten, or deleted by the retried compact
+    assert on_disk == listed
 
     final = compact(retried)
     assert (final.patch_meta, final.mps) == (full.patch_meta, full.mps)
@@ -351,15 +349,43 @@ def test_crash_leaves_old_or_new_database_and_retry_succeeds(tmp_path, monkeypat
     assert final.grid.run_path(run).read_bytes() == full.grid.run_path(full.grid.runs[0]).read_bytes()
 
 
-@pytest.mark.parametrize("damage", ["drop run row", "truncate run file"])
+def test_compact_deletes_only_unlisted_run_files(tmp_path):
+    _, patches = corpus(seed=8, n_proteins=6)
+    db = build_patch_database(patches, P1, tmp_path / "db")
+    grid_dir = db.grid.directory
+    (listed,) = db.grid.runs
+    kept = ["run_000000.bin.tmp", "notes.txt", "run_000007.bin.part"]
+    for name in ["run_000005.bin", "run_000009.bin", *kept]:
+        (grid_dir / name).write_bytes(b"x")
+    assert compact(db) is db  # a single run is not rewritten
+    assert sorted(p.name for p in grid_dir.iterdir()) == sorted([listed.file_name, *kept])
+    assert PatchDatabase.load(db.directory).grid.runs == [listed]
+
+
+@pytest.mark.parametrize("damage", [
+    "drop run row", "truncate run file", "drop mps row", "run row missing field",
+    "non-integer count",
+])
 def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     _, patches = corpus(seed=8, n_proteins=6)
     db_dir = tmp_path / "db"
     db = add_patches(build_patch_database(patches[:7], P1, db_dir), patches[7:])
+    manifest = db_dir / "manifest.tsv"
+    rows = manifest.read_text().splitlines(keepends=True)
     if damage == "drop run row":
-        manifest = db_dir / "manifest.tsv"
-        rows = manifest.read_text().splitlines(keepends=True)
         manifest.write_text("".join(row for row in rows if not row.startswith("run\trun_000001")))
+    elif damage == "drop mps row":
+        manifest.write_text("".join(row for row in rows if not row.startswith("mps\t")))
+    elif damage == "run row missing field":
+        manifest.write_text("".join(
+            row.rsplit("\t", 1)[0] + "\n" if row.startswith("run\t") else row for row in rows
+        ))
+    elif damage == "non-integer count":  # n_atoms of every patch row
+        manifest.write_text("".join(
+            "\t".join([*row.split("\t")[:4], "7.5", row.split("\t")[5]])
+            if row.startswith("patch\t") else row
+            for row in rows
+        ))
     else:
         path = db.grid.run_path(db.grid.runs[0])
         path.write_bytes(path.read_bytes()[:-12])

@@ -2,8 +2,10 @@
 
 Configuration precedence is flags > environment (PATCHGRID_*) > config file
 (flat key=value, ``--config``) > built-in defaults. Database writers are
-guarded by a sibling ``<db>.lock`` file, and every output file is written to
-a temporary name and renamed so interrupted runs never leave a torn file.
+guarded by a sibling ``<db>.lock`` file naming the holder's pid and host,
+which the CLI never removes on another writer's behalf, and every output
+file is written to a temporary name and renamed so interrupted runs never
+leave a torn file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import os
 import random
 import shutil
+import socket
 import sys
 import tempfile
 import time
@@ -81,17 +84,42 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _lock_holder(lock_path: Path) -> str:
+    """The writer a lock file names and, on this host, whether its pid is alive."""
+    try:
+        fields = dict(
+            line.split("=", 1) for line in lock_path.read_text(encoding="utf-8").splitlines()
+        )
+        pid, host = int(fields["pid"]), fields["host"]
+    except (OSError, ValueError, KeyError):
+        return "an unknown writer"
+    holder = f"pid {pid} on host {host}"
+    if pid <= 0 or host != socket.gethostname():
+        return holder
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return f"{holder}, which is not running"
+    except PermissionError:
+        pass
+    except (OSError, OverflowError):
+        return holder
+    return f"{holder}, which is running"
+
+
 @contextmanager
 def db_write_lock(db_dir: Path):
+    """Hold ``<db>.lock`` naming this pid and host; never take over an existing one."""
     lock_path = Path(str(db_dir).rstrip("/") + ".lock")
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise PatchGridError(
-            f"database {db_dir} is locked by another writer ({lock_path})"
+            f"database {db_dir} is locked by {_lock_holder(lock_path)} ({lock_path}); "
+            f"remove the lock file only if that writer is gone"
         ) from None
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
+        os.write(fd, f"pid={os.getpid()}\nhost={socket.gethostname()}\n".encode())
         os.close(fd)
         yield
     finally:
@@ -152,6 +180,7 @@ def cmd_build_db(args: argparse.Namespace) -> int:
         counters["duplicates_removed"] = len(patches) - len(deduped)
         staging = Path(str(db_dir) + ".building")
         if staging.exists():
+            print(f"warning: removing {staging} left by an interrupted build-db", file=sys.stderr)
             shutil.rmtree(staging)
         db = preprocess.build_patch_database(
             deduped,

@@ -16,6 +16,26 @@ reduces the rows with numpy, ``budget`` buffered rows at a time, spilling
 each reduced block as one sorted chunk; the final merge concatenates and
 reduces every chunk row in memory. The threshold is applied to the raw
 counts, so a ``MatchResult`` is built only for a pair that is kept.
+
+Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
+cells, so those cells cross nearly every database frame with every query
+frame, yet none of them can decide a match alone. ``match_query`` therefore
+marks a matched cell *hot*, during the scan, when its fan-in (distinct
+database frames times distinct query frames) exceeds a cutoff. A hot cell
+adds no rows to the score table; it is kept in memory as sorted database
+keys, their entry counts and sorted query keys, and each database frame f
+sums its hot-cell counts into ``hot_max[f]``. A pair (f, q) then scores at
+most ``cold(f, q) + hot_max[f]``, where ``cold`` is its score-table count,
+because q can gain at most f's own count from each hot cell. After the scan
+a cold pair stays a candidate only if that bound passes the threshold, and
+a frame whose ``hot_max`` alone passes it is crossed with every query frame
+of the hot cells, which covers pairs that met only in hot cells. Each
+candidate then gets its exact count, the cold count plus f's count in every
+hot cell that also holds q, and pairs with count 0 are dropped. The bound
+uses the threshold's own float64 ``count / n_atoms >= tau_pp`` test, which
+is monotone in the count, so no pair that reaches the threshold is pruned
+and the results equal the unpruned ones for any choice of hot cells; the
+cutoff only trades table rows against recount work.
 """
 
 from __future__ import annotations
@@ -46,6 +66,12 @@ from .ingest import OriginTag, Patch, Protein, _count
 from .preprocess import PatchDatabase, PatchMeta, build_patch_database, residue_frames
 
 DEFAULT_SCORE_BUDGET = 1_000_000
+
+# A matched cell is hot when its fan-in (distinct database frames times
+# distinct query frames) exceeds this. Any value gives the same results; the
+# recount after the scan costs hot cells times candidates, so lower values,
+# which make more cells hot, were slower on the benchmark's M database.
+_HOT_FANIN = 10_000
 
 # One score row: packed database ref, packed query ref, matched count. A ref
 # packs as structure_key << 32 | residue_ordinal, both u32 as in run files,
@@ -98,6 +124,7 @@ class ScoreTable:
         self._spill_dir: str | None = None
         self._chunks: list[Path] = []
         self.spills = 0
+        self.rows = 0
 
     def add(
         self,
@@ -111,6 +138,7 @@ class ScoreTable:
             self._q.extend([sk << 32 | ro] * len(db_keys))
         self._db.extend(db_keys * len(query_refs))
         self._counts.extend(list(counts) * len(query_refs))
+        self.rows += len(db_keys) * len(query_refs)
         if len(self._db) > self._budget:
             self._spill()
 
@@ -155,6 +183,33 @@ class ScoreTable:
                 os.rmdir(self._spill_dir)
         self._chunks.clear()
         self._spill_dir = None
+
+
+def _packed(refs: Sequence[RefId]) -> np.ndarray:
+    return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
+
+
+class HotCells:
+    """The matched cells whose fan-in exceeds ``fanin``, held out of the score table.
+
+    Each cell is kept as (database keys, their entry counts, query keys),
+    both key arrays sorted and packed like score-row keys.
+    """
+
+    def __init__(self, fanin: int):
+        self.fanin = fanin
+        self.cells: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add(
+        self,
+        db_refs: Sequence[RefId],
+        query_refs: Sequence[RefId],
+        counts: Sequence[int],
+    ) -> None:
+        db = _packed(db_refs)
+        order = np.argsort(db)
+        counts = np.array(counts, dtype=np.uint64)
+        self.cells.append((db[order], counts[order], np.unique(_packed(query_refs))))
 
 
 @dataclass(frozen=True)
@@ -228,13 +283,16 @@ def merge_scan_match(
     gq: DiskGrid,
     table: ScoreTable,
     stats: dict | None = None,
+    hot: HotCells | None = None,
 ) -> ScoreTable:
     """Join two z-sorted grids in a single pass, updating the score table.
 
     When the two cursors sit on equal z, every distinct query ref in the
-    query cell receives the per-ref entry counts of the database cell. Both
-    cursors are driven to exhaustion so each stored cell of either grid is
-    physically read exactly once (asserted via the cursors' read counters).
+    query cell receives the per-ref entry counts of the database cell. With
+    ``hot``, a matched cell whose fan-in exceeds ``hot.fanin`` goes to
+    ``hot`` instead of the table. Both cursors are driven to exhaustion so
+    each stored cell of either grid is physically read exactly once
+    (asserted via the cursors' read counters).
     """
     if gp.params != gq.params:
         raise ParamsMismatch(f"grid params differ: {gp.params} vs {gq.params}")
@@ -252,8 +310,9 @@ def merge_scan_match(
                 counts: dict[RefId, int] = {}
                 for entry in cell_p.entries:
                     counts[entry.ref_id] = counts.get(entry.ref_id, 0) + 1
-                query_refs = {entry.ref_id for entry in cell_q.entries}
-                table.add(list(counts), list(query_refs), list(counts.values()))
+                query_refs = list({entry.ref_id for entry in cell_q.entries})
+                is_hot = hot is not None and len(counts) * len(query_refs) > hot.fanin
+                (hot if is_hot else table).add(list(counts), query_refs, list(counts.values()))
                 cell_p = next(cur_p, None)
                 cell_q = next(cur_q, None)
         # Drain both sides: a full scan reads every stored cell once.
@@ -272,28 +331,73 @@ def merge_scan_match(
     return table
 
 
-def finalize_scores(table: ScoreTable, db: PatchDatabase) -> ScoredPairs:
-    """Attach to every reduced pair the atom count of the patch owning its db frame.
+def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
+    """Atom count of the patch owning each packed database key.
 
-    Raises UnknownRefId when a pair references a structure key absent from
-    the patch metadata, and PatchGridError when a pair count exceeds the
-    patch's atom count.
+    Raises UnknownRefId for a structure key absent from the patch metadata.
     """
-    pairs = table.pairs()
-    keys, row_key = np.unique(pairs["db"] >> 32, return_inverse=True)
-    metas = []
+    keys, row_key = np.unique(db_keys >> 32, return_inverse=True)
+    n_atoms = []
     for key in keys.tolist():
         meta = db.patch_meta.get(key)
         if meta is None:
             raise UnknownRefId(f"structure key {key} not in patch metadata")
-        metas.append(meta)
-    n_atoms = np.array([m.n_atoms for m in metas], dtype=np.uint64)[row_key]
+        n_atoms.append(meta.n_atoms)
+    return np.array(n_atoms, dtype=np.uint64)[row_key]
+
+
+def _hot_candidates(
+    cold: np.ndarray, hot: HotCells, db: PatchDatabase, tau_pp: float
+) -> np.ndarray:
+    """The pairs whose hot-cell bound passes tau_pp, with exact nonzero counts.
+
+    ``cold`` holds the reduced score-table pairs; see the module docstring
+    for the bound and why it never drops a pair that reaches tau_pp.
+    """
+    db_keys, counts, q_keys = (np.concatenate(column) for column in zip(*hot.cells))
+    rows = np.zeros(len(db_keys), dtype=_PAIR_DTYPE)
+    rows["db"], rows["count"] = db_keys, counts
+    totals = _reduce_pairs(rows)
+    hot_db, hot_max = totals["db"], totals["count"]
+    i = np.minimum(np.searchsorted(hot_db, cold["db"]), len(hot_db) - 1)
+    bound = cold["count"] + np.where(hot_db[i] == cold["db"], hot_max[i], 0)
+    cold = cold[bound / _atom_counts(cold["db"], db) >= tau_pp]
+    frames = hot_db[hot_max / _atom_counts(hot_db, db) >= tau_pp]
+    q = np.unique(q_keys)
+    crossed = np.zeros(len(frames) * len(q), dtype=_PAIR_DTYPE)
+    crossed["db"], crossed["q"] = np.repeat(frames, len(q)), np.tile(q, len(frames))
+    pairs = _reduce_pairs(np.concatenate([cold, crossed]))
+    for cell_db, cell_counts, cell_q in hot.cells:
+        i = np.minimum(np.searchsorted(cell_db, pairs["db"]), len(cell_db) - 1)
+        j = np.minimum(np.searchsorted(cell_q, pairs["q"]), len(cell_q) - 1)
+        hit = (cell_db[i] == pairs["db"]) & (cell_q[j] == pairs["q"])
+        pairs["count"][hit] += cell_counts[i[hit]]
+    return pairs[pairs["count"] > 0]
+
+
+def finalize_scores(
+    table: ScoreTable,
+    db: PatchDatabase,
+    hot: HotCells | None = None,
+    tau_pp: float = 0.0,
+) -> ScoredPairs:
+    """Attach to every reduced pair the atom count of the patch owning its db frame.
+
+    With hot cells, the pairs are only the candidates that can reach
+    ``tau_pp``, each with its exact count. Raises UnknownRefId when a pair
+    references a structure key absent from the patch metadata, and
+    PatchGridError when a pair count exceeds the patch's atom count.
+    """
+    pairs = table.pairs()
+    if hot is not None and hot.cells:
+        pairs = _hot_candidates(pairs, hot, db, tau_pp)
+    n_atoms = _atom_counts(pairs["db"], db)
     over = np.flatnonzero(pairs["count"] > n_atoms)
     if over.size:
         i = over[0]
         raise PatchGridError(
             f"corrupt score table: pair count {pairs['count'][i]} exceeds atom count "
-            f"{n_atoms[i]} of patch {metas[row_key[i]].patch_id}"
+            f"{n_atoms[i]} of patch {db.patch_meta[int(pairs['db'][i]) >> 32].patch_id}"
         )
     return ScoredPairs(pairs, n_atoms, db.patch_meta)
 
@@ -336,8 +440,13 @@ def match_query(
     memory_budget_entries: int | None = None,
     score_budget: int = DEFAULT_SCORE_BUDGET,
     stats: dict | None = None,
+    _hot_fanin: int | None = None,
 ) -> list[MatchResult]:
-    """Full pipeline: query grid, merge scan, normalization, threshold."""
+    """Full pipeline: query grid, merge scan, normalization, threshold.
+
+    ``_hot_fanin`` overrides the hot-cell cutoff ``_HOT_FANIN``; it changes
+    the speed, never the results.
+    """
     if not (0.0 <= tau_pp <= 1.0):
         raise ValueError("tau_pp must be in [0, 1]")
     with tempfile.TemporaryDirectory(
@@ -353,14 +462,17 @@ def match_query(
             counters=stats,
         )
         table = ScoreTable(budget=score_budget, tmp_dir=tmp_dir)
+        hot = HotCells(_HOT_FANIN if _hot_fanin is None else _hot_fanin)
         try:
-            merge_scan_match(db.grid, gq, table, stats=stats)
-            scored = finalize_scores(table, db)
+            merge_scan_match(db.grid, gq, table, stats=stats, hot=hot)
+            scored = finalize_scores(table, db, hot, tau_pp)
         finally:
             table.close()
     if stats is not None:
         stats["pairs_scored"] = len(scored)
         stats["score_spills"] = table.spills
+        stats["score_rows"] = table.rows
+        stats["hot_cells"] = len(hot.cells)
     return threshold_filter(scored, tau_pp)
 
 

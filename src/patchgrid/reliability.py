@@ -235,7 +235,9 @@ def sweep(
 
     ``pairs`` must carry scores at or below the smallest tau_pp of interest;
     each row keeps pairs with score >= tau_pp, applies the redundancy filter
-    at tau_prot, then computes D and TP against a shared R.
+    at tau_prot, then computes D and TP against a shared R. In ``counters``,
+    ``pairs_missing_source``, ``pairs_removed_redundant`` and
+    ``pairs_unannotated`` count each input pair once if any row counts it.
     """
     if identity_cache is None:
         identity_cache = {}
@@ -244,6 +246,7 @@ def sweep(
     for tau_pp in config.tau_pp_values:
         kept = [p for p in pairs if p.result.score >= tau_pp]
         for tau_prot in config.tau_prot_values:
+            row_counters: dict[str, int] = {}
             filtered = redundancy_filter(
                 kept,
                 query_proteins,
@@ -252,9 +255,16 @@ def sweep(
                 params,
                 identity_cache=identity_cache,
                 tmp_dir=tmp_dir,
-                counters=counters,
+                counters=row_counters,
             )
-            d_value = compute_D(filtered, annotations, counters=counters)
+            d_value = compute_D(filtered, annotations, counters=row_counters)
+            # A row's counted pairs are a subset of those of the row with the
+            # smallest tau_pp and the smallest (redundant) or largest
+            # (unannotated) tau_prot, so the largest row count is the number
+            # of distinct pairs any row counts.
+            if counters is not None:
+                for key, value in row_counters.items():
+                    counters[key] = max(counters.get(key, 0), value)
             if d_value is None or r_value is None:
                 tp = None
             else:

@@ -1,9 +1,13 @@
+import os
 import random
+import socket
+import subprocess
+import sys
 
 import pytest
 
 from conftest import structure_text
-from patchgrid.cli import main, resolve_config
+from patchgrid.cli import db_write_lock, main, resolve_config
 from patchgrid.preprocess import PatchDatabase
 from patchgrid.synthetic import random_protein
 
@@ -65,6 +69,11 @@ def test_build_query_add_eval_round_trip(workspace, capsys):
     assert [line for line in stats_text.splitlines() if line.startswith("score_spills=")] == [
         "score_spills=0"
     ]
+    assert [line for line in stats_text.splitlines() if line.startswith("hot_cells=")] == [
+        "hot_cells=0"
+    ]
+    (score_rows,) = [line for line in stats_text.splitlines() if line.startswith("score_rows=")]
+    assert int(score_rows.split("=")[1]) > 0
 
     # empty result is still exit 0
     far = random_protein(random.Random(999), "FARAWAY", 2)
@@ -165,6 +174,50 @@ def test_lock_file_guards_writers(workspace, capsys):
     rc = main(["build-db", str(files["SRC0"]), "--db", str(db_dir)])
     assert rc == 1
     assert "locked" in capsys.readouterr().err
+
+
+def test_lock_file_names_pid_and_host(tmp_path):
+    db_dir = tmp_path / "db"
+    with db_write_lock(db_dir):
+        text = (tmp_path / "db.lock").read_text()
+    assert text == f"pid={os.getpid()}\nhost={socket.gethostname()}\n"
+    assert not (tmp_path / "db.lock").exists()
+
+
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+@pytest.mark.parametrize("holder", ["alive", "dead", "other host"])
+def test_lock_conflict_names_holder_and_keeps_lock(workspace, capsys, holder):
+    tmp_path, files, _, _, _ = workspace
+    pid = _dead_pid() if holder == "dead" else os.getpid()
+    host = "elsewhere.invalid" if holder == "other host" else socket.gethostname()
+    lock = tmp_path / "locked.lock"
+    lock.write_text(f"pid={pid}\nhost={host}\n")
+    rc = main(["build-db", str(files["SRC0"]), "--db", str(tmp_path / "locked")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"locked by pid {pid} on host {host}" in err
+    if holder == "other host":
+        assert "running" not in err  # a pid on another host is not checked
+    else:
+        assert {"alive": "which is running", "dead": "which is not running"}[holder] in err
+    assert lock.read_text() == f"pid={pid}\nhost={host}\n"
+
+
+def test_build_warns_before_replacing_leftover_staging(workspace, capsys):
+    tmp_path, files, _, _, _ = workspace
+    staging = tmp_path / "db.building"
+    staging.mkdir()
+    (staging / "manifest.tsv").write_text("torn")
+    rc = main(["build-db", str(files["SRC0"]), "--db", str(tmp_path / "db")])
+    assert rc == 0
+    assert f"warning: removing {staging}" in capsys.readouterr().err
+    assert not staging.exists()
+    assert PatchDatabase.load(tmp_path / "db").patch_ids == {"SRC0_0"}
 
 
 def test_oracle_compare_per_residue(capsys, tmp_path):

@@ -1,12 +1,15 @@
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus
+from patchgrid import matcher
+from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
 from patchgrid.geometry import positions_array, transform_points
 from patchgrid.grid import (
@@ -24,6 +27,7 @@ from patchgrid.grid import (
 from patchgrid.ingest import Protein
 from patchgrid.matcher import (
     DEFAULT_SCORE_BUDGET,
+    HotCells,
     MatchResult,
     ScoreTable,
     build_query_grid,
@@ -382,6 +386,138 @@ def test_threshold_pushdown_exact_boundary(tmp_path):
     assert [r.score for r in results] == [0.7]
     assert type(results[0].score) is float
     assert match_query(query, db, 0.7000000000000001, tmp_dir=tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# hot-cell pruning: every cutoff must give the unpruned results
+
+# Every matched cell hot, some hot, the default cutoff, no cell hot.
+CUTOFFS = [0, 4, None, 2**62]
+
+
+def _oracle(instance, tau):
+    return naive_match(instance.query, instance.patches, instance.params, FrameMode.PerResidue, tau)
+
+
+def test_merge_scan_hot_cells_partition_the_join(tmp_path):
+    instance = planted_instance(seed=84, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    gq = build_query_grid(instance.query, db.params, db.mps, tmp_path / "gq")
+    expected = join_oracle(db.grid, gq)
+    for cutoff in (0, 2, 4, 2**62):
+        table, hot = ScoreTable(), HotCells(cutoff)
+        merge_scan_match(db.grid, gq, table, hot=hot)
+        joined = dict(table.items())
+        table.close()
+        for db_keys, counts, query_keys in hot.cells:
+            for d, c in zip(db_keys.tolist(), counts.tolist()):
+                for q in query_keys.tolist():
+                    key = (d >> 32, d & 0xFFFFFFFF, q >> 32, q & 0xFFFFFFFF)
+                    joined[key] = joined.get(key, 0) + c
+        assert joined == expected
+        assert (len(hot.cells) > 0) == (cutoff < 2**62)
+        assert all(len(db_keys) * len(q_keys) > cutoff for db_keys, _, q_keys in hot.cells)
+
+
+def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
+    db, _ = _lattice_db(tmp_path, 10)
+    table, hot = ScoreTable(), HotCells(0)
+    table.add([RefId(0, 1)], [RefId(0, 8)], [1])
+    hot.add([RefId(0, 1)], [RefId(0, 7)], [3])  # hot cell A: db frame 1, query frame 7
+    hot.add([RefId(0, 2)], [RefId(0, 8)], [2])  # hot cell B: db frame 2, query frame 8
+    # tau 0: every pair that met, none of the crossed pairs that did not, e.g. (2, 7)
+    assert finalize_scores(table, db, hot, 0.0).pairs.tolist() == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
+    # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not
+    assert finalize_scores(table, db, hot, 0.3).pairs.tolist() == [(1, 7, 3), (1, 8, 1)]
+    table.close()
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_pruned_match_equals_oracle(tmp_path, cutoff):
+    for seed in (80, 81, 82):
+        instance = planted_instance(seed=seed, n_patches=6)
+        db = build_patch_database(instance.patches, instance.params, tmp_path / f"db{seed}")
+        for tau in (0.0, 0.5, 0.9, 1.0):
+            stats: dict = {}
+            results = match_query(
+                instance.query, db, tau, tmp_dir=tmp_path, stats=stats, _hot_fanin=cutoff
+            )
+            assert results == _oracle(instance, tau)
+            if cutoff == 0:
+                assert stats["hot_cells"] > 0 and stats["score_rows"] == 0
+            elif cutoff == 4:
+                assert stats["hot_cells"] > 0 and stats["score_rows"] > 0
+            else:
+                assert stats["hot_cells"] == 0 and stats["score_rows"] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cutoff=st.sampled_from([0, 2, 8, None]), data=st.data())
+def test_pruned_match_equals_oracle_property(seed, cutoff, data):
+    # planted_instance places each planted patch under a random rigid motion
+    instance = planted_instance(seed=seed, n_patches=4)
+    scores = sorted({r.score for r in _oracle(instance, 0.0)})
+    exact = data.draw(st.sampled_from(scores), label="exact score") if scores else 0.5
+    with tempfile.TemporaryDirectory() as tmp:
+        db = build_patch_database(instance.patches, instance.params, Path(tmp) / "db")
+        for tau in (0.0, 0.5, 1.0, exact):
+            results = match_query(instance.query, db, tau, tmp_dir=tmp, _hot_fanin=cutoff)
+            assert results == _oracle(instance, tau)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_pruned_match_exact_boundary(tmp_path, cutoff):
+    # the bound uses the threshold's own division: 7/10 passes tau 0.7 exactly
+    rng = random.Random(8)
+    db, patch = _lattice_db(tmp_path, 10)
+    query = Protein("A", move_atoms(patch.atoms[:7], *rigid_motion(rng)))
+    results = match_query(query, db, 0.7, tmp_dir=tmp_path, _hot_fanin=cutoff)
+    assert [r.score for r in results] == [0.7]
+    assert match_query(query, db, 0.7000000000000001, tmp_dir=tmp_path, _hot_fanin=cutoff) == []
+
+
+def test_all_hot_tau_zero_reports_no_zero_count_pair(tmp_path):
+    instance = planted_instance(seed=83, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    stats: dict = {}
+    results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats, _hot_fanin=0)
+    assert results == _oracle(instance, 0.0)
+    assert all(r.score > 0.0 for r in results)
+    assert stats["pairs_scored"] == len(results)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_pairs_scored_is_length_of_finalized_pairs(tmp_path, monkeypatch, cutoff):
+    lengths = []
+    finalize = matcher.finalize_scores
+
+    def recording(*args, **kwargs):
+        scored = finalize(*args, **kwargs)
+        lengths.append(len(scored))
+        return scored
+
+    monkeypatch.setattr(matcher, "finalize_scores", recording)
+    instance = planted_instance(seed=85, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    stats: dict = {}
+    match_query(instance.query, db, 0.5, tmp_dir=tmp_path, stats=stats, _hot_fanin=cutoff)
+    assert lengths == [stats["pairs_scored"]]
+
+
+def test_structural_identity_unchanged_by_pruning(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    b = random_protein(rng, "B", 4)
+    pairs = [
+        (random_protein(rng, "A", 3), b),
+        (move_protein(b, *rigid_motion(rng), new_id="M"), b),
+        (Protein("P", move_atoms(b.atoms[: len(b.atoms) // 2], *rigid_motion(rng))), b),
+    ]
+    monkeypatch.setattr(matcher, "_HOT_FANIN", 2**62)
+    unpruned = [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs]
+    assert 0.0 < min(unpruned) and max(unpruned) == 1.0
+    for cutoff in (0, 4):
+        monkeypatch.setattr(matcher, "_HOT_FANIN", cutoff)
+        assert [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs] == unpruned
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,20 @@ def test_sweep_pair_count_consistency(tmp_path):
     assert row.pair_count + counters["pairs_removed_redundant"] == len(pairs)
 
 
+def test_sweep_counters_count_each_pair_once(tmp_path):
+    annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
+    cache[("Q1", "S1")] = 0.95  # redundant in the 36 rows with tau_prot below 0.95
+    pairs.append(pair("Q1", "S9", 0.96))  # no source structure: dropped in all 40 rows
+    del annotations["S4"]  # (Q1, S4) and (Q2, S4) unannotated in the 10 rows at tau_pp 0.8
+    counters: dict[str, int] = {}
+    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db, P1,
+                   identity_cache=cache, counters=counters)
+    assert len(report.rows) == 40
+    assert counters["pairs_removed_redundant"] == 1
+    assert counters["pairs_missing_source"] == 1
+    assert counters["pairs_unannotated"] == 2
+
+
 def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(tau_pp_values=())

@@ -20,6 +20,16 @@ Entries within a cell are sorted by (structure_key, residue_ordinal,
 atom_ordinal) and deduplicated. A ``DiskGrid`` is the in-memory list of a
 grid's runs; which runs make up a database is recorded by the database's
 manifest (see ``preprocess.PatchDatabase``), never by the grid itself.
+
+The read path is columnar. A run is read in bounded byte blocks, and each
+cell comes back as its z plus a ``(count, 3)`` uint32 view of its entries
+(structure key, residue ordinal, atom ordinal), so no object is built per
+entry. Equal-z cells of several runs are unioned by a lexicographic sort
+and dedup of their arrays. A damaged run (a cut cell header or body, or a
+z that does not strictly increase) raises ``CorruptDatabase``. Writes go
+through one cell writer that takes sorted record blocks (``RUN_RECORD``
+arrays), and one external sort (``sort_run``) orders record blocks into a
+run, spilling sorted chunks of ``<QIII`` records past the memory budget.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import OutOfExtent
+from .errors import CorruptDatabase, OutOfExtent
 
 # Coordinates closer than this to a cell boundary are snapped onto it (and
 # the boundary belongs to the upper cell, matching floor semantics). Frame
@@ -51,6 +61,17 @@ DEFAULT_MEMORY_BUDGET = 500_000
 _CELL_HEADER = struct.Struct("<QI")
 _ENTRY = struct.Struct("<III")
 _CHUNK_RECORD = struct.Struct("<QIII")
+
+# One (z, structure key, residue ordinal, atom ordinal) record, laid out like
+# _CHUNK_RECORD, so a sorted record array is also a spill chunk's bytes.
+RUN_RECORD = np.dtype([("z", "<u8"), ("sk", "<u4"), ("ro", "<u4"), ("ao", "<u4")])
+
+# Bytes a run reader asks the file for at a time.
+_READ_BLOCK_BYTES = 1 << 20
+# Records, and cells, per block handed to the run writer by the merge steps.
+# Small blocks keep the build's peak memory below that of a tuple list sort.
+_WRITE_BLOCK_RECORDS = 1 << 12
+_WRITE_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -94,10 +115,14 @@ class CellEntry(NamedTuple):
 
 
 class Cell(NamedTuple):
-    """A Morton-keyed bucket of entries, sorted and deduplicated."""
+    """A Morton-keyed bucket of entries, sorted and deduplicated.
+
+    ``entries`` is a read-only ``(count, 3)`` uint32 array of (structure
+    key, residue ordinal, atom ordinal) rows.
+    """
 
     z: int
-    entries: list[CellEntry]
+    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,9 +175,10 @@ def cell_of(p, params: GridParams) -> CellIndex:
 _MASK21 = 0x1FFFFF
 
 
-def _spread_bits(n: int) -> int:
+def _spread_bits(n):
     # Classic 64-bit spread: 21 input bits land on every third output bit.
-    n &= _MASK21
+    # Works on a Python int and, element-wise, on a uint64 array.
+    n = n & _MASK21
     n = (n | (n << 32)) & 0x1F00000000FFFF
     n = (n | (n << 16)) & 0x1F0000FF0000FF
     n = (n | (n << 8)) & 0x100F00F00F00F00F
@@ -192,6 +218,15 @@ def morton_encode(c: CellIndex, params: GridParams) -> int:
     return interleave_bits(ox, oy, oz)
 
 
+def morton_codes(cells: np.ndarray, params: GridParams) -> np.ndarray:
+    """morton_encode of every row of an (n, 3) integer cell array, as uint64."""
+    offsets = np.asarray(cells, dtype=np.int64).reshape(-1, 3) + params.half_extent_cells
+    if not ((offsets >= 0) & (offsets < 1 << params.bits_per_axis)).all():
+        raise OutOfExtent(f"cells outside extent for {params.bits_per_axis} bits")
+    o = offsets.astype(np.uint64)
+    return interleave_bits(o[:, 0], o[:, 1], o[:, 2])
+
+
 def morton_decode(z: int, params: GridParams) -> CellIndex:
     """Exact inverse of morton_encode."""
     ox, oy, oz = deinterleave_bits(z)
@@ -219,9 +254,12 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 class _RunWriter:
-    """Streams (z, sk, ro, ao) records, sorted ascending, into a run file.
+    """Writes ``RUN_RECORD`` blocks, sorted ascending, into a run file.
 
-    Groups equal-z records into cell records and drops exact duplicates.
+    Groups equal-z records into cell records and drops exact duplicates; a
+    record below its predecessor raises ValueError. Records are held until
+    ``_WRITE_BLOCK_RECORDS`` of them are buffered or the writer closes, and
+    the last cell is always held, since it may continue in the next block.
     The file is written to a temp name and renamed on close.
     """
 
@@ -229,39 +267,50 @@ class _RunWriter:
         self.path = Path(path)
         self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._fh = open(self._tmp, "wb")
-        self._cell_z: int | None = None
-        self._cell_entries: list[tuple[int, int, int]] = []
-        self._last_record: tuple[int, int, int, int] | None = None
+        self._held = np.empty(0, dtype=RUN_RECORD)
         self.n_cells = 0
         self.n_entries = 0
 
-    def add(self, record: tuple[int, int, int, int]) -> None:
-        if self._last_record is not None:
-            if record == self._last_record:
-                return
-            if record < self._last_record:
-                raise ValueError("run writer received out-of-order record")
-        self._last_record = record
-        z, sk, ro, ao = record
-        if self._cell_z is None:
-            self._cell_z = z
-        elif z != self._cell_z:
-            self._flush_cell()
-            self._cell_z = z
-        self._cell_entries.append((sk, ro, ao))
-
-    def _flush_cell(self) -> None:
-        if self._cell_z is None or not self._cell_entries:
+    def add(self, records: np.ndarray) -> None:
+        records = np.concatenate([self._held, records])
+        if not len(records):
             return
-        self._fh.write(_CELL_HEADER.pack(self._cell_z, len(self._cell_entries)))
-        for e in self._cell_entries:
-            self._fh.write(_ENTRY.pack(*e))
-        self.n_cells += 1
-        self.n_entries += len(self._cell_entries)
-        self._cell_entries = []
+        later = np.zeros(len(records) - 1, dtype=bool)
+        same = np.ones(len(records) - 1, dtype=bool)
+        for name in RUN_RECORD.names:
+            column = records[name]
+            later |= same & (column[1:] > column[:-1])
+            same &= column[1:] == column[:-1]
+        if not (later | same).all():
+            raise ValueError("run writer received out-of-order record")
+        self._held = records[np.concatenate(([True], ~same))]
+        if len(self._held) >= _WRITE_BLOCK_RECORDS:
+            last_cell = int(np.searchsorted(self._held["z"], self._held["z"][-1]))
+            self._write_cells(self._held[:last_cell])
+            self._held = self._held[last_cell:]
+
+    def _write_cells(self, records: np.ndarray) -> None:
+        """Write sorted, distinct records as one cell record per distinct z."""
+        if not len(records):
+            return
+        z = records["z"]
+        starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+        # Each cell header (z u64, count u32) is three little-endian u32 words,
+        # the same width as an entry, so the cells are one (rows, 3) u32 block.
+        header_rows = starts + np.arange(len(starts))
+        words = np.empty((len(records) + len(starts), 3), dtype="<u4")
+        words[header_rows, 0] = (z[starts] & 0xFFFFFFFF).astype(np.uint32)
+        words[header_rows, 1] = (z[starts] >> 32).astype(np.uint32)
+        words[header_rows, 2] = np.diff(np.append(starts, len(records)))
+        is_entry = np.ones(len(words), dtype=bool)
+        is_entry[header_rows] = False
+        words[is_entry] = np.column_stack((records["sk"], records["ro"], records["ao"]))
+        self._fh.write(words.tobytes())
+        self.n_cells += len(starts)
+        self.n_entries += len(records)
 
     def close(self) -> RunInfo:
-        self._flush_cell()
+        self._write_cells(self._held)
         self._fh.close()
         os.replace(self._tmp, self.path)
         return RunInfo(self.path.name, self.n_cells, self.n_entries)
@@ -275,33 +324,64 @@ class _RunWriter:
 
 
 class _RunReader:
-    """Sequential cell iterator over one run file, counting physical reads."""
+    """Sequential cell iterator over one run file, counting physical reads.
+
+    Reads the file in blocks of ``_READ_BLOCK_BYTES``. A cell header is as
+    wide as an entry (12 bytes), so the block is viewed as rows of three
+    uint32 words and each cell's entries are a slice of those rows. Raises
+    CorruptDatabase for a cut cell header or body and for a z that does not
+    strictly increase.
+    """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._fh = open(self.path, "rb")
+        self._buf = b""
+        self._rows = np.empty((0, 3), dtype="<u4")
+        self._pos = 0  # always the start of a cell header, so a row boundary
+        self._offset = 0  # file offset of self._buf[0]
+        self._last_z = -1
         self.cells_read = 0
 
     def __iter__(self):
         return self
 
+    def _buffered(self, n: int) -> bool:
+        """Hold at least ``n`` unread bytes; False when the file ends first."""
+        while len(self._buf) - self._pos < n:
+            more = self._fh.read(max(_READ_BLOCK_BYTES, n))
+            if not more:
+                return False
+            self._offset += self._pos
+            self._buf = self._buf[self._pos:] + more
+            self._pos = 0
+            self._rows = np.frombuffer(
+                self._buf, dtype="<u4", count=len(self._buf) // _ENTRY.size * 3
+            ).reshape(-1, 3)
+        return True
+
     def __next__(self) -> Cell:
-        header = self._fh.read(_CELL_HEADER.size)
-        if not header:
-            self._fh.close()
+        if not self._buffered(_CELL_HEADER.size):
+            if self._pos < len(self._buf):
+                raise CorruptDatabase(
+                    f"{self.path}: cut cell header at byte {self._offset + self._pos}"
+                )
+            self.close()
             raise StopIteration
-        if len(header) != _CELL_HEADER.size:
-            raise OSError(f"truncated cell header in {self.path}")
-        z, count = _CELL_HEADER.unpack(header)
-        blob = self._fh.read(count * _ENTRY.size)
-        if len(blob) != count * _ENTRY.size:
-            raise OSError(f"truncated cell body in {self.path}")
-        entries = [
-            CellEntry(RefId(sk, ro), ao)
-            for sk, ro, ao in _ENTRY.iter_unpack(blob)
-        ]
+        z, count = _CELL_HEADER.unpack_from(self._buf, self._pos)
+        if z <= self._last_z:
+            raise CorruptDatabase(
+                f"{self.path}: cell z {z} at byte {self._offset + self._pos} "
+                f"does not increase past {self._last_z}"
+            )
+        size = _CELL_HEADER.size + count * _ENTRY.size
+        if not self._buffered(size):
+            raise CorruptDatabase(f"{self.path}: cut body of the {count}-entry cell z {z}")
+        row = self._pos // _ENTRY.size + 1
+        self._pos += size
+        self._last_z = z
         self.cells_read += 1
-        return Cell(z, entries)
+        return Cell(z, self._rows[row : row + count])
 
     def close(self) -> None:
         self._fh.close()
@@ -320,60 +400,66 @@ def _chunk_records(path: Path) -> Iterator[tuple[int, int, int, int]]:
             yield from _CHUNK_RECORD.iter_unpack(blob)
 
 
-def build_sorted_run(
-    entries: Iterable[tuple[CellIndex, CellEntry]],
-    params: GridParams,
+def _record_tuples(records: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    for start in range(0, len(records), _WRITE_BLOCK_RECORDS):
+        yield from records[start:start + _WRITE_BLOCK_RECORDS].tolist()
+
+
+def _batches(items: Iterable, n: int) -> Iterator[list]:
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, n)), [])
+
+
+def _sorted(records: np.ndarray) -> np.ndarray:
+    return records[np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))]
+
+
+def sort_run(
+    blocks: Iterable[np.ndarray],
     out_path: Path,
     memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
 ) -> RunInfo:
-    """External-sort an unordered entry stream into a single run file.
+    """External-sort ``RUN_RECORD`` blocks into a single run file.
 
-    Sorts by (z, structure_key, residue_ordinal, atom_ordinal), never holding
-    more than ``memory_budget_entries`` records in memory; overflow chunks are
-    spilled to ``tmp_dir`` and merged on write. Identical records collapse to
-    one. Output is byte-identical to an in-memory sort of the same stream.
+    Sorts by (z, structure_key, residue_ordinal, atom_ordinal), holding at
+    most ``memory_budget_entries`` records plus one block; each full
+    budget is spilled to ``tmp_dir`` as one sorted chunk and the chunks are
+    merged on write. Identical records collapse to one. Output is
+    byte-identical to an in-memory sort of the same records.
     """
     if memory_budget_entries < 2:
         raise ValueError("memory budget must allow at least 2 entries")
-    out_path = Path(out_path)
     chunk_paths: list[Path] = []
     spill_dir: str | None = None
-    chunk: list[tuple[int, int, int, int]] = []
-
-    def spill() -> None:
-        nonlocal spill_dir
-        if spill_dir is None:
-            spill_dir = tempfile.mkdtemp(
-                prefix="rgsort-", dir=str(tmp_dir) if tmp_dir else None
-            )
-        chunk.sort()
-        path = Path(spill_dir) / f"chunk_{len(chunk_paths):06d}.bin"
-        with open(path, "wb") as fh:
-            for rec in chunk:
-                fh.write(_CHUNK_RECORD.pack(*rec))
-        chunk_paths.append(path)
-        chunk.clear()
-
+    held: list[np.ndarray] = []
+    n_held = 0
     try:
-        for cell_index, entry in entries:
-            z = morton_encode(cell_index, params)
-            chunk.append(
-                (z, entry.ref_id.structure_key, entry.ref_id.residue_ordinal, entry.atom_ordinal)
-            )
-            if len(chunk) >= memory_budget_entries:
-                spill()
-        chunk.sort()
-        streams: list[Iterator[tuple[int, int, int, int]]] = [
-            _chunk_records(p) for p in chunk_paths
-        ]
-        if chunk:
-            streams.append(iter(chunk))
-        merged = heapq.merge(*streams) if len(streams) != 1 else streams[0]
+        for block in blocks:
+            held.append(block)
+            n_held += len(block)
+            if n_held < memory_budget_entries:
+                continue
+            if spill_dir is None:
+                spill_dir = tempfile.mkdtemp(prefix="rgsort-", dir=str(tmp_dir) if tmp_dir else None)
+            records = np.concatenate(held)
+            held.clear()
+            n_held = len(records) % memory_budget_entries
+            for start in range(0, len(records) - n_held, memory_budget_entries):
+                path = Path(spill_dir) / f"chunk_{len(chunk_paths):06d}.bin"
+                _sorted(records[start:start + memory_budget_entries]).tofile(path)
+                chunk_paths.append(path)
+            held = [records[len(records) - n_held:]]
+        tail = _sorted(np.concatenate(held)) if held else np.empty(0, dtype=RUN_RECORD)
         writer = _RunWriter(out_path)
         try:
-            for rec in merged:
-                writer.add(rec)
+            if not chunk_paths:
+                writer.add(tail)
+            else:
+                streams = [_chunk_records(p) for p in chunk_paths]
+                merged = heapq.merge(*streams, _record_tuples(tail))
+                for batch in _batches(merged, _WRITE_BLOCK_RECORDS):
+                    writer.add(np.array(batch, dtype=RUN_RECORD))
         except BaseException:
             writer.abort()
             raise
@@ -389,6 +475,34 @@ def build_sorted_run(
                 os.rmdir(spill_dir)
             except OSError:
                 pass
+
+
+def build_sorted_run(
+    entries: Iterable[tuple[CellIndex, CellEntry]],
+    params: GridParams,
+    out_path: Path,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
+    tmp_dir: Path | None = None,
+) -> RunInfo:
+    """External-sort an unordered entry stream into a single run file.
+
+    Morton-encodes each entry and hands the records to ``sort_run`` in
+    blocks, so the stream is never held in memory beyond the budget.
+    """
+
+    def blocks() -> Iterator[np.ndarray]:
+        batch = []
+        for cell_index, entry in entries:
+            batch.append((
+                morton_encode(cell_index, params),
+                entry.ref_id.structure_key, entry.ref_id.residue_ordinal, entry.atom_ordinal,
+            ))
+            if len(batch) == _WRITE_BLOCK_RECORDS:
+                yield np.array(batch, dtype=RUN_RECORD)
+                batch = []
+        yield np.array(batch, dtype=RUN_RECORD)
+
+    return sort_run(blocks(), Path(out_path), memory_budget_entries, tmp_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +551,9 @@ class GridCursor:
         self._readers = [
             _RunReader(grid.run_path(info)) for info in grid.runs if info.n_cells > 0
         ]
-        by_z = attrgetter("z")
-        self._groups = itertools.groupby(heapq.merge(*self._readers, key=by_z), key=by_z)
+        self._cells = (
+            self._readers[0] if len(self._readers) == 1 else _union_cells(self._readers)
+        )
 
     @property
     def physical_cells_read(self) -> int:
@@ -448,11 +563,7 @@ class GridCursor:
         return self
 
     def __next__(self) -> Cell:
-        z, group = next(self._groups)
-        cells = list(group)
-        if len(cells) == 1:
-            return cells[0]
-        return Cell(z, sorted(set().union(*(c.entries for c in cells))))
+        return next(self._cells)
 
     def close(self) -> None:
         for r in self._readers:
@@ -466,9 +577,34 @@ class GridCursor:
         return False
 
 
+def _union_cells(readers: list[_RunReader]) -> Iterator[Cell]:
+    """The runs' cells merged by z; equal-z cells become one cell with the
+    lexicographically sorted, distinct union of their entries."""
+    by_z = attrgetter("z")
+    for z, group in itertools.groupby(heapq.merge(*readers, key=by_z), key=by_z):
+        cells = list(group)
+        if len(cells) == 1:
+            yield cells[0]
+            continue
+        entries = np.concatenate([c.entries for c in cells])
+        entries = entries[np.lexsort(entries.T[::-1])]
+        distinct = np.concatenate(([True], (entries[1:] != entries[:-1]).any(axis=1)))
+        yield Cell(z, entries[distinct])
+
+
 def scan(grid: DiskGrid) -> GridCursor:
     """Open a cursor yielding each logical cell of the grid exactly once."""
     return GridCursor(grid)
+
+
+def _cell_records(cells: list[Cell]) -> np.ndarray:
+    entries = np.concatenate([c.entries for c in cells])
+    records = np.empty(len(entries), dtype=RUN_RECORD)
+    records["z"] = np.repeat(
+        np.array([c.z for c in cells], dtype=np.uint64), [len(c.entries) for c in cells]
+    )
+    records["sk"], records["ro"], records["ao"] = entries.T
+    return records
 
 
 def merge_runs(grid: DiskGrid) -> DiskGrid:
@@ -482,9 +618,8 @@ def merge_runs(grid: DiskGrid) -> DiskGrid:
     writer = _RunWriter(grid.directory / grid.next_run_name())
     cursor = scan(grid)
     try:
-        for cell in cursor:
-            for e in cell.entries:
-                writer.add((cell.z, e.ref_id.structure_key, e.ref_id.residue_ordinal, e.atom_ordinal))
+        for cells in _batches(cursor, _WRITE_BLOCK_CELLS):
+            writer.add(_cell_records(cells))
     except BaseException:
         writer.abort()
         raise

@@ -10,20 +10,27 @@ The final score of a (database frame, query frame) pair is its matched-atom
 count divided by the atom count of the patch owning the database frame,
 which keeps scores in [0, 1].
 
-Scores stay columnar from the merge scan to the threshold: the score table
-buffers one increment row per (database frame, query frame, count) and
-reduces the rows with numpy, ``budget`` buffered rows at a time, spilling
-each reduced block as one sorted chunk; the final merge concatenates and
-reduces every chunk row in memory. The threshold is applied to the raw
-counts, so a ``MatchResult`` is built only for a pair that is kept.
+The read path is columnar from the run file to the threshold. Each cell
+arrives as a ``(count, 3)`` uint32 array, and the matched cells' arrays are
+collected and scored in batches of about ``score_budget`` entries: a cell's
+distinct frames and their entry counts are the runs of equal packed
+(structure key, residue ordinal) keys in its sorted entries, and a cold
+cell's cross product becomes increment rows built with ``np.repeat``,
+``budget`` rows at a time. A row is keyed by one integer, the dense database
+index times the number of query frames plus the dense query index over the
+batch's sorted distinct keys, so the rows reduce with one ``np.bincount``,
+or one sort of the key when the key space is sparse. Beyond ``budget``
+buffered rows the buffer is reduced and spilled as one sorted chunk; the
+final merge reduces every chunk in memory. The threshold is applied to the
+raw counts, so a ``MatchResult`` is built only for a pair that is kept.
 
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
 frame, yet none of them can decide a match alone. ``match_query`` therefore
 marks a matched cell *hot*, during the scan, when its fan-in (distinct
 database frames times distinct query frames) exceeds a cutoff. A hot cell
-adds no rows to the score table; it is kept in memory as sorted database
-keys, their entry counts and sorted query keys, and each database frame f
+adds no rows to the score table; it is kept in memory as its database
+keys, their entry counts and its query keys, and each database frame f
 sums its hot-cell counts into ``hot_max[f]``. A pair (f, q) then scores at
 most ``cold(f, q) + hot_max[f]``, where ``cold`` is its score-table count,
 because q can gain at most f's own count from each hot cell. After the scan
@@ -31,11 +38,14 @@ a cold pair stays a candidate only if that bound passes the threshold, and
 a frame whose ``hot_max`` alone passes it is crossed with every query frame
 of the hot cells, which covers pairs that met only in hot cells. Each
 candidate then gets its exact count, the cold count plus f's count in every
-hot cell that also holds q, and pairs with count 0 are dropped. The bound
-uses the threshold's own float64 ``count / n_atoms >= tau_pp`` test, which
-is monotone in the count, so no pair that reaches the threshold is pruned
-and the results equal the unpruned ones for any choice of hot cells; the
-cutoff only trades table rows against recount work.
+hot cell that also holds q, and pairs with count 0 are dropped. A
+candidate visits only the hot cells holding f and looks q up in a boolean
+membership row of each, so the recount costs the candidates' hot-cell
+memberships, not hot cells times candidates. The bound uses the
+threshold's own float64 ``count / n_atoms >= tau_pp`` test, which is
+monotone in the count, so no pair that reaches the threshold is pruned and
+the results equal the unpruned ones for any choice of hot cells; the cutoff
+only trades table rows against recount work.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -53,14 +63,14 @@ from .errors import NoValidFrame, ParamsMismatch, PatchGridError, UnknownRefId
 from .geometry import point_norms, positions_array, transform_points
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
-    CellEntry,
-    CellIndex,
+    RUN_RECORD,
     DiskGrid,
     GridParams,
     RefId,
-    build_sorted_run,
     cells_of_points,
+    morton_codes,
     scan,
+    sort_run,
 )
 from .ingest import OriginTag, Patch, Protein, _count
 from .preprocess import PatchDatabase, PatchMeta, build_patch_database, residue_frames
@@ -68,9 +78,9 @@ from .preprocess import PatchDatabase, PatchMeta, build_patch_database, residue_
 DEFAULT_SCORE_BUDGET = 1_000_000
 
 # A matched cell is hot when its fan-in (distinct database frames times
-# distinct query frames) exceeds this. Any value gives the same results; the
-# recount after the scan costs hot cells times candidates, so lower values,
-# which make more cells hot, were slower on the benchmark's M database.
+# distinct query frames) exceeds this. Any value gives the same results; it
+# trades score-table rows against hot-cell recount work. On the benchmark's
+# M database 3,000 to 30,000 ran at equal speed and 1,000 was slower.
 _HOT_FANIN = 10_000
 
 # One score row: packed database ref, packed query ref, matched count. A ref
@@ -91,35 +101,99 @@ class MatchResult:
     source_protein_id: str
 
 
-def _reduce_pairs(rows: np.ndarray) -> np.ndarray:
-    """Sort score rows by (db, q) and sum the counts of equal keys."""
-    if not len(rows):
-        return rows
-    rows = rows[np.lexsort((rows["q"], rows["db"]))]
-    db, q = rows["db"], rows["q"]
-    starts = np.flatnonzero(np.concatenate(([True], (db[1:] != db[:-1]) | (q[1:] != q[:-1]))))
-    reduced = rows[starts]
-    reduced["count"] = np.add.reduceat(rows["count"], starts)
-    return reduced
+class _Block(NamedTuple):
+    """Score rows keyed by one integer: ``pair = db index * len(q) + q index``
+    into the sorted, distinct packed keys ``db`` and ``q``."""
+
+    db: np.ndarray
+    q: np.ndarray
+    pair: np.ndarray
+    count: np.ndarray
+
+
+def _reduce(block: _Block) -> _Block:
+    """Sum the counts of equal pair keys; the keys come out ascending.
+
+    Counts must be positive. Small key spaces are summed densely with
+    ``np.bincount``, larger ones by sorting the one key column.
+    """
+    pair, count = block.pair, block.count
+    size = len(block.db) * len(block.q)
+    if size <= 4 * len(pair):
+        sums = np.bincount(pair, weights=count, minlength=size)
+        pair = np.flatnonzero(sums)
+        count = sums[pair].astype(np.uint64)
+    elif len(pair):
+        order = np.argsort(pair, kind="stable")
+        pair, count = pair[order], count[order]
+        starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+        pair, count = pair[starts], np.add.reduceat(count, starts).astype(np.uint64)
+    return _Block(block.db, block.q, pair, count)
+
+
+def _merge(blocks: list[_Block]) -> _Block:
+    """One block over the union of the blocks' keys, rows concatenated."""
+    if len(blocks) == 1:
+        return blocks[0]
+    db = np.unique(np.concatenate([b.db for b in blocks]))
+    q = np.unique(np.concatenate([b.q for b in blocks]))
+    pair = [
+        np.searchsorted(db, b.db)[b.pair // len(b.q)] * len(q)
+        + np.searchsorted(q, b.q)[b.pair % len(b.q)]
+        for b in blocks
+    ]
+    return _Block(db, q, np.concatenate(pair), np.concatenate([b.count for b in blocks]))
+
+
+def _rows(block: _Block) -> np.ndarray:
+    """The block as ``_PAIR_DTYPE`` rows, in the order of its pair keys."""
+    rows = np.empty(len(block.pair), dtype=_PAIR_DTYPE)
+    if len(rows):
+        rows["db"] = block.db[block.pair // len(block.q)]
+        rows["q"] = block.q[block.pair % len(block.q)]
+        rows["count"] = block.count
+    return rows
+
+
+def _block_of(rows: np.ndarray) -> _Block:
+    db, db_index = np.unique(rows["db"], return_inverse=True)
+    q, q_index = np.unique(rows["q"], return_inverse=True)
+    return _Block(db, q, db_index * len(q) + q_index, rows["count"])
+
+
+def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Enumerate ``(i, lo[i] + k)`` for every i and k < width[i], in chunks.
+
+    Yields ``(item, index)`` arrays of about ``limit`` rows each (a single
+    item wider than ``limit`` makes a chunk of its own).
+    """
+    ends = np.cumsum(width)
+    first = 0
+    while first < len(width):
+        base = ends[first] - width[first]
+        last = max(int(np.searchsorted(ends, base + limit, "right")), first + 1)
+        item = np.repeat(np.arange(first, last), width[first:last])
+        yield item, lo[item] + np.arange(len(item)) - (ends[item] - width[item] - base)
+        first = last
 
 
 class ScoreTable:
     """Aggregation of (db ref, query ref) -> matched count, spillable.
 
-    ``add`` appends increment rows to flat lists of packed keys; once more
-    than ``budget`` rows are buffered, they are sorted and reduced with
-    numpy and written to disk as one sorted chunk. ``pairs()`` concatenates
-    every chunk with the reduced buffer and reduces them once, so the final
-    merge holds every chunk row in memory.
+    ``add`` takes matched cells as numpy columns and expands each cell's
+    cross product into increment rows keyed by one integer (dense database
+    index times dense query index, see ``_Block``), ``budget`` rows at a
+    time. Once more than ``budget`` rows are buffered they are reduced and
+    written to disk as one sorted chunk. ``reduced()`` merges every chunk
+    with the buffer in memory and reduces them once.
     """
 
     def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, tmp_dir: Path | None = None):
         if budget < 1:
             raise ValueError("score table budget must be >= 1")
-        self._db: list[int] = []
-        self._q: list[int] = []
-        self._counts: list[int] = []
-        self._budget = budget
+        self.budget = budget
+        self._blocks: list[_Block] = []
+        self._buffered = 0
         self._tmp_dir = tmp_dir
         self._spill_dir: str | None = None
         self._chunks: list[Path] = []
@@ -128,26 +202,28 @@ class ScoreTable:
 
     def add(
         self,
-        db_refs: Sequence[RefId],
-        query_refs: Sequence[RefId],
-        counts: Sequence[int],
+        db_keys: np.ndarray,
+        counts: np.ndarray,
+        db_cells: np.ndarray,
+        q_keys: np.ndarray,
+        q_cells: np.ndarray,
     ) -> None:
-        """Add ``counts[i]`` to the pair (db_refs[i], q) for every q in query_refs."""
-        db_keys = [sk << 32 | ro for sk, ro in db_refs]
-        for sk, ro in query_refs:
-            self._q.extend([sk << 32 | ro] * len(db_keys))
-        self._db.extend(db_keys * len(query_refs))
-        self._counts.extend(list(counts) * len(query_refs))
-        self.rows += len(db_keys) * len(query_refs)
-        if len(self._db) > self._budget:
-            self._spill()
+        """Add ``counts[i]`` to the pair (db_keys[i], q_keys[j]) for every j
+        with ``q_cells[j] == db_cells[i]``.
 
-    def _buffered(self) -> np.ndarray:
-        rows = np.empty(len(self._db), dtype=_PAIR_DTYPE)
-        rows["db"] = self._db
-        rows["q"] = self._q
-        rows["count"] = self._counts
-        return _reduce_pairs(rows)
+        Keys are packed refs; ``q_cells`` is ascending and counts are positive.
+        """
+        db, db_index = np.unique(db_keys, return_inverse=True)
+        q, q_index = np.unique(q_keys, return_inverse=True)
+        lo = np.searchsorted(q_cells, db_cells, "left")
+        width = np.searchsorted(q_cells, db_cells, "right") - lo
+        self.rows += int(width.sum())
+        counts = np.asarray(counts, dtype=np.uint64)
+        for item, q_item in _expand(lo, width, self.budget):
+            self._blocks.append(_Block(db, q, db_index[item] * len(q) + q_index[q_item], counts[item]))
+            self._buffered += len(item)
+            if self._buffered > self.budget:
+                self._spill()
 
     def _spill(self) -> None:
         if self._spill_dir is None:
@@ -155,19 +231,24 @@ class ScoreTable:
                 prefix="scoretable-", dir=str(self._tmp_dir) if self._tmp_dir else None
             )
         path = Path(self._spill_dir) / f"chunk_{len(self._chunks):06d}.bin"
-        self._buffered().tofile(path)
+        _rows(_reduce(_merge(self._blocks))).tofile(path)
         self._chunks.append(path)
-        self._db.clear()
-        self._q.clear()
-        self._counts.clear()
+        self._blocks = []
+        self._buffered = 0
         self.spills += 1
+
+    def reduced(self) -> _Block:
+        """Every pair once with its total count, pair keys ascending."""
+        blocks = [_block_of(np.fromfile(p, dtype=_PAIR_DTYPE)) for p in self._chunks]
+        blocks += self._blocks
+        if not blocks:
+            empty = np.empty(0, dtype=np.uint64)
+            return _Block(empty, empty, empty.astype(np.int64), empty)
+        return _reduce(_merge(blocks))
 
     def pairs(self) -> np.ndarray:
         """Every reduced pair once, in ascending (db, q) key order, as ``_PAIR_DTYPE`` rows."""
-        if not self._chunks:
-            return self._buffered()
-        chunks = [np.fromfile(p, dtype=_PAIR_DTYPE) for p in self._chunks]
-        return _reduce_pairs(np.concatenate([*chunks, self._buffered()]))
+        return _rows(self.reduced())
 
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """Yield ((db sk, db ro, q sk, q ro), total count) from ``pairs()``, in key order."""
@@ -185,31 +266,38 @@ class ScoreTable:
         self._spill_dir = None
 
 
-def _packed(refs: Sequence[RefId]) -> np.ndarray:
-    return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
-
-
 class HotCells:
     """The matched cells whose fan-in exceeds ``fanin``, held out of the score table.
 
-    Each cell is kept as (database keys, their entry counts, query keys),
-    both key arrays sorted and packed like score-row keys.
+    ``add`` takes cells in ``ScoreTable.add``'s columns and renumbers them
+    0, 1, ... in arrival order; ``columns()`` returns every hot cell's
+    database keys, their counts and cell numbers, then its query keys and
+    their cell numbers.
     """
 
     def __init__(self, fanin: int):
         self.fanin = fanin
-        self.cells: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.n_cells = 0
+        self._columns: list[tuple[np.ndarray, ...]] = []
 
     def add(
         self,
-        db_refs: Sequence[RefId],
-        query_refs: Sequence[RefId],
-        counts: Sequence[int],
+        db_keys: np.ndarray,
+        counts: np.ndarray,
+        db_cells: np.ndarray,
+        q_keys: np.ndarray,
+        q_cells: np.ndarray,
     ) -> None:
-        db = _packed(db_refs)
-        order = np.argsort(db)
-        counts = np.array(counts, dtype=np.uint64)
-        self.cells.append((db[order], counts[order], np.unique(_packed(query_refs))))
+        cells, db_cells = np.unique(db_cells, return_inverse=True)
+        q_cells = np.searchsorted(cells, q_cells)
+        self._columns.append((
+            np.asarray(db_keys, dtype=np.uint64), np.asarray(counts, dtype=np.uint64),
+            db_cells + self.n_cells, np.asarray(q_keys, dtype=np.uint64), q_cells + self.n_cells,
+        ))
+        self.n_cells += len(cells)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.concatenate(column) for column in zip(*self._columns))
 
 
 @dataclass(frozen=True)
@@ -240,7 +328,10 @@ def build_query_grid(
     coordinates have norm <= mps produce entries. Query atoms can
     legitimately sit far from a frame, so out-of-extent entries are dropped
     and counted under ``counters['entries_out_of_extent']`` instead of
-    failing. Raises NoValidFrame when the query has no usable residue.
+    failing. The kept entries are quantized and Morton-encoded as columns,
+    ``memory_budget_entries`` at a time, and ``sort_run`` sorts them into
+    the run, spilling sorted chunks when they exceed that budget.
+    Raises NoValidFrame when the query has no usable residue.
     """
     if mps < 0:
         raise ValueError("mps must be non-negative")
@@ -248,34 +339,71 @@ def build_query_grid(
     if not frames:
         raise NoValidFrame(f"query {query.protein_id}: no residue yields a frame")
     points = positions_array(query.atoms)
-    ordinals = [atom.atom_ordinal for atom in query.atoms]
+    ordinals = np.array([atom.atom_ordinal for atom in query.atoms], dtype=np.uint32)
+    budget = memory_budget_entries or DEFAULT_MEMORY_BUDGET
 
-    def entries() -> Iterator[tuple[CellIndex, CellEntry]]:
+    def records(held: list[tuple[np.ndarray, int, np.ndarray]]) -> np.ndarray:
+        """The records of the kept (coordinates, residue ordinal, atom index) of some frames."""
+        cells, in_extent = cells_of_points(np.concatenate([c for c, _, _ in held]), params)
+        dropped = int((~in_extent).sum())
+        if dropped:
+            _count(counters, "entries_out_of_extent", dropped)
+        block = np.empty(len(cells) - dropped, dtype=RUN_RECORD)
+        block["z"] = morton_codes(cells[in_extent], params)
+        block["sk"] = structure_key
+        block["ro"] = np.repeat([ro for _, ro, _ in held], [len(a) for _, _, a in held])[in_extent]
+        block["ao"] = ordinals[np.concatenate([a for _, _, a in held])][in_extent]
+        return block
+
+    def blocks() -> Iterator[np.ndarray]:
+        held, n_held = [], 0
         for residue_ordinal, frame in frames:
             coords = transform_points(frame, points)
-            keep = point_norms(coords) <= mps
-            cells, in_extent = cells_of_points(coords, params)
-            dropped = int((keep & ~in_extent).sum())
-            if dropped:
-                _count(counters, "entries_out_of_extent", dropped)
-            keep &= in_extent
-            ref = RefId(structure_key, residue_ordinal)
-            for i in keep.nonzero()[0]:
-                yield (
-                    CellIndex(int(cells[i, 0]), int(cells[i, 1]), int(cells[i, 2])),
-                    CellEntry(ref, ordinals[i]),
-                )
+            atoms = np.flatnonzero(point_norms(coords) <= mps)
+            held.append((coords[atoms], residue_ordinal, atoms))
+            n_held += len(atoms)
+            if n_held >= budget:
+                yield records(held)
+                held, n_held = [], 0
+        if held:
+            yield records(held)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    info = build_sorted_run(
-        entries(),
-        params,
-        out_dir / "run_000000.bin",
-        memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
-        tmp_dir=tmp_dir,
-    )
+    info = sort_run(blocks(), out_dir / "run_000000.bin", budget, tmp_dir)
     return DiskGrid(params=params, directory=out_dir, runs=[info])
+
+
+def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell, its distinct frames as packed keys, their entry counts and cell numbers.
+
+    Entries are sorted within a cell, so each distinct frame is one run of rows.
+    """
+    lengths = np.array([len(c) for c in cells])
+    entries = np.concatenate(cells)
+    keys = entries[:, 0].astype(np.uint64) << 32 | entries[:, 1]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    bounds = np.cumsum(lengths)[:-1]
+    first[bounds[bounds < len(keys)]] = True
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(keys)))
+    return keys[starts], counts, np.repeat(np.arange(len(cells)), lengths)[starts]
+
+
+def _join_cells(
+    p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable, hot: HotCells | None
+) -> None:
+    """Score matched cells, given as their database and query entry arrays:
+    cells with fan-in over ``hot.fanin`` go to ``hot``, the rest to ``table``."""
+    db_keys, counts, db_cells = _distinct_frames(p_entries)
+    q_keys, _, q_cells = _distinct_frames(q_entries)
+    n = len(p_entries)
+    fanin = np.bincount(db_cells, minlength=n) * np.bincount(q_cells, minlength=n)
+    is_hot = fanin > hot.fanin if hot is not None else np.zeros(n, dtype=bool)
+    for target, chosen in ((table, ~is_hot), (hot, is_hot)):
+        if chosen.any():
+            d, q = chosen[db_cells], chosen[q_cells]
+            target.add(db_keys[d], counts[d], db_cells[d], q_keys[q], q_cells[q])
 
 
 def merge_scan_match(
@@ -288,17 +416,21 @@ def merge_scan_match(
     """Join two z-sorted grids in a single pass, updating the score table.
 
     When the two cursors sit on equal z, every distinct query ref in the
-    query cell receives the per-ref entry counts of the database cell. With
-    ``hot``, a matched cell whose fan-in exceeds ``hot.fanin`` goes to
-    ``hot`` instead of the table. Both cursors are driven to exhaustion so
-    each stored cell of either grid is physically read exactly once
-    (asserted via the cursors' read counters).
+    query cell receives the per-ref entry counts of the database cell. The
+    matched cells' entry arrays are collected and scored in batches of
+    about ``table.budget`` entries. With ``hot``, a matched cell whose
+    fan-in exceeds ``hot.fanin`` goes to ``hot`` instead of the table. Both
+    cursors are driven to exhaustion so each stored cell of either grid is
+    physically read exactly once (asserted via the cursors' read counters).
     """
     if gp.params != gq.params:
         raise ParamsMismatch(f"grid params differ: {gp.params} vs {gq.params}")
     cur_p = scan(gp)
     cur_q = scan(gq)
     try:
+        p_entries: list[np.ndarray] = []
+        q_entries: list[np.ndarray] = []
+        held = 0
         cell_p = next(cur_p, None)
         cell_q = next(cur_q, None)
         while cell_p is not None and cell_q is not None:
@@ -307,14 +439,16 @@ def merge_scan_match(
             elif cell_p.z > cell_q.z:
                 cell_q = next(cur_q, None)
             else:
-                counts: dict[RefId, int] = {}
-                for entry in cell_p.entries:
-                    counts[entry.ref_id] = counts.get(entry.ref_id, 0) + 1
-                query_refs = list({entry.ref_id for entry in cell_q.entries})
-                is_hot = hot is not None and len(counts) * len(query_refs) > hot.fanin
-                (hot if is_hot else table).add(list(counts), query_refs, list(counts.values()))
+                p_entries.append(cell_p.entries)
+                q_entries.append(cell_q.entries)
+                held += len(cell_p.entries) + len(cell_q.entries)
+                if held >= table.budget:
+                    _join_cells(p_entries, q_entries, table, hot)
+                    p_entries, q_entries, held = [], [], 0
                 cell_p = next(cur_p, None)
                 cell_q = next(cur_q, None)
+        if p_entries:
+            _join_cells(p_entries, q_entries, table, hot)
         # Drain both sides: a full scan reads every stored cell once.
         while cell_p is not None:
             cell_p = next(cur_p, None)
@@ -347,32 +481,53 @@ def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
 
 
 def _hot_candidates(
-    cold: np.ndarray, hot: HotCells, db: PatchDatabase, tau_pp: float
+    cold: _Block, hot: HotCells, db: PatchDatabase, tau_pp: float, chunk_rows: int
 ) -> np.ndarray:
     """The pairs whose hot-cell bound passes tau_pp, with exact nonzero counts.
 
     ``cold`` holds the reduced score-table pairs; see the module docstring
-    for the bound and why it never drops a pair that reaches tau_pp.
+    for the bound and why it never drops a pair that reaches tau_pp. The
+    bound is applied to the dense pair keys, before any pair row is built.
     """
-    db_keys, counts, q_keys = (np.concatenate(column) for column in zip(*hot.cells))
-    rows = np.zeros(len(db_keys), dtype=_PAIR_DTYPE)
-    rows["db"], rows["count"] = db_keys, counts
-    totals = _reduce_pairs(rows)
-    hot_db, hot_max = totals["db"], totals["count"]
-    i = np.minimum(np.searchsorted(hot_db, cold["db"]), len(hot_db) - 1)
-    bound = cold["count"] + np.where(hot_db[i] == cold["db"], hot_max[i], 0)
-    cold = cold[bound / _atom_counts(cold["db"], db) >= tau_pp]
-    frames = hot_db[hot_max / _atom_counts(hot_db, db) >= tau_pp]
-    q = np.unique(q_keys)
-    crossed = np.zeros(len(frames) * len(q), dtype=_PAIR_DTYPE)
-    crossed["db"], crossed["q"] = np.repeat(frames, len(q)), np.tile(q, len(frames))
-    pairs = _reduce_pairs(np.concatenate([cold, crossed]))
-    for cell_db, cell_counts, cell_q in hot.cells:
-        i = np.minimum(np.searchsorted(cell_db, pairs["db"]), len(cell_db) - 1)
-        j = np.minimum(np.searchsorted(cell_q, pairs["q"]), len(cell_q) - 1)
-        hit = (cell_db[i] == pairs["db"]) & (cell_q[j] == pairs["q"])
-        pairs["count"][hit] += cell_counts[i[hit]]
-    return pairs[pairs["count"] > 0]
+    h_db, h_counts, h_cells, h_q, h_q_cells = hot.columns()
+    frames, h_frame = np.unique(h_db, return_inverse=True)
+    hot_max = np.bincount(h_frame, weights=h_counts).astype(np.uint64)
+    # Cold pairs: count plus the frame's own hot-cell entries.
+    i = np.minimum(np.searchsorted(frames, cold.db), len(frames) - 1)
+    own = np.where(frames[i] == cold.db, hot_max[i], 0)
+    db_index = cold.pair // max(len(cold.q), 1)
+    bound = cold.count + own[db_index]
+    kept = np.flatnonzero(bound / _atom_counts(cold.db, db)[db_index] >= tau_pp)
+    # Frames whose hot-cell entries alone pass meet every query frame of the hot cells.
+    crossed = frames[hot_max / _atom_counts(frames, db) >= tau_pp]
+    hot_q = np.unique(h_q)
+    # Candidates as dense keys over the union of the frames and query frames.
+    f_keys, q_keys = np.union1d(cold.db, frames), np.union1d(cold.q, hot_q)
+    cold_key = (
+        np.searchsorted(f_keys, cold.db)[db_index[kept]] * len(q_keys)
+        + np.searchsorted(q_keys, cold.q)[cold.pair[kept] % max(len(cold.q), 1)]
+    )
+    crossed_key = (
+        np.searchsorted(f_keys, crossed)[:, None] * len(q_keys) + np.searchsorted(q_keys, hot_q)
+    ).ravel()
+    key = np.union1d(cold_key, crossed_key)
+    count = np.zeros(len(key), dtype=np.uint64)
+    count[np.searchsorted(key, cold_key)] = cold.count[kept]
+    # Exact recount: each candidate visits only the hot cells holding its
+    # frame, and looks its query frame up in that cell's membership row.
+    member = np.zeros((hot.n_cells, len(q_keys)), dtype=bool)
+    member[h_q_cells, np.searchsorted(q_keys, h_q)] = True
+    h_f = np.searchsorted(f_keys, h_db)
+    order = np.argsort(h_f, kind="stable")
+    h_f, h_cells, h_counts = h_f[order], h_cells[order], h_counts[order]
+    f_of, q_of = key // len(q_keys), key % len(q_keys)
+    lo = np.searchsorted(h_f, f_of, "left")
+    width = np.searchsorted(h_f, f_of, "right") - lo
+    for item, t in _expand(lo, width, chunk_rows):
+        hit = member[h_cells[t], q_of[item]]
+        count += np.bincount(item[hit], weights=h_counts[t[hit]], minlength=len(key)).astype(np.uint64)
+    nonzero = count > 0
+    return _rows(_Block(f_keys, q_keys, key[nonzero], count[nonzero]))
 
 
 def finalize_scores(
@@ -388,9 +543,10 @@ def finalize_scores(
     references a structure key absent from the patch metadata, and
     PatchGridError when a pair count exceeds the patch's atom count.
     """
-    pairs = table.pairs()
-    if hot is not None and hot.cells:
-        pairs = _hot_candidates(pairs, hot, db, tau_pp)
+    if hot is not None and hot.n_cells:
+        pairs = _hot_candidates(table.reduced(), hot, db, tau_pp, table.budget)
+    else:
+        pairs = table.pairs()
     n_atoms = _atom_counts(pairs["db"], db)
     over = np.flatnonzero(pairs["count"] > n_atoms)
     if over.size:
@@ -472,7 +628,7 @@ def match_query(
         stats["pairs_scored"] = len(scored)
         stats["score_spills"] = table.spills
         stats["score_rows"] = table.rows
-        stats["hot_cells"] = len(hot.cells)
+        stats["hot_cells"] = hot.n_cells
     return threshold_filter(scored, tau_pp)
 
 

@@ -189,10 +189,10 @@ def test_acceptance_05_single_access_merge_scan(tmp_path):
             for cell_q in q_cells:
                 if cell_p.z != cell_q.z:
                     continue
-                counts: dict[RefId, int] = {}
-                for e in cell_p.entries:
-                    counts[e.ref_id] = counts.get(e.ref_id, 0) + 1
-                for q_ref in {e.ref_id for e in cell_q.entries}:
+                counts: dict[tuple, int] = {}
+                for sk, ro, _ in cell_p.entries.tolist():
+                    counts[sk, ro] = counts.get((sk, ro), 0) + 1
+                for q_ref in {(sk, ro) for sk, ro, _ in cell_q.entries.tolist()}:
                     for db_ref, c in counts.items():
                         key = (*db_ref, *q_ref)
                         table[key] = table.get(key, 0) + c

@@ -1,6 +1,7 @@
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
 
@@ -140,6 +141,34 @@ def test_build_refuses_existing_db(workspace, capsys):
     assert main(["build-db", str(files["SRC1"]), "--db", str(db_dir), "--delta", "2.0"]) == 1
     err = capsys.readouterr().err
     assert "delta=1.0" in err and "delta=2.0" in err
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("repeated z", "does not increase"),
+    ("count past the end", "cut body"),
+])
+def test_query_on_damaged_run_exits_1(workspace, capsys, damage, message):
+    # the run keeps the size the manifest lists, so only the scan finds the damage
+    tmp_path, files, template, annotations, proteins = workspace
+    db_dir = tmp_path / "db"
+    assert main(["build-db", str(files["SRC0"]), "--db", str(db_dir)]) == 0
+    db = PatchDatabase.load(db_dir)
+    path = db.grid.run_path(db.grid.runs[0])
+    blob = bytearray(path.read_bytes())
+    offsets, at = [], 0
+    while at < len(blob):
+        offsets.append(at)
+        at += 12 + 12 * struct.unpack_from("<I", blob, at + 8)[0]
+    if damage == "repeated z":
+        blob[offsets[1]:offsets[1] + 8] = blob[0:8]
+    else:
+        last = offsets[-1] + 8
+        struct.pack_into("<I", blob, last, struct.unpack_from("<I", blob, last)[0] + 1)
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["query", str(files["SRC0"]), "--db", str(db_dir), "--out", str(tmp_path / "q")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_missing_input_file_fails(workspace, capsys):

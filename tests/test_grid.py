@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchgrid.errors import OutOfExtent
+from patchgrid import grid as grid_module
+from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
     BOUNDARY_SNAP,
     Cell,
@@ -17,6 +18,7 @@ from patchgrid.grid import (
     DiskGrid,
     GridParams,
     RefId,
+    RunInfo,
     build_sorted_run,
     cell_of,
     cells_of_points,
@@ -66,6 +68,11 @@ def make_run(tmp_path, name, items, params=P1, budget=10**6):
 def read_cells(grid):
     with scan(grid) as cursor:
         return list(cursor)
+
+
+def entry_tuples(cell):
+    """A cell's entries as (structure key, residue ordinal, atom ordinal) tuples."""
+    return [tuple(e) for e in cell.entries.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,7 @@ def test_build_sorted_run_idempotent_on_sorted_input(tmp_path):
     info1 = make_run(tmp_path, "a.bin", items)
     grid1 = DiskGrid(P1, tmp_path, [info1])
     sorted_stream = [
-        (morton_decode(c.z, P1), e) for c in read_cells(grid1) for e in c.entries
+        (morton_decode(c.z, P1), entry(*e)) for c in read_cells(grid1) for e in entry_tuples(c)
     ]
     info2 = make_run(tmp_path, "b.bin", sorted_stream)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -279,7 +286,7 @@ def union_oracle(grids):
     merged: dict[int, set] = {}
     for grid in grids:
         for cell in read_cells(grid):
-            merged.setdefault(cell.z, set()).update(cell.entries)
+            merged.setdefault(cell.z, set()).update(entry_tuples(cell))
     return {z: sorted(entries) for z, entries in merged.items()}
 
 
@@ -318,11 +325,11 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
     assert len(cells) == 3
     shared = [c for c in cells if len(c.entries) == 2]
     assert len(shared) == 1
-    assert shared[0].entries == sorted(
-        [entry(0, 0, 1), entry(1, 0, 0)]
+    assert entry_tuples(shared[0]) == sorted(
+        [(0, 0, 1), (1, 0, 0)]
     )
     assert union_oracle([DiskGrid(P1, tmp_path, [a]), DiskGrid(P1, tmp_path, [b])]) == {
-        c.z: sorted(c.entries) for c in cells
+        c.z: sorted(entry_tuples(c)) for c in cells
     }
 
 
@@ -350,7 +357,7 @@ def test_merge_runs_disjoint_and_shared(tmp_path):
     merged = merge_runs(grid)
     assert len(merged.runs) == 1
     cells = read_cells(merged)
-    assert {c.z: sorted(c.entries) for c in cells} == oracle
+    assert {c.z: sorted(entry_tuples(c)) for c in cells} == oracle
     assert merged.total_entries == sum(len(v) for v in oracle.values())
     # the old runs stay until the caller has committed the merged grid
     assert (tmp_path / "a.bin").exists() and (tmp_path / "b.bin").exists()
@@ -375,8 +382,106 @@ def test_property_run_is_sorted_dedup(tmp_path_factory, raw):
     assert zs == sorted(zs) and len(set(zs)) == len(zs)
     seen = set()
     for cell in cells:
-        assert cell.entries == sorted(cell.entries)
-        assert len(set(cell.entries)) == len(cell.entries)
-        seen.update((cell.z, e) for e in cell.entries)
-    expected = {(morton_encode(ci, P1), e) for ci, e in items}
+        entries = entry_tuples(cell)
+        assert entries == sorted(entries)
+        assert len(set(entries)) == len(entries)
+        seen.update((cell.z, e) for e in entries)
+    expected = {(morton_encode(ci, P1), (*e.ref_id, e.atom_ordinal)) for ci, e in items}
     assert seen == expected
+
+
+def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path):
+    # keys above 2**16 up to 2**32 - 1, the same entries repeated across runs
+    rng = random.Random(21)
+    wide = [0, 1, 2**16, 2**16 + 1, 2**31, 2**32 - 2, 2**32 - 1]
+    pool = [entry(rng.choice(wide), rng.choice(wide), rng.choice(wide)) for _ in range(40)]
+    cells = [CellIndex(x, 0, 0) for x in range(-2, 3)]
+    runs = []
+    for k in range(4):
+        items = [(rng.choice(cells), rng.choice(pool)) for _ in range(60)]
+        items += [(cells[0], pool[0]), (cells[1], pool[1])]  # in every run
+        runs.append(make_run(tmp_path, f"w{k}.bin", items))
+    per_run = [read_cells(DiskGrid(P1, tmp_path, [info])) for info in runs]
+    by_z: dict[int, list] = {}
+    for run_cells in per_run:
+        for cell in run_cells:
+            by_z.setdefault(cell.z, []).append(entry_tuples(cell))
+    expected = [(z, sorted(set().union(*lists))) for z, lists in sorted(by_z.items())]
+    with scan(DiskGrid(P1, tmp_path, runs)) as cursor:
+        got = [(cell.z, entry_tuples(cell)) for cell in cursor]
+        assert cursor.physical_cells_read == sum(len(c) for c in per_run)
+    assert got == expected
+    assert any(len(lists) > 1 for lists in by_z.values())
+
+
+def _run_bytes(cells):
+    return b"".join(
+        struct.pack("<QI", z, len(entries)) + b"".join(struct.pack("<III", *e) for e in entries)
+        for z, entries in cells
+    )
+
+
+def _scan_bytes(tmp_path, blob):
+    (tmp_path / "damaged.bin").write_bytes(blob)
+    grid = DiskGrid(P1, tmp_path, [RunInfo("damaged.bin", 1, 0)])
+    with scan(grid) as cursor:
+        return [(cell.z, entry_tuples(cell)) for cell in cursor]
+
+
+WIDE_CELLS = [(3, [(0, 1, 2), (2**32 - 1, 5, 6)]), (9, [(1, 1, 1)]), (2**62, [(7, 8, 9)])]
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, 13, 16, 1 << 20])
+def test_run_reader_blocks_cut_anywhere(tmp_path, monkeypatch, block):
+    # cell headers and bodies straddle the reader's block boundaries
+    monkeypatch.setattr(grid_module, "_READ_BLOCK_BYTES", block)
+    assert _scan_bytes(tmp_path, _run_bytes(WIDE_CELLS)) == WIDE_CELLS
+
+
+@pytest.mark.parametrize("block", [16, 1 << 20])
+@pytest.mark.parametrize("damage, message", [
+    ("cut header", "cut cell header"),
+    ("cut body", "cut body"),
+    ("repeated z", "does not increase"),
+    ("falling z", "does not increase"),
+])
+def test_damaged_run_raises_corrupt_database(tmp_path, monkeypatch, block, damage, message):
+    monkeypatch.setattr(grid_module, "_READ_BLOCK_BYTES", block)
+    blob = _run_bytes(WIDE_CELLS)
+    if damage == "cut header":  # bytes 60-66 hold 7 of 12 header bytes; block 16 ends at 64
+        blob = _run_bytes(WIDE_CELLS[:2]) + struct.pack("<QI", 10, 1)[:7]
+    elif damage == "cut body":
+        blob = blob[:-5]
+    elif damage == "repeated z":
+        blob = _run_bytes([WIDE_CELLS[0], WIDE_CELLS[0]])
+    else:
+        blob = _run_bytes([WIDE_CELLS[1], WIDE_CELLS[0]])
+    with pytest.raises(CorruptDatabase, match=message):
+        _scan_bytes(tmp_path, blob)
+
+
+@pytest.mark.parametrize("held", [1, 2, 3, 1 << 16])
+def test_run_writer_blocks_match_one_block(tmp_path, monkeypatch, held):
+    # cells and duplicates that cross the writer's block and hold boundaries
+    monkeypatch.setattr(grid_module, "_WRITE_BLOCK_RECORDS", held)
+    rng = random.Random(held)
+    rows = sorted((rng.randint(0, 6), 2**32 - 1 - rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3))
+                  for _ in range(80))
+    records = np.array(rows, dtype=grid_module.RUN_RECORD)
+    one = grid_module._RunWriter(tmp_path / "one.bin")
+    one.add(records)
+    expected = one.close()
+    writer = grid_module._RunWriter(tmp_path / "many.bin")
+    at = 0
+    while at < len(records):
+        step = rng.randint(0, 5)
+        writer.add(records[at:at + step])
+        at += step
+    assert writer.close() == type(expected)("many.bin", expected.n_cells, expected.n_entries)
+    assert (tmp_path / "many.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+    assert expected.n_entries == len(set(rows))
+    backwards = grid_module._RunWriter(tmp_path / "bad.bin")
+    backwards.add(np.array([(5, 0, 0, 1)], dtype=grid_module.RUN_RECORD))
+    with pytest.raises(ValueError, match="out-of-order"):
+        backwards.add(np.array([(5, 0, 0, 0)], dtype=grid_module.RUN_RECORD))
+    backwards.abort()

@@ -3,6 +3,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from conftest import corpus
 from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
-from patchgrid.geometry import positions_array, transform_points
+from patchgrid import grid as grid_module
+from patchgrid.geometry import point_norms, positions_array, transform_points
 from patchgrid.grid import (
     CellEntry,
     CellIndex,
@@ -20,6 +22,7 @@ from patchgrid.grid import (
     RefId,
     build_sorted_run,
     cell_of,
+    cells_of_points,
     morton_decode,
     morton_encode,
     scan,
@@ -72,14 +75,24 @@ def join_oracle(gp, gq):
         for cell_q in q_cells:
             if cell_p.z != cell_q.z:
                 continue
-            counts: dict[RefId, int] = {}
-            for e in cell_p.entries:
-                counts[e.ref_id] = counts.get(e.ref_id, 0) + 1
-            for q_ref in {e.ref_id for e in cell_q.entries}:
+            counts: dict[tuple, int] = {}
+            for sk, ro, _ in cell_p.entries.tolist():
+                counts[sk, ro] = counts.get((sk, ro), 0) + 1
+            for q_ref in {(sk, ro) for sk, ro, _ in cell_q.entries.tolist()}:
                 for db_ref, c in counts.items():
                     key = (*db_ref, *q_ref)
                     table[key] = table.get(key, 0) + c
     return table
+
+
+def add_cell(target, db_refs, query_refs, counts):
+    """Add one matched cell to a ScoreTable or HotCells: counts[i] to the
+    pair (db_refs[i], q) for every q in query_refs."""
+    def packed(refs):
+        return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
+
+    target.add(packed(db_refs), np.array(counts, dtype=np.uint64), np.zeros(len(db_refs), dtype=np.int64),
+               packed(query_refs), np.zeros(len(query_refs), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,36 @@ def test_query_grid_drops_out_of_extent(tmp_path):
     m = len(residue_frames(query.atoms))
     assert counters.get("entries_out_of_extent", 0) > 0
     assert grid.total_entries + counters["entries_out_of_extent"] == n * m
+
+
+@pytest.mark.parametrize("budget", [None, 2, 37])
+def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
+    # the columnar query grid against the entry-at-a-time external sort
+    rng = random.Random(6)
+    query = random_protein(rng, "Q", 5)
+    mps = 5.0
+
+    def entries():
+        points = positions_array(query.atoms)
+        for residue_ordinal, frame in residue_frames(query.atoms):
+            coords = transform_points(frame, points)
+            cells, in_extent = cells_of_points(coords, P1)
+            for i in np.flatnonzero((point_norms(coords) <= mps) & in_extent):
+                yield (CellIndex(*cells[i].tolist()),
+                       CellEntry(RefId(0, residue_ordinal), query.atoms[i].atom_ordinal))
+
+    expected = build_sorted_run(entries(), P1, tmp_path / "expected.bin")
+    chunks_read = []
+    chunk_records = grid_module._chunk_records
+    monkeypatch.setattr(grid_module, "_chunk_records",
+                        lambda path: chunks_read.append(path) or chunk_records(path))
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    gq = build_query_grid(query, P1, mps, tmp_path / "gq", memory_budget_entries=budget, tmp_dir=spill)
+    assert gq.run_path(gq.runs[0]).read_bytes() == (tmp_path / "expected.bin").read_bytes()
+    assert gq.runs == [type(expected)("run_000000.bin", expected.n_cells, expected.n_entries)]
+    assert (len(chunks_read) > 0) == (budget is not None)
+    assert list(spill.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +281,7 @@ def _lattice_db(tmp_path, n_atoms):
 def _scored(db, counts):
     """Scored pairs where database frame i matched ``counts[i]`` atoms of query frame 0."""
     table = ScoreTable()
-    table.add([RefId(0, i) for i in range(len(counts))], [RefId(0, 0)], counts)
+    add_cell(table, [RefId(0, i) for i in range(len(counts))], [RefId(0, 0)], counts)
     try:
         return finalize_scores(table, db)
     finally:
@@ -265,7 +308,7 @@ def test_finalize_scores_seven_tenths():
 def test_finalize_unknown_ref(tmp_path):
     db, _ = _db_with_patch(tmp_path)
     table = ScoreTable()
-    table.add([RefId(99, 0)], [RefId(0, 0)], [1])
+    add_cell(table, [RefId(99, 0)], [RefId(0, 0)], [1])
     with pytest.raises(UnknownRefId):
         finalize_scores(table, db)
 
@@ -279,7 +322,7 @@ def test_score_table_spilled_items_sorted_and_summed(tmp_path):
             db_ref = RefId(rng.randrange(4), rng.randrange(6))
             query_ref = RefId(rng.randrange(2), rng.randrange(6))
             count = rng.randint(1, 3)
-            table.add([db_ref], [query_ref], [count])
+            add_cell(table, [db_ref], [query_ref], [count])
             key = (*db_ref, *query_ref)
             expected[key] = expected.get(key, 0) + count
         assert list(table.items()) == sorted(expected.items())
@@ -306,7 +349,7 @@ def test_score_table_equals_dict_oracle(cells, budget):
         table = ScoreTable(budget=budget, tmp_dir=tmp)
         try:
             for db_counts, query_refs in cells:
-                table.add(list(db_counts), query_refs, list(db_counts.values()))
+                add_cell(table, list(db_counts), query_refs, list(db_counts.values()))
                 for query_ref in query_refs:
                     for db_ref, count in db_counts.items():
                         key = (*db_ref, *query_ref)
@@ -409,22 +452,27 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
         merge_scan_match(db.grid, gq, table, hot=hot)
         joined = dict(table.items())
         table.close()
-        for db_keys, counts, query_keys in hot.cells:
+        cells = []
+        if hot.n_cells:
+            db_keys, counts, db_cells, q_keys, q_cells = hot.columns()
+            cells = [(db_keys[db_cells == i], counts[db_cells == i], q_keys[q_cells == i])
+                     for i in range(hot.n_cells)]
+        for db_keys, counts, query_keys in cells:
             for d, c in zip(db_keys.tolist(), counts.tolist()):
                 for q in query_keys.tolist():
                     key = (d >> 32, d & 0xFFFFFFFF, q >> 32, q & 0xFFFFFFFF)
                     joined[key] = joined.get(key, 0) + c
         assert joined == expected
-        assert (len(hot.cells) > 0) == (cutoff < 2**62)
-        assert all(len(db_keys) * len(q_keys) > cutoff for db_keys, _, q_keys in hot.cells)
+        assert (len(cells) > 0) == (cutoff < 2**62)
+        assert all(len(db_keys) * len(q_keys) > cutoff for db_keys, _, q_keys in cells)
 
 
 def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
     db, _ = _lattice_db(tmp_path, 10)
     table, hot = ScoreTable(), HotCells(0)
-    table.add([RefId(0, 1)], [RefId(0, 8)], [1])
-    hot.add([RefId(0, 1)], [RefId(0, 7)], [3])  # hot cell A: db frame 1, query frame 7
-    hot.add([RefId(0, 2)], [RefId(0, 8)], [2])  # hot cell B: db frame 2, query frame 8
+    add_cell(table, [RefId(0, 1)], [RefId(0, 8)], [1])
+    add_cell(hot, [RefId(0, 1)], [RefId(0, 7)], [3])  # hot cell A: db frame 1, query frame 7
+    add_cell(hot, [RefId(0, 2)], [RefId(0, 8)], [2])  # hot cell B: db frame 2, query frame 8
     # tau 0: every pair that met, none of the crossed pairs that did not, e.g. (2, 7)
     assert finalize_scores(table, db, hot, 0.0).pairs.tolist() == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
     # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not

@@ -246,7 +246,7 @@ def hook_write_steps(monkeypatch, log, crash=None):
     """Append each write step reached to ``log``; the first time step
     ``crash`` is reached, raise Crash. The clean-up of a half-written run
     file, which a killed process never runs, is off."""
-    real_replace, real_flush, real_unlink = os.replace, grid._RunWriter._flush_cell, Path.unlink
+    real_replace, real_flush, real_unlink = os.replace, grid._RunWriter._write_cells, Path.unlink
 
     def reach(step):
         log.append(step)
@@ -261,8 +261,8 @@ def hook_write_steps(monkeypatch, log, crash=None):
             reach("run rename")
         real_replace(src, dst)
 
-    def flush(writer):
-        real_flush(writer)
+    def flush(writer, *args):
+        real_flush(writer, *args)
         reach("run write")
 
     def unlink(path, *args, **kwargs):
@@ -271,7 +271,7 @@ def hook_write_steps(monkeypatch, log, crash=None):
         real_unlink(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "replace", replace)
-    monkeypatch.setattr(grid._RunWriter, "_flush_cell", flush)
+    monkeypatch.setattr(grid._RunWriter, "_write_cells", flush)
     monkeypatch.setattr(grid._RunWriter, "abort", lambda writer: writer._fh.close())
     monkeypatch.setattr(Path, "unlink", unlink)
 

@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .grid import (
     Cell,
-    CellEntry,
     CellIndex,
     DiskGrid,
     GridParams,

@@ -13,6 +13,7 @@ are safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -75,35 +76,66 @@ def _as_vec(p) -> np.ndarray:
     return np.asarray(p, dtype=np.float64)
 
 
-def frame_from_triple(a, b, c) -> RigidFrame:
-    """Build the frame anchored at ``a`` from three non-collinear points.
+# Column permutations that line up a row-wise cross product's factors.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+# Anchor rows whose differences are a triple's sides b - a, c - a, c - b.
+_SIDE_HEADS = np.array([1, 2, 2])
+_SIDE_TAILS = np.array([0, 0, 1])
 
-    origin = a; e1 = unit(b - a); e3 = unit(e1 x (c - a)); e2 = e3 x e1.
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Row-wise u x v with the products and differences of np.cross, whose
+    # per-call axis handling dominates on a few rows.
+    return u.take(_NEXT, axis=1) * v.take(_PREV, axis=1) - u.take(_PREV, axis=1) * v.take(_NEXT, axis=1)
+
+
+def frames_from_triples(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build one frame per row of the (n, 3) anchor arrays ``a``, ``b``, ``c``.
+
+    Row i is the frame anchored at a[i]: origin = a; e1 = unit(b - a);
+    e3 = unit(e1 x (c - a)); e2 = e3 x e1. Returns ``(origins, bases,
+    valid)``: origins (n, 3), bases (n, 3, 3) with rows (e1, e2, e3), and a
+    boolean mask that is False where the triple is (nearly) collinear or two
+    anchors (nearly) coincide; the basis of such a row is meaningless.
+
+    Squared lengths come from ``np.vecdot``, which reduces each 3-vector with
+    the same dot kernel as ``v @ v``; the reduction order is part of the
+    result, and ``(v * v).sum(axis=1)`` or ``einsum`` round differently.
+
+    Raises ValueError when any anchor is not finite.
+    """
+    anchors = np.stack([np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in (a, b, c)])
+    if not np.isfinite(anchors).all():
+        raise ValueError("frame anchors must be finite")
+    sides = anchors[_SIDE_HEADS] - anchors[_SIDE_TAILS]  # b - a, c - a, c - b
+    lengths = np.sqrt(np.vecdot(sides, sides))
+    valid = (lengths >= MIN_SEPARATION).all(axis=0)
+    v1, v2 = sides[0], sides[1]
+    d_ab, d_ac = lengths[0], lengths[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = _cross(v1, v2)
+        valid &= np.sqrt(np.vecdot(cr, cr)) / (d_ab * d_ac) >= COLLINEARITY_TOL
+        e1 = v1 / d_ab[:, None]
+        e3 = _cross(e1, v2)
+        e3 = e3 / np.sqrt(np.vecdot(e3, e3))[:, None]
+    e2 = _cross(e3, e1)
+    return anchors[0], np.concatenate((e1, e2, e3), axis=1).reshape(-1, 3, 3), valid
+
+
+def frame_from_triple(a, b, c) -> RigidFrame:
+    """Build the frame anchored at ``a`` from three non-collinear points:
+    the one-row call of ``frames_from_triples``.
 
     Raises CollinearAtoms when the triple is (nearly) collinear or any two
     anchors (nearly) coincide.
     """
-    a = _as_vec(a)
-    b = _as_vec(b)
-    c = _as_vec(c)
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise ValueError("frame anchors must be finite")
-    v1 = b - a
-    v2 = c - a
-    d_ab = math.sqrt(float(v1 @ v1))
-    d_ac = math.sqrt(float(v2 @ v2))
-    v_bc = c - b
-    d_bc = math.sqrt(float(v_bc @ v_bc))
-    if d_ab < MIN_SEPARATION or d_ac < MIN_SEPARATION or d_bc < MIN_SEPARATION:
-        raise CollinearAtoms("anchor atoms closer than %g A" % MIN_SEPARATION)
-    cr = np.cross(v1, v2)
-    if math.sqrt(float(cr @ cr)) / (d_ab * d_ac) < COLLINEARITY_TOL:
-        raise CollinearAtoms("anchor atoms are collinear")
-    e1 = v1 / d_ab
-    e3 = np.cross(e1, v2)
-    e3 = e3 / math.sqrt(float(e3 @ e3))
-    e2 = np.cross(e3, e1)
-    return RigidFrame(origin=a, basis=np.array([e1, e2, e3]))
+    origins, bases, valid = frames_from_triples(a, b, c)
+    if not valid[0]:
+        raise CollinearAtoms(
+            "anchor atoms are collinear or closer than %g A" % MIN_SEPARATION
+        )
+    return RigidFrame(origin=origins[0], basis=bases[0])
 
 
 def to_frame_coords(frame: RigidFrame, p) -> Point3:
@@ -127,6 +159,17 @@ def transform_points(frame: RigidFrame, points: np.ndarray) -> np.ndarray:
     return (np.asarray(points, dtype=np.float64) - frame.origin) @ frame.basis.T
 
 
+def transform_frames(origins: np.ndarray, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Express an (n, 3) array of points in each of m frames at once.
+
+    ``origins`` is (m, 3) and ``bases`` (m, 3, 3); the result is (m, n, 3).
+    One ``np.matmul`` runs the same per-matrix product as ``transform_points``,
+    so each frame's slice equals that frame's ``transform_points`` bit for bit.
+    """
+    shifted = np.asarray(points, dtype=np.float64)[None, :, :] - origins[:, None, :]
+    return np.matmul(shifted, bases.transpose(0, 2, 1))
+
+
 def point_norms(points: np.ndarray) -> np.ndarray:
     """Euclidean norm per row of an (n, 3) array."""
     p = np.asarray(points, dtype=np.float64)
@@ -141,4 +184,5 @@ def distance(p, q) -> float:
 
 def positions_array(atoms: Sequence[AtomRecord]) -> np.ndarray:
     """Stack atom positions into an (n, 3) float64 array."""
-    return np.array([atom.position for atom in atoms], dtype=np.float64).reshape(-1, 3)
+    coordinates = itertools.chain.from_iterable([atom.position for atom in atoms])
+    return np.fromiter(coordinates, dtype=np.float64, count=3 * len(atoms)).reshape(-1, 3)

@@ -26,10 +26,17 @@ cell comes back as its z plus a ``(count, 3)`` uint32 view of its entries
 (structure key, residue ordinal, atom ordinal), so no object is built per
 entry. Equal-z cells of several runs are unioned by a lexicographic sort
 and dedup of their arrays. A damaged run (a cut cell header or body, or a
-z that does not strictly increase) raises ``CorruptDatabase``. Writes go
-through one cell writer that takes sorted record blocks (``RUN_RECORD``
-arrays), and one external sort (``sort_run``) orders record blocks into a
-run, spilling sorted chunks of ``<QIII`` records past the memory budget.
+z that does not strictly increase) raises ``CorruptDatabase``.
+
+The write path is columnar too. Writes go through one cell writer that
+takes sorted record blocks (``RUN_RECORD`` arrays), and one external sort
+(``sort_run``) orders record blocks into a run. Past the memory budget it
+spills sorted chunks of ``RUN_RECORD`` bytes and merges them as arrays:
+each round cuts every chunk's current block at the smallest last key among
+them, lexsorts what lies below the cut and writes it. Quantization
+(``cells_of_points``) and Morton codes (``morton_codes``) work on whole
+coordinate arrays; the scalar ``morton_encode`` and ``cell_of`` are the
+one-cell API.
 """
 
 from __future__ import annotations
@@ -60,10 +67,9 @@ DEFAULT_MEMORY_BUDGET = 500_000
 
 _CELL_HEADER = struct.Struct("<QI")
 _ENTRY = struct.Struct("<III")
-_CHUNK_RECORD = struct.Struct("<QIII")
 
-# One (z, structure key, residue ordinal, atom ordinal) record, laid out like
-# _CHUNK_RECORD, so a sorted record array is also a spill chunk's bytes.
+# One (z, structure key, residue ordinal, atom ordinal) record; a sorted
+# record array written with tofile is a spill chunk's bytes.
 RUN_RECORD = np.dtype([("z", "<u8"), ("sk", "<u4"), ("ro", "<u4"), ("ao", "<u4")])
 
 # Bytes a run reader asks the file for at a time.
@@ -105,13 +111,6 @@ class RefId(NamedTuple):
 
     structure_key: int
     residue_ordinal: int
-
-
-class CellEntry(NamedTuple):
-    """One transformed-atom record stored in a cell."""
-
-    ref_id: RefId
-    atom_ordinal: int
 
 
 class Cell(NamedTuple):
@@ -223,8 +222,9 @@ def morton_codes(cells: np.ndarray, params: GridParams) -> np.ndarray:
     offsets = np.asarray(cells, dtype=np.int64).reshape(-1, 3) + params.half_extent_cells
     if not ((offsets >= 0) & (offsets < 1 << params.bits_per_axis)).all():
         raise OutOfExtent(f"cells outside extent for {params.bits_per_axis} bits")
-    o = offsets.astype(np.uint64)
-    return interleave_bits(o[:, 0], o[:, 1], o[:, 2])
+    # All three axes spread in one pass over the (n, 3) array.
+    spread = _spread_bits(offsets.astype(np.uint64))
+    return spread[:, 0] | (spread[:, 1] << 1) | (spread[:, 2] << 2)
 
 
 def morton_decode(z: int, params: GridParams) -> CellIndex:
@@ -391,18 +391,16 @@ class _RunReader:
 # External sort
 
 
-def _chunk_records(path: Path) -> Iterator[tuple[int, int, int, int]]:
-    with open(path, "rb") as fh:
-        while True:
-            blob = fh.read(_CHUNK_RECORD.size * 4096)
-            if not blob:
-                return
-            yield from _CHUNK_RECORD.iter_unpack(blob)
+def _chunk_records(path: Path) -> Iterator[np.ndarray]:
+    """The records of one spilled chunk, in ``_WRITE_BLOCK_RECORDS`` blocks.
 
-
-def _record_tuples(records: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    for start in range(0, len(records), _WRITE_BLOCK_RECORDS):
-        yield from records[start:start + _WRITE_BLOCK_RECORDS].tolist()
+    Each block is read by offset, so no file stays open between blocks,
+    however many chunks are merged at once.
+    """
+    offset = 0
+    while len(block := np.fromfile(path, RUN_RECORD, _WRITE_BLOCK_RECORDS, offset=offset)):
+        offset += block.nbytes
+        yield block
 
 
 def _batches(items: Iterable, n: int) -> Iterator[list]:
@@ -412,6 +410,52 @@ def _batches(items: Iterable, n: int) -> Iterator[list]:
 
 def _sorted(records: np.ndarray) -> np.ndarray:
     return records[np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))]
+
+
+def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
+    """Merge streams of sorted ``RUN_RECORD`` blocks into sorted blocks.
+
+    Every stream holds one head block. Each round cuts at the smallest last
+    key among the heads: every record at or below it is taken from the
+    heads, sorted and yielded, and a head taken whole is replaced by its
+    stream's next block. Two heaps keep the heads by first and by last key,
+    so a round touches only the heads that reach below the cut, and the
+    merge costs O((n + k) log k) for n records in k streams plus the sort
+    of each round's records.
+    """
+    heads: dict[int, np.ndarray] = {}
+    by_first: list[tuple[tuple, int]] = []
+    by_last: list[tuple[tuple, int]] = []
+
+    def load(i: int) -> None:
+        for block in streams[i]:
+            if len(block):
+                heads[i] = block
+                heapq.heappush(by_first, (block[0].item(), i))
+                heapq.heappush(by_last, (block[-1].item(), i))
+                return
+
+    for i in range(len(streams)):
+        load(i)
+    while by_last:
+        cut = by_last[0][0]
+        emptied = []
+        while by_last and by_last[0][0] == cut:
+            emptied.append(heapq.heappop(by_last)[1])
+        limit = np.array(cut, dtype=RUN_RECORD)
+        taken = []
+        while by_first and by_first[0][0] <= cut:
+            i = heapq.heappop(by_first)[1]
+            block = heads[i]
+            k = int(np.searchsorted(block, limit, side="right"))
+            taken.append(block[:k])
+            if k < len(block):
+                heads[i] = block[k:]
+                heapq.heappush(by_first, (block[k].item(), i))
+        for i in emptied:
+            del heads[i]
+            load(i)
+        yield _sorted(np.concatenate(taken))
 
 
 def sort_run(
@@ -424,8 +468,9 @@ def sort_run(
 
     Sorts by (z, structure_key, residue_ordinal, atom_ordinal), holding at
     most ``memory_budget_entries`` records plus one block; each full
-    budget is spilled to ``tmp_dir`` as one sorted chunk and the chunks are
-    merged on write. Identical records collapse to one. Output is
+    budget is spilled to ``tmp_dir`` as one sorted chunk, and the chunks
+    and the sorted remainder are merged block by block on write, holding
+    one block per chunk. Identical records collapse to one. Output is
     byte-identical to an in-memory sort of the same records.
     """
     if memory_budget_entries < 2:
@@ -456,10 +501,9 @@ def sort_run(
             if not chunk_paths:
                 writer.add(tail)
             else:
-                streams = [_chunk_records(p) for p in chunk_paths]
-                merged = heapq.merge(*streams, _record_tuples(tail))
-                for batch in _batches(merged, _WRITE_BLOCK_RECORDS):
-                    writer.add(np.array(batch, dtype=RUN_RECORD))
+                streams = [_chunk_records(p) for p in chunk_paths] + [iter([tail])]
+                for records in _merge_blocks(streams):
+                    writer.add(records)
         except BaseException:
             writer.abort()
             raise
@@ -478,29 +522,22 @@ def sort_run(
 
 
 def build_sorted_run(
-    entries: Iterable[tuple[CellIndex, CellEntry]],
-    params: GridParams,
+    records: Iterable[tuple[int, int, int, int]],
     out_path: Path,
     memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
 ) -> RunInfo:
-    """External-sort an unordered entry stream into a single run file.
+    """External-sort an unordered stream of (z, structure_key,
+    residue_ordinal, atom_ordinal) tuples into a single run file.
 
-    Morton-encodes each entry and hands the records to ``sort_run`` in
-    blocks, so the stream is never held in memory beyond the budget.
+    Packs the tuples into ``RUN_RECORD`` blocks and hands them to
+    ``sort_run``, so the stream is never held in memory beyond the budget.
     """
+    records = iter(records)
 
     def blocks() -> Iterator[np.ndarray]:
-        batch = []
-        for cell_index, entry in entries:
-            batch.append((
-                morton_encode(cell_index, params),
-                entry.ref_id.structure_key, entry.ref_id.residue_ordinal, entry.atom_ordinal,
-            ))
-            if len(batch) == _WRITE_BLOCK_RECORDS:
-                yield np.array(batch, dtype=RUN_RECORD)
-                batch = []
-        yield np.array(batch, dtype=RUN_RECORD)
+        while len(block := np.fromiter(itertools.islice(records, _WRITE_BLOCK_RECORDS), RUN_RECORD)):
+            yield block
 
     return sort_run(blocks(), Path(out_path), memory_budget_entries, tmp_dir)
 

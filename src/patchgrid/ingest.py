@@ -283,25 +283,44 @@ def _atoms_equivalent(a: Patch, b: Patch) -> bool:
     return True
 
 
+# Edge of the buckets dedup_patches files groups under. Coordinates within
+# DUPLICATE_COORD_TOL quantize to the same or an adjacent bucket at twice
+# the tolerance, even after the rounding of x / edge.
+_DEDUP_BUCKET = 2 * DUPLICATE_COORD_TOL
+_NEIGHBOURS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+
+
+def _dedup_bucket(patch: Patch) -> tuple[int, int, int, int]:
+    """Atom count plus the bucket of the first atom's position."""
+    first = patch.atoms[0].position if patch.atoms else (0.0, 0.0, 0.0)
+    x, y, z = (math.floor(c / _DEDUP_BUCKET) for c in first)
+    return len(patch.atoms), x, y, z
+
+
 def dedup_patches(patches: list[Patch]) -> list[Patch]:
     """Collapse duplicate patches.
 
     Two patches are duplicates when they have equal atom counts and, aligned
     in file order, matching atom and residue names with coordinates equal
-    within 1e-3 A. Each duplicate group keeps its SITE-derived member if one
-    exists (the lexicographically smallest patch id breaks remaining ties);
-    survivors keep the input order of their group's first member.
+    within 1e-3 A. A patch joins the first group, in creation order, whose
+    first member it duplicates. Each duplicate group keeps its SITE-derived
+    member if one exists (the lexicographically smallest patch id breaks
+    remaining ties); survivors keep the input order of their group's first
+    member.
+
+    Groups are bucketed by atom count and first-atom position, so a patch
+    is compared only with the groups in the 27 buckets around its own.
     """
     groups: list[list[Patch]] = []
-    by_count: dict[int, list[int]] = {}
+    buckets: dict[tuple[int, int, int, int], list[int]] = {}
     for patch in patches:
-        match = None
-        for gi in by_count.get(len(patch.atoms), ()):
-            if _atoms_equivalent(groups[gi][0], patch):
-                match = gi
-                break
+        key = n, bx, by, bz = _dedup_bucket(patch)
+        candidates = sorted(
+            gi for dx, dy, dz in _NEIGHBOURS for gi in buckets.get((n, bx + dx, by + dy, bz + dz), ())
+        )
+        match = next((gi for gi in candidates if _atoms_equivalent(groups[gi][0], patch)), None)
         if match is None:
-            by_count.setdefault(len(patch.atoms), []).append(len(groups))
+            buckets.setdefault(key, []).append(len(groups))
             groups.append([patch])
         else:
             groups[match].append(patch)

@@ -60,7 +60,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import NoValidFrame, ParamsMismatch, PatchGridError, UnknownRefId
-from .geometry import point_norms, positions_array, transform_points
+from .geometry import point_norms, positions_array, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
     RUN_RECORD,
@@ -328,9 +328,11 @@ def build_query_grid(
     coordinates have norm <= mps produce entries. Query atoms can
     legitimately sit far from a frame, so out-of-extent entries are dropped
     and counted under ``counters['entries_out_of_extent']`` instead of
-    failing. The kept entries are quantized and Morton-encoded as columns,
-    ``memory_budget_entries`` at a time, and ``sort_run`` sorts them into
-    the run, spilling sorted chunks when they exceed that budget.
+    failing. The frames are taken in groups of at most
+    ``memory_budget_entries`` (frame, atom) pairs; each group is transformed
+    in one call, then clipped, quantized and Morton-encoded as columns, and
+    ``sort_run`` sorts the records into the run, spilling sorted chunks
+    when they exceed that budget.
     Raises NoValidFrame when the query has no usable residue.
     """
     if mps < 0:
@@ -341,32 +343,25 @@ def build_query_grid(
     points = positions_array(query.atoms)
     ordinals = np.array([atom.atom_ordinal for atom in query.atoms], dtype=np.uint32)
     budget = memory_budget_entries or DEFAULT_MEMORY_BUDGET
-
-    def records(held: list[tuple[np.ndarray, int, np.ndarray]]) -> np.ndarray:
-        """The records of the kept (coordinates, residue ordinal, atom index) of some frames."""
-        cells, in_extent = cells_of_points(np.concatenate([c for c, _, _ in held]), params)
-        dropped = int((~in_extent).sum())
-        if dropped:
-            _count(counters, "entries_out_of_extent", dropped)
-        block = np.empty(len(cells) - dropped, dtype=RUN_RECORD)
-        block["z"] = morton_codes(cells[in_extent], params)
-        block["sk"] = structure_key
-        block["ro"] = np.repeat([ro for _, ro, _ in held], [len(a) for _, _, a in held])[in_extent]
-        block["ao"] = ordinals[np.concatenate([a for _, _, a in held])][in_extent]
-        return block
+    group = max(1, budget // len(points))
 
     def blocks() -> Iterator[np.ndarray]:
-        held, n_held = [], 0
-        for residue_ordinal, frame in frames:
-            coords = transform_points(frame, points)
-            atoms = np.flatnonzero(point_norms(coords) <= mps)
-            held.append((coords[atoms], residue_ordinal, atoms))
-            n_held += len(atoms)
-            if n_held >= budget:
-                yield records(held)
-                held, n_held = [], 0
-        if held:
-            yield records(held)
+        for g in range(0, len(frames), group):
+            frame_slice = slice(g, g + group)
+            coords = transform_frames(frames.origins[frame_slice], frames.bases[frame_slice], points)
+            coords = coords.reshape(-1, 3)
+            kept = np.flatnonzero(point_norms(coords) <= mps)
+            cells, in_extent = cells_of_points(coords[kept], params)
+            dropped = int((~in_extent).sum())
+            if dropped:
+                _count(counters, "entries_out_of_extent", dropped)
+            kept = kept[in_extent]
+            block = np.empty(len(kept), dtype=RUN_RECORD)
+            block["z"] = morton_codes(cells[in_extent], params)
+            block["sk"] = structure_key
+            block["ro"] = frames.residue_ordinals[frame_slice][kept // len(points)]
+            block["ao"] = ordinals[kept % len(points)]
+            yield block
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,13 @@
 For every residue owning a complete (CA, N, C) backbone triple, one
 reference frame is generated and all patch atoms are expressed in it, so a
 patch with n atoms and m usable residues contributes exactly n*m grid
-entries. A database directory holds ``manifest.tsv`` and the run files
+entries. A structure's frames are built together (``residue_frames``: one
+anchor lookup, one ``frames_from_triples`` call), and a patch's entries are
+computed as columns (one transform of all its frames, one quantization, one
+Morton pass) and streamed as ``(z, structure_key, residue_ordinal,
+atom_ordinal)`` tuples into ``build_sorted_run``.
+
+A database directory holds ``manifest.tsv`` and the run files
 under ``grid/``. The tab-separated manifest is the database's only root:
 ``delta``, ``bits_per_axis`` and ``mps`` rows, one ``run`` row per run file
 (file_name, n_cells, n_entries) and one ``patch`` row per patch
@@ -26,20 +32,20 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame, OutOfExtent
-from .geometry import AtomRecord, RigidFrame, frame_from_triple, point_norms, positions_array, transform_points
+import numpy as np
+
+from .errors import CorruptDatabase, DuplicatePatchId, NoValidFrame, OutOfExtent
+from .geometry import AtomRecord, RigidFrame, frames_from_triples, point_norms, positions_array, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
-    CellEntry,
-    CellIndex,
     DiskGrid,
     GridParams,
-    RefId,
     RunInfo,
     atomic_write_text,
     build_sorted_run,
     cells_of_points,
     merge_runs,
+    morton_codes,
 )
 from .ingest import Patch, _count
 
@@ -57,37 +63,59 @@ class PatchMeta(NamedTuple):
     n_frames: int
 
 
+@dataclass(frozen=True, eq=False)
+class ResidueFrames:
+    """The frames of one structure, one per usable residue, as columns.
+
+    ``residue_ordinals`` (m,), ``origins`` (m, 3) and ``bases`` (m, 3, 3)
+    hold frame i's residue, origin and basis rows. Indexing and iteration
+    give ``(residue_ordinal, RigidFrame)`` pairs, in residue order of first
+    appearance.
+    """
+
+    residue_ordinals: np.ndarray
+    origins: np.ndarray
+    bases: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.residue_ordinals)
+
+    def __getitem__(self, i: int) -> tuple[int, RigidFrame]:
+        return int(self.residue_ordinals[i]), RigidFrame(self.origins[i], self.bases[i])
+
+
+# Column of each anchor in a residue's anchor row; any other atom name maps
+# to the spare column 3.
+_ANCHOR_COLUMN = {name: i for i, name in enumerate(ANCHOR_ATOM_NAMES)}
+
+
 def residue_frames(
     atoms: Sequence[AtomRecord],
     counters: dict[str, int] | None = None,
-) -> list[tuple[int, RigidFrame]]:
+) -> ResidueFrames:
     """One frame per residue possessing CA, N and C atoms (first occurrence
     each), anchored in that order. Residues missing an anchor or with
-    collinear anchors are skipped and counted."""
-    residues: dict[int, dict[str, AtomRecord]] = {}
-    order: list[int] = []
-    for atom in atoms:
-        slot = residues.get(atom.residue_ordinal)
-        if slot is None:
-            slot = residues[atom.residue_ordinal] = {}
-            order.append(atom.residue_ordinal)
-        if atom.atom_name in ANCHOR_ATOM_NAMES and atom.atom_name not in slot:
-            slot[atom.atom_name] = atom
-    frames: list[tuple[int, RigidFrame]] = []
-    for residue_ordinal in order:
-        slot = residues[residue_ordinal]
-        if any(name not in slot for name in ANCHOR_ATOM_NAMES):
-            _count(counters, "residues_missing_anchor")
-            continue
-        try:
-            frame = frame_from_triple(
-                slot["CA"].position, slot["N"].position, slot["C"].position
-            )
-        except CollinearAtoms:
-            _count(counters, "residues_collinear")
-            continue
-        frames.append((residue_ordinal, frame))
-    return frames
+    collinear anchors are skipped and counted.
+
+    The anchors of every residue are looked up at once and all frames come
+    from one ``frames_from_triples`` call.
+    """
+    n = len(atoms)
+    residues = np.fromiter((a.residue_ordinal for a in atoms), dtype=np.int64, count=n)
+    columns = np.fromiter((_ANCHOR_COLUMN.get(a.atom_name, 3) for a in atoms), dtype=np.int64, count=n)
+    ordinals, first_atom = np.unique(residues, return_index=True)
+    # anchor[r, k]: index of the first atom of residue r in column k, n if none.
+    anchor = np.full((len(ordinals), 4), n)
+    np.minimum.at(anchor, (np.searchsorted(ordinals, residues), columns), np.arange(n))
+    order = np.argsort(first_atom)
+    anchor, ordinals = anchor[order, :3], ordinals[order]
+    complete = (anchor < n).all(axis=1)
+    anchor, ordinals = anchor[complete], ordinals[complete]
+    origins, bases, valid = frames_from_triples(*positions_array(atoms)[anchor.T])
+    for key, kept in (("residues_missing_anchor", complete), ("residues_collinear", valid)):
+        if not kept.all():
+            _count(counters, key, int(len(kept) - kept.sum()))
+    return ResidueFrames(ordinals[valid], origins[valid], bases[valid])
 
 
 def insert_patch(
@@ -95,16 +123,17 @@ def insert_patch(
     params: GridParams,
     structure_key: int = 0,
     stats: dict | None = None,
-) -> Iterator[tuple[CellIndex, CellEntry]]:
+) -> Iterator[tuple[int, int, int, int]]:
     """Emit one grid entry per (frame, atom) pair of the patch.
 
-    The entry's cell is the quantized frame coordinate of the atom and its
-    payload is (RefId(structure_key, residue_ordinal), atom_ordinal); a
-    patch with n atoms and m frames yields exactly n*m entries. Raises
-    NoValidFrame when no residue yields a frame (before any entry is
-    produced); out-of-extent atoms raise OutOfExtent since database patches
-    are small by construction. ``stats['max_radius']`` accumulates the
-    largest frame-coordinate norm seen.
+    An entry is the tuple (z, structure_key, residue_ordinal, atom_ordinal):
+    z is the Morton code of the atom's quantized frame coordinate, and the
+    frame is the one of residue ``residue_ordinal``; a patch with n atoms
+    and m frames yields exactly n*m entries. Raises NoValidFrame when no
+    residue yields a frame (before any entry is produced); out-of-extent
+    atoms raise OutOfExtent since database patches are small by
+    construction. ``stats['max_radius']`` accumulates the largest
+    frame-coordinate norm seen.
     """
     frames = residue_frames(patch.atoms)
     if not frames:
@@ -113,26 +142,22 @@ def insert_patch(
 
 
 def _patch_entries(patch, frames, params, structure_key, stats):
+    # One transform of all frames, then quantization and Morton codes as
+    # columns; the entries leave as tuples, one per stored entry.
     points = positions_array(patch.atoms)
-    ordinals = [atom.atom_ordinal for atom in patch.atoms]
-    for residue_ordinal, frame in frames:
-        coords = transform_points(frame, points)
-        if stats is not None:
-            radius = float(point_norms(coords).max())
-            if radius > stats.get("max_radius", 0.0):
-                stats["max_radius"] = radius
-        cells, in_extent = cells_of_points(coords, params)
-        if not bool(in_extent.all()):
-            bad = int((~in_extent).argmax())
-            raise OutOfExtent(
-                f"patch {patch.patch_id}: atom {ordinals[bad]} quantizes outside the grid extent"
-            )
-        ref = RefId(structure_key, residue_ordinal)
-        for i, ao in enumerate(ordinals):
-            yield (
-                CellIndex(int(cells[i, 0]), int(cells[i, 1]), int(cells[i, 2])),
-                CellEntry(ref, ao),
-            )
+    coords = transform_frames(frames.origins, frames.bases, points).reshape(-1, 3)
+    if stats is not None:
+        stats["max_radius"] = max(stats.get("max_radius", 0.0), float(point_norms(coords).max()))
+    cells, in_extent = cells_of_points(coords, params)
+    if not bool(in_extent.all()):
+        bad = int((~in_extent).argmax()) % len(points)
+        raise OutOfExtent(
+            f"patch {patch.patch_id}: atom {patch.atoms[bad].atom_ordinal} quantizes outside the grid extent"
+        )
+    z = morton_codes(cells, params).tolist()
+    residues = np.repeat(frames.residue_ordinals, len(points)).tolist()
+    atom_ordinals = [atom.atom_ordinal for atom in patch.atoms] * len(frames)
+    yield from zip(z, itertools.repeat(structure_key), residues, atom_ordinals)
 
 
 @dataclass
@@ -311,7 +336,6 @@ def _append_run(
     grid.directory.mkdir(parents=True, exist_ok=True)
     info = build_sorted_run(
         itertools.chain.from_iterable(streams),
-        db.params,
         grid.directory / grid.next_run_name(),
         memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
         tmp_dir=tmp_dir,

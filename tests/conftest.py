@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from patchgrid.geometry import AtomRecord
+from patchgrid.grid import morton_encode
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.synthetic import random_protein
 
@@ -121,3 +122,10 @@ def corpus(seed: int, n_proteins: int = 6, residues: tuple[int, int] = (5, 9),
                 window_patch(protein, f"{protein.protein_id}_{j}", first, rng.randint(1, 2))
             )
     return proteins, patches
+
+
+def z_records(items, params):
+    """(CellIndex, (structure key, residue ordinal, atom ordinal)) items as the
+    (z, structure key, residue ordinal, atom ordinal) records build_sorted_run takes."""
+    for cell, entry in items:
+        yield (morton_encode(cell, params), *entry)

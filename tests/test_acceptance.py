@@ -12,11 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import corpus
+from conftest import corpus, z_records
 from patchgrid.baseline import FrameMode, naive_frames, naive_match
 from patchgrid.geometry import AtomRecord, Point3, positions_array, transform_points
 from patchgrid.grid import (
-    CellEntry,
     CellIndex,
     DiskGrid,
     GridParams,
@@ -173,10 +172,10 @@ def test_acceptance_05_single_access_merge_scan(tmp_path):
     def random_grid(rng, name):
         items = [
             (CellIndex(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)),
-             CellEntry(RefId(rng.randint(0, 3), rng.randint(0, 5)), rng.randint(0, 6)))
+             (rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 6)))
             for _ in range(rng.randint(1, 25))
         ]
-        info = build_sorted_run(iter(items), params, tmp_path / name)
+        info = build_sorted_run(z_records(items, params), tmp_path / name)
         return DiskGrid(params, tmp_path, [info])
 
     def join_oracle(gp, gq):
@@ -265,7 +264,7 @@ def _entry_stream(seed, n):
             continue
         item = (
             CellIndex(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(-30, 30)),
-            CellEntry(RefId(rng.randint(0, 999), rng.randint(0, 499)), rng.randint(0, 4999)),
+            (rng.randint(0, 999), rng.randint(0, 499), rng.randint(0, 4999)),
         )
         previous = item
         yield item
@@ -276,7 +275,7 @@ def test_acceptance_07_external_sort_fidelity(tmp_path):
     identical to an in-memory sort, in under 120 s."""
     params = GridParams(delta=1.0)
     started = time.monotonic()
-    info = build_sorted_run(_entry_stream(8_800, N_EXTERNAL), params,
+    info = build_sorted_run(z_records(_entry_stream(8_800, N_EXTERNAL), params),
                             tmp_path / "external.bin",
                             memory_budget_entries=10_000, tmp_dir=tmp_path)
 
@@ -284,12 +283,9 @@ def test_acceptance_07_external_sort_fidelity(tmp_path):
     # (z, structure_key, residue_ordinal, atom_ordinal); grouping, dedup and
     # byte layout are reproduced here independently of the run writer.
     packed = set()
-    for cell_index, entry in _entry_stream(8_800, N_EXTERNAL):
+    for cell_index, (sk, ro, ao) in _entry_stream(8_800, N_EXTERNAL):
         z = morton_encode(cell_index, params)
-        packed.add(
-            (((z << 20 | entry.ref_id.structure_key) << 20
-              | entry.ref_id.residue_ordinal) << 20) | entry.atom_ordinal
-        )
+        packed.add((((z << 20 | sk) << 20 | ro) << 20) | ao)
     mask = (1 << 20) - 1
     blob = bytearray()
     for z, group in itertools.groupby(sorted(packed), key=lambda k: k >> 60):

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from patchgrid.errors import CollinearAtoms
 from patchgrid.geometry import (
+    COLLINEARITY_TOL,
+    MIN_SEPARATION,
     Point3,
+    RigidFrame,
     distance,
     frame_from_triple,
+    frames_from_triples,
     from_frame_coords,
     to_frame_coords,
+    transform_frames,
     transform_points,
 )
 
@@ -167,3 +172,111 @@ def test_frame_never_returns_bad_basis(coords):
     gram = frame.basis @ frame.basis.T
     assert np.abs(gram - np.eye(3)).max() < 1e-9
     assert abs(np.linalg.det(frame.basis) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched frames
+
+
+def scalar_frame_oracle(a, b, c):
+    """The one-triple frame construction the batched kernel replaced:
+    (origin, basis), or None for a collinear or coincident triple."""
+    a, b, c = (np.asarray(p, dtype=np.float64) for p in (a, b, c))
+    v1 = b - a
+    v2 = c - a
+    d_ab = math.sqrt(float(v1 @ v1))
+    d_ac = math.sqrt(float(v2 @ v2))
+    v_bc = c - b
+    d_bc = math.sqrt(float(v_bc @ v_bc))
+    if d_ab < MIN_SEPARATION or d_ac < MIN_SEPARATION or d_bc < MIN_SEPARATION:
+        return None
+    cr = np.cross(v1, v2)
+    if math.sqrt(float(cr @ cr)) / (d_ab * d_ac) < COLLINEARITY_TOL:
+        return None
+    e1 = v1 / d_ab
+    e3 = np.cross(e1, v2)
+    e3 = e3 / math.sqrt(float(e3 @ e3))
+    e2 = np.cross(e3, e1)
+    return a, np.array([e1, e2, e3])
+
+
+def assert_kernel_equals_oracle(a, b, c):
+    origins, bases, valid = frames_from_triples(a, b, c)
+    assert origins.shape == (len(a), 3) and bases.shape == (len(a), 3, 3)
+    for i in range(len(a)):
+        expected = scalar_frame_oracle(a[i], b[i], c[i])
+        assert bool(valid[i]) == (expected is not None), i
+        if expected is not None:
+            assert np.array_equal(origins[i], expected[0]), i
+            assert np.array_equal(bases[i], expected[1]), i
+    return valid
+
+
+def test_frames_from_triples_bit_equal_on_random_and_degenerate_triples():
+    rng = np.random.default_rng(17)
+    n = 3000
+    a = rng.uniform(-50, 50, (n, 3)).round(3)
+    b = a + rng.normal(0, 1.5, (n, 3)).round(3)
+    c = a + rng.normal(0, 1.5, (n, 3)).round(3)
+    rows = rng.permutation(n)[:400]
+    for k, i in enumerate(rows):
+        kind = k % 8
+        if kind == 0:
+            b[i] = a[i]                                   # coincident anchors
+        elif kind == 1:
+            c[i] = b[i]
+        elif kind == 2:
+            c[i] = a[i] + 1e-9                            # closer than MIN_SEPARATION
+        elif kind == 3:
+            c[i] = a[i] + 2.5 * (b[i] - a[i])             # exactly collinear
+        else:
+            # near-collinear: the collinearity measure of c = a + 1.7 (b - a)
+            # + normal is about |normal| / (1.7 |b - a|), here on both sides
+            # of COLLINEARITY_TOL and within rounding of it
+            scale = (10.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.1)[kind - 4]
+            direction = b[i] - a[i]
+            normal = np.cross(direction, rng.normal(size=3))
+            normal *= 1.7 * COLLINEARITY_TOL * scale * np.linalg.norm(direction) / np.linalg.norm(normal)
+            c[i] = a[i] + 1.7 * direction + normal
+    valid = assert_kernel_equals_oracle(a, b, c)
+    assert 100 < int((~valid).sum()) < 400
+
+
+def test_frames_from_triples_bit_equal_on_rigidly_moved_triples():
+    rng = random.Random(29)
+    triples = [random_nondegenerate_triple(rng) for _ in range(200)]
+    for _ in range(5):
+        rotation = random_rotation(rng)
+        translation = np.array([rng.uniform(-80, 80) for _ in range(3)])
+        a, b, c = (np.array([rotation @ t[k] + translation for t in triples]) for k in range(3))
+        assert assert_kernel_equals_oracle(a, b, c).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-100, 100) for _ in range(9)]), min_size=1, max_size=6))
+def test_frames_from_triples_bit_equal_property(rows):
+    table = np.array(rows, dtype=np.float64)
+    assert_kernel_equals_oracle(table[:, 0:3], table[:, 3:6], table[:, 6:9])
+
+
+def test_frames_from_triples_rejects_non_finite():
+    a = np.zeros((2, 3))
+    b = np.array([[1.0, 0, 0], [np.inf, 0, 0]])
+    c = np.array([[0, 1.0, 0], [0, 1.0, 0]])
+    with pytest.raises(ValueError):
+        frames_from_triples(a, b, c)
+    with pytest.raises(ValueError):
+        frame_from_triple((0, 0, 0), (1, 0, 0), (0, float("nan"), 0))
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 29, 300])
+def test_transform_frames_equal_transform_points(n_points):
+    rng = random.Random(n_points)
+    frames = [frame_from_triple(*random_nondegenerate_triple(rng)) for _ in range(7)]
+    points = np.array([[rng.uniform(-15, 15) for _ in range(3)] for _ in range(n_points)])
+    coords = transform_frames(
+        np.array([f.origin for f in frames]), np.array([f.basis for f in frames]), points
+    )
+    assert coords.shape == (7, n_points, 3)
+    for frame, batch in zip(frames, coords):
+        assert np.array_equal(batch, transform_points(RigidFrame(frame.origin, frame.basis), points))

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import z_records
 from patchgrid import grid as grid_module
 from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
     BOUNDARY_SNAP,
     Cell,
-    CellEntry,
     CellIndex,
     DiskGrid,
     GridParams,
-    RefId,
     RunInfo,
     build_sorted_run,
     cell_of,
@@ -58,11 +57,11 @@ def quantize_oracle(p, params: GridParams) -> CellIndex:
 
 
 def entry(sk, ro, ao):
-    return CellEntry(RefId(sk, ro), ao)
+    return (sk, ro, ao)
 
 
 def make_run(tmp_path, name, items, params=P1, budget=10**6):
-    return build_sorted_run(iter(items), params, tmp_path / name, memory_budget_entries=budget)
+    return build_sorted_run(z_records(items, params), tmp_path / name, memory_budget_entries=budget)
 
 
 def read_cells(grid):
@@ -239,12 +238,40 @@ def test_build_sorted_run_budget_matches_in_memory(tmp_path, budget):
             )
 
     n = 2_000 if budget == 2 else 20_000
-    small = build_sorted_run(stream(7, n), P1, tmp_path / "small.bin",
+    small = build_sorted_run(z_records(stream(7, n), P1), tmp_path / "small.bin",
                              memory_budget_entries=budget, tmp_dir=tmp_path)
-    big = build_sorted_run(stream(7, n), P1, tmp_path / "big.bin",
+    big = build_sorted_run(z_records(stream(7, n), P1), tmp_path / "big.bin",
                            memory_budget_entries=10**7)
     assert (tmp_path / "small.bin").read_bytes() == (tmp_path / "big.bin").read_bytes()
     assert (small.n_cells, small.n_entries) == (big.n_cells, big.n_entries)
+
+
+@pytest.mark.parametrize("block_records", [2, 1 << 12])
+def test_sort_run_merges_many_chunks_with_straddling_duplicates(tmp_path, monkeypatch, block_records):
+    # budget 3 cuts the records into chunks 3k..3k+2; each chunk starts with
+    # a copy of the previous chunk's last record, so a duplicate straddles
+    # every chunk boundary, and the small key space repeats records across
+    # chunks as well. Two-record blocks make the merge read each chunk in
+    # two blocks.
+    monkeypatch.setattr(grid_module, "_WRITE_BLOCK_RECORDS", block_records)
+    budget, n = 3, 3 * 1_100 + 1
+    rng = np.random.default_rng(5)
+    records = np.empty(n, dtype=grid_module.RUN_RECORD)
+    records["z"] = rng.integers(0, 40, n)
+    for name in ("sk", "ro", "ao"):
+        records[name] = rng.integers(0, 3, n)
+    records[budget::budget] = records[budget - 1:-1:budget]
+    chunks = []
+    reader = grid_module._chunk_records
+    monkeypatch.setattr(grid_module, "_chunk_records", lambda path: chunks.append(path) or reader(path))
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    small = grid_module.sort_run(iter(np.array_split(records, 37)), tmp_path / "small.bin", budget, spill)
+    big = grid_module.sort_run(iter([records]), tmp_path / "big.bin", 10**7)
+    assert len(chunks) == 1_100
+    assert (tmp_path / "small.bin").read_bytes() == (tmp_path / "big.bin").read_bytes()
+    assert (small.n_cells, small.n_entries) == (big.n_cells, big.n_entries)
+    assert list(spill.iterdir()) == []
 
 
 def test_build_sorted_run_collapses_duplicates(tmp_path):
@@ -255,7 +282,7 @@ def test_build_sorted_run_collapses_duplicates(tmp_path):
 
 def test_build_sorted_run_budget_validation(tmp_path):
     with pytest.raises(ValueError):
-        build_sorted_run(iter([]), P1, tmp_path / "x.bin", memory_budget_entries=1)
+        build_sorted_run(iter([]), tmp_path / "x.bin", memory_budget_entries=1)
 
 
 def test_run_file_golden_bytes(tmp_path):
@@ -386,7 +413,7 @@ def test_property_run_is_sorted_dedup(tmp_path_factory, raw):
         assert entries == sorted(entries)
         assert len(set(entries)) == len(entries)
         seen.update((cell.z, e) for e in entries)
-    expected = {(morton_encode(ci, P1), (*e.ref_id, e.atom_ordinal)) for ci, e in items}
+    expected = {(morton_encode(ci, P1), e) for ci, e in items}
     assert seen == expected
 
 

@@ -9,8 +9,10 @@ from conftest import atom_line, site_lines, structure_text
 from patchgrid.errors import EmptyStructure, MalformedRecord
 from patchgrid.geometry import AtomRecord, Point3
 from patchgrid.ingest import (
+    DUPLICATE_COORD_TOL,
     OriginTag,
     Patch,
+    _atoms_equivalent,
     dedup_patches,
     extract_site_patches,
     parse_keyword_file,
@@ -274,6 +276,71 @@ def test_dedup_prefers_site_record():
     template = _simple_patch("AAA", OriginTag.Template)
     site = _simple_patch("ZZZ_0", OriginTag.SiteRecord)
     assert dedup_patches([template, site]) == [site]
+
+
+def dedup_oracle(patches):
+    """dedup_patches as a scan of every earlier group of equal atom count."""
+    groups = []
+    by_count = {}
+    for patch in patches:
+        match = None
+        for gi in by_count.get(len(patch.atoms), ()):
+            if _atoms_equivalent(groups[gi][0], patch):
+                match = gi
+                break
+        if match is None:
+            by_count.setdefault(len(patch.atoms), []).append(len(groups))
+            groups.append([patch])
+        else:
+            groups[match].append(patch)
+    survivors = []
+    for group in groups:
+        site_members = [p for p in group if p.origin_tag is OriginTag.SiteRecord]
+        survivors.append(min(site_members or group, key=lambda p: p.patch_id))
+    return survivors
+
+
+# Offsets at, inside and just past the tolerance and the bucket edges, so
+# duplicates straddle buckets and near-misses differ only by rounding.
+_NEAR = st.sampled_from([0.0, 0.0005, -0.0005, DUPLICATE_COORD_TOL, -DUPLICATE_COORD_TOL,
+                         0.0008, 0.0013, 0.0015, 0.002, -0.002, 0.0021, 1e-3 + 1e-12, 0.0019999])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(0, 3),                       # base patch
+        st.lists(st.tuples(_NEAR, _NEAR, _NEAR), min_size=3, max_size=3),
+        st.booleans(),                           # SITE or template
+        st.sampled_from(["CA", "CB"]),           # name of the last atom
+        st.integers(0, 9),                       # patch id
+    ),
+    max_size=30,
+))
+def test_dedup_equals_scan_oracle(specs):
+    bases = [(0.0, 0.0, 0.0), (0.001, 0.0, 0.0), (0.003, -0.002, 0.001), (-0.999, 12.0, 0.0)]
+    patches = []
+    for k, (base, offsets, site, last_name, pid) in enumerate(specs):
+        n_atoms = 1 + base % 3
+        x0, y0, z0 = bases[base]
+        atoms = tuple(
+            AtomRecord(i, "C", last_name if i == n_atoms - 1 else "N", 0, "GLY",
+                       Point3(x0 + i + dx, y0 + dy, z0 + dz), "A", 1)
+            for i, (dx, dy, dz) in enumerate(offsets[:n_atoms])
+        )
+        tag = OriginTag.SiteRecord if site else OriginTag.Template
+        patches.append(Patch(f"P{pid}_{k}", f"P{pid}", atoms, tag))
+    assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)]
+
+
+def test_dedup_patch_matching_two_groups_joins_the_earlier():
+    # groups at x = 0.0021 (bucket 1) and, created later, x = 0.0005
+    # (bucket 0); a patch at x = 0.0013 duplicates both and must join the
+    # first, though the later group's bucket is its own
+    first = _simple_patch("A_0", OriginTag.Template, dx=0.0021)
+    second = _simple_patch("B_0", OriginTag.Template, dx=0.0005)
+    both = _simple_patch("C_0", OriginTag.SiteRecord, dx=0.0013)
+    assert dedup_patches([first, second, both]) == dedup_oracle([first, second, both]) == [both, second]
 
 
 def test_dedup_idempotent():

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus
+from conftest import corpus, z_records
 from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
 from patchgrid import grid as grid_module
 from patchgrid.geometry import point_norms, positions_array, transform_points
 from patchgrid.grid import (
-    CellEntry,
     CellIndex,
     DiskGrid,
     GridParams,
@@ -59,8 +58,8 @@ def run_from_z(tmp_path, name, z_to_entries, params=P1):
     for z, entries in z_to_entries.items():
         cell_index = morton_decode(z, params)
         for sk, ro, ao in entries:
-            items.append((cell_index, CellEntry(RefId(sk, ro), ao)))
-    info = build_sorted_run(iter(items), params, tmp_path / name)
+            items.append((cell_index, (sk, ro, ao)))
+    info = build_sorted_run(z_records(items, params), tmp_path / name)
     return DiskGrid(params, tmp_path, [info])
 
 
@@ -176,10 +175,9 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
             coords = transform_points(frame, points)
             cells, in_extent = cells_of_points(coords, P1)
             for i in np.flatnonzero((point_norms(coords) <= mps) & in_extent):
-                yield (CellIndex(*cells[i].tolist()),
-                       CellEntry(RefId(0, residue_ordinal), query.atoms[i].atom_ordinal))
+                yield (CellIndex(*cells[i].tolist()), (0, residue_ordinal, query.atoms[i].atom_ordinal))
 
-    expected = build_sorted_run(entries(), P1, tmp_path / "expected.bin")
+    expected = build_sorted_run(z_records(entries(), P1), tmp_path / "expected.bin")
     chunks_read = []
     chunk_records = grid_module._chunk_records
     monkeypatch.setattr(grid_module, "_chunk_records",

@@ -2,20 +2,24 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus
 from patchgrid import grid
 from patchgrid.cli import main
-from patchgrid.errors import CorruptDatabase, DuplicatePatchId, NoValidFrame
+from patchgrid.errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame
 from patchgrid.geometry import (
     AtomRecord,
     Point3,
+    frame_from_triple,
     point_norms,
     positions_array,
     transform_points,
 )
-from patchgrid.grid import CellIndex, GridParams
+from patchgrid.grid import CellIndex, GridParams, morton_encode
 from patchgrid.ingest import OriginTag, Patch
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import (
@@ -58,14 +62,14 @@ def test_residue_frames_complete_residue():
 def test_residue_frames_missing_anchor_counted():
     counters: dict[str, int] = {}
     frames = residue_frames(residue(COMPLETE[:1] + COMPLETE[2:]), counters=counters)
-    assert frames == []
+    assert len(frames) == 0
     assert counters["residues_missing_anchor"] == 1
 
 
 def test_residue_frames_collinear_counted():
     counters: dict[str, int] = {}
     collinear = [("CA", (0, 0, 0)), ("N", (1, 0, 0)), ("C", (2, 0, 0))]
-    assert residue_frames(residue(collinear), counters=counters) == []
+    assert len(residue_frames(residue(collinear), counters=counters)) == 0
     assert counters["residues_collinear"] == 1
 
 
@@ -73,6 +77,60 @@ def test_residue_frames_five_residues():
     rng = random.Random(1)
     protein = random_protein(rng, "FIVE", 5)
     assert len(residue_frames(protein.atoms)) == 5
+
+
+def residue_frames_oracle(atoms, counters):
+    """Per-residue dictionaries and one frame_from_triple call per residue."""
+    residues, order = {}, []
+    for atom in atoms:
+        slot = residues.get(atom.residue_ordinal)
+        if slot is None:
+            slot = residues[atom.residue_ordinal] = {}
+            order.append(atom.residue_ordinal)
+        if atom.atom_name in ("CA", "N", "C") and atom.atom_name not in slot:
+            slot[atom.atom_name] = atom
+    frames = []
+    for residue_ordinal in order:
+        slot = residues[residue_ordinal]
+        if any(name not in slot for name in ("CA", "N", "C")):
+            counters["residues_missing_anchor"] = counters.get("residues_missing_anchor", 0) + 1
+            continue
+        try:
+            frame = frame_from_triple(slot["CA"].position, slot["N"].position, slot["C"].position)
+        except CollinearAtoms:
+            counters["residues_collinear"] = counters.get("residues_collinear", 0) + 1
+            continue
+        frames.append((residue_ordinal, frame))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(["CA", "N", "C", "CB"]),
+              st.tuples(*[st.integers(-2, 2) for _ in range(3)])),
+    max_size=25,
+))
+def test_residue_frames_equal_per_residue_oracle(raw):
+    # residues in any order, repeated anchor names, and small integer
+    # coordinates that make many triples collinear or coincident
+    atoms = [
+        AtomRecord(i, name[:1], name, residue, "ALA", Point3(*map(float, xyz)), "A", residue + 1)
+        for i, (residue, name, xyz) in enumerate(raw)
+    ]
+    counters, expected_counters = {}, {}
+    frames = residue_frames(atoms, counters=counters)
+    expected = residue_frames_oracle(atoms, expected_counters)
+    assert counters == expected_counters
+    assert [ro for ro, _ in frames] == [ro for ro, _ in expected]
+    for (_, frame), (_, oracle) in zip(frames, expected):
+        assert np.array_equal(frame.origin, oracle.origin)
+        assert np.array_equal(frame.basis, oracle.basis)
+
+
+def test_residue_frames_keep_order_of_first_appearance():
+    atoms = residue(COMPLETE, residue_ordinal=7) + residue(COMPLETE, residue_ordinal=2, base=4)
+    atoms += residue(COMPLETE[:1], residue_ordinal=7, base=8)
+    assert [ro for ro, _ in residue_frames(atoms)] == [7, 2]
 
 
 def test_insert_patch_counts_n_times_m():
@@ -91,9 +149,9 @@ def test_insert_patch_no_valid_frame_is_eager():
 def test_insert_patch_anchor_lands_in_origin_cell():
     patch = Patch("ONE_0", "ONE", tuple(residue(COMPLETE)), OriginTag.SiteRecord)
     entries = list(insert_patch(patch, P1, structure_key=3))
-    ca_cells = [cell for cell, e in entries if e.atom_ordinal == 0]
-    assert ca_cells == [CellIndex(0, 0, 0)]
-    assert all(e.ref_id.structure_key == 3 for _, e in entries)
+    ca_cells = [z for z, _, _, ao in entries if ao == 0]
+    assert ca_cells == [morton_encode(CellIndex(0, 0, 0), P1)]
+    assert all(sk == 3 for _, sk, _, _ in entries)
 
 
 def test_build_database_entry_exactness(tmp_path):

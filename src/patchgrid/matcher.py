@@ -20,9 +20,10 @@ cell's cross product becomes increment rows built with ``np.repeat``,
 index times the number of query frames plus the dense query index over the
 batch's sorted distinct keys, so the rows reduce with one ``np.bincount``,
 or one sort of the key when the key space is sparse. Beyond ``budget``
-buffered rows the buffer is reduced and spilled as one sorted chunk; the
-final merge reduces every chunk in memory. The threshold is applied to the
-raw counts, so a ``MatchResult`` is built only for a pair that is kept.
+buffered rows the buffer is reduced in memory to one block of distinct
+pairs; the final merge reduces those blocks with the buffer once. The
+threshold is applied to the raw counts, so a ``MatchResult`` is built only
+for a pair that is kept.
 
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
@@ -50,9 +51,7 @@ only trades table rows against recount work.
 
 from __future__ import annotations
 
-import os
 import tempfile
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
@@ -155,12 +154,6 @@ def _rows(block: _Block) -> np.ndarray:
     return rows
 
 
-def _block_of(rows: np.ndarray) -> _Block:
-    db, db_index = np.unique(rows["db"], return_inverse=True)
-    q, q_index = np.unique(rows["q"], return_inverse=True)
-    return _Block(db, q, db_index * len(q) + q_index, rows["count"])
-
-
 def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Enumerate ``(i, lo[i] + k)`` for every i and k < width[i], in chunks.
 
@@ -178,25 +171,24 @@ def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.
 
 
 class ScoreTable:
-    """Aggregation of (db ref, query ref) -> matched count, spillable.
+    """In-memory aggregation of (db ref, query ref) -> matched count.
 
     ``add`` takes matched cells as numpy columns and expands each cell's
     cross product into increment rows keyed by one integer (dense database
     index times dense query index, see ``_Block``), ``budget`` rows at a
-    time. Once more than ``budget`` rows are buffered they are reduced and
-    written to disk as one sorted chunk. ``reduced()`` merges every chunk
-    with the buffer in memory and reduces them once.
+    time. Once more than ``budget`` rows are buffered, ``_spill`` reduces
+    them to one block of distinct pairs, kept in memory; ``spills`` counts
+    those reductions. ``reduced()`` merges the reduced blocks with the
+    buffer and reduces them once.
     """
 
-    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, tmp_dir: Path | None = None):
+    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET):
         if budget < 1:
             raise ValueError("score table budget must be >= 1")
         self.budget = budget
         self._blocks: list[_Block] = []
         self._buffered = 0
-        self._tmp_dir = tmp_dir
-        self._spill_dir: str | None = None
-        self._chunks: list[Path] = []
+        self._reduced: list[_Block] = []
         self.spills = 0
         self.rows = 0
 
@@ -226,44 +218,23 @@ class ScoreTable:
                 self._spill()
 
     def _spill(self) -> None:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(
-                prefix="scoretable-", dir=str(self._tmp_dir) if self._tmp_dir else None
-            )
-        path = Path(self._spill_dir) / f"chunk_{len(self._chunks):06d}.bin"
-        _rows(_reduce(_merge(self._blocks))).tofile(path)
-        self._chunks.append(path)
+        self._reduced.append(_reduce(_merge(self._blocks)))
         self._blocks = []
         self._buffered = 0
         self.spills += 1
 
     def reduced(self) -> _Block:
         """Every pair once with its total count, pair keys ascending."""
-        blocks = [_block_of(np.fromfile(p, dtype=_PAIR_DTYPE)) for p in self._chunks]
-        blocks += self._blocks
+        blocks = self._reduced + self._blocks
         if not blocks:
             empty = np.empty(0, dtype=np.uint64)
             return _Block(empty, empty, empty.astype(np.int64), empty)
         return _reduce(_merge(blocks))
 
-    def pairs(self) -> np.ndarray:
-        """Every reduced pair once, in ascending (db, q) key order, as ``_PAIR_DTYPE`` rows."""
-        return _rows(self.reduced())
-
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        """Yield ((db sk, db ro, q sk, q ro), total count) from ``pairs()``, in key order."""
-        for db, q, count in self.pairs().tolist():
+        """Yield ((db sk, db ro, q sk, q ro), total count) for every reduced pair, in key order."""
+        for db, q, count in _rows(self.reduced()).tolist():
             yield (db >> 32, db & _LOW32, q >> 32, q & _LOW32), count
-
-    def close(self) -> None:
-        for p in self._chunks:
-            with suppress(OSError):
-                p.unlink()
-        if self._spill_dir is not None:
-            with suppress(OSError):
-                os.rmdir(self._spill_dir)
-        self._chunks.clear()
-        self._spill_dir = None
 
 
 class HotCells:
@@ -319,20 +290,19 @@ def build_query_grid(
     out_dir: Path,
     memory_budget_entries: int | None = None,
     tmp_dir: Path | None = None,
-    structure_key: int = 0,
     counters: dict[str, int] | None = None,
 ) -> DiskGrid:
     """Build the z-sorted grid of the query, clipped to the mps radius.
 
-    One frame per complete residue; per frame only atoms whose frame
-    coordinates have norm <= mps produce entries. Query atoms can
-    legitimately sit far from a frame, so out-of-extent entries are dropped
-    and counted under ``counters['entries_out_of_extent']`` instead of
-    failing. The frames are taken in groups of at most
-    ``memory_budget_entries`` (frame, atom) pairs; each group is transformed
-    in one call, then clipped, quantized and Morton-encoded as columns, and
-    ``sort_run`` sorts the records into the run, spilling sorted chunks
-    when they exceed that budget.
+    One frame per complete residue, all under structure key 0; per frame
+    only atoms whose frame coordinates have norm <= mps produce entries.
+    Query atoms can legitimately sit far from a frame, so out-of-extent
+    entries are dropped and counted under
+    ``counters['entries_out_of_extent']`` instead of failing. The frames
+    are taken in groups of at most ``memory_budget_entries`` (frame, atom)
+    pairs; each group is transformed in one call, then clipped, quantized
+    and Morton-encoded as columns, and ``sort_run`` sorts the records into
+    the run, spilling sorted chunks when they exceed that budget.
     Raises NoValidFrame when the query has no usable residue.
     """
     if mps < 0:
@@ -358,7 +328,7 @@ def build_query_grid(
             kept = kept[in_extent]
             block = np.empty(len(kept), dtype=RUN_RECORD)
             block["z"] = morton_codes(cells[in_extent], params)
-            block["sk"] = structure_key
+            block["sk"] = 0
             block["ro"] = frames.residue_ordinals[frame_slice][kept // len(points)]
             block["ao"] = ordinals[kept % len(points)]
             yield block
@@ -541,7 +511,7 @@ def finalize_scores(
     if hot is not None and hot.n_cells:
         pairs = _hot_candidates(table.reduced(), hot, db, tau_pp, table.budget)
     else:
-        pairs = table.pairs()
+        pairs = _rows(table.reduced())
     n_atoms = _atom_counts(pairs["db"], db)
     over = np.flatnonzero(pairs["count"] > n_atoms)
     if over.size:
@@ -612,13 +582,10 @@ def match_query(
             tmp_dir=tmp_dir,
             counters=stats,
         )
-        table = ScoreTable(budget=score_budget, tmp_dir=tmp_dir)
+        table = ScoreTable(budget=score_budget)
         hot = HotCells(_HOT_FANIN if _hot_fanin is None else _hot_fanin)
-        try:
-            merge_scan_match(db.grid, gq, table, stats=stats, hot=hot)
-            scored = finalize_scores(table, db, hot, tau_pp)
-        finally:
-            table.close()
+        merge_scan_match(db.grid, gq, table, stats=stats, hot=hot)
+        scored = finalize_scores(table, db, hot, tau_pp)
     if stats is not None:
         stats["pairs_scored"] = len(scored)
         stats["score_spills"] = table.spills

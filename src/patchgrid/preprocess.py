@@ -122,7 +122,6 @@ def insert_patch(
     patch: Patch,
     params: GridParams,
     structure_key: int = 0,
-    stats: dict | None = None,
 ) -> Iterator[tuple[int, int, int, int]]:
     """Emit one grid entry per (frame, atom) pair of the patch.
 
@@ -132,13 +131,12 @@ def insert_patch(
     and m frames yields exactly n*m entries. Raises NoValidFrame when no
     residue yields a frame (before any entry is produced); out-of-extent
     atoms raise OutOfExtent since database patches are small by
-    construction. ``stats['max_radius']`` accumulates the largest
-    frame-coordinate norm seen.
+    construction.
     """
     frames = residue_frames(patch.atoms)
     if not frames:
         raise NoValidFrame(f"patch {patch.patch_id}: no residue yields a frame")
-    return _patch_entries(patch, frames, params, structure_key, stats)
+    return _patch_entries(patch, frames, params, structure_key, None)
 
 
 def _patch_entries(patch, frames, params, structure_key, stats):

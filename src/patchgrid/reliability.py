@@ -33,7 +33,6 @@ DEFAULT_TAU_PROT_VALUES = tuple(round(0.1 * i, 10) for i in range(1, 11))
 class EvalConfig:
     tau_pp_values: tuple[float, ...] = DEFAULT_TAU_PP_VALUES
     tau_prot_values: tuple[float, ...] = DEFAULT_TAU_PROT_VALUES
-    i_value: float = 1.0
 
     def __post_init__(self):
         if not self.tau_pp_values or not self.tau_prot_values:
@@ -269,7 +268,7 @@ def sweep(
                 tp = None
             else:
                 try:
-                    tp = tp_rate(d_value, r_value, config.i_value)
+                    tp = tp_rate(d_value, r_value)
                 except UndefinedTP:
                     tp = None
             report.rows.append(

@@ -1,4 +1,3 @@
-import os
 import random
 import tempfile
 from pathlib import Path
@@ -280,10 +279,7 @@ def _scored(db, counts):
     """Scored pairs where database frame i matched ``counts[i]`` atoms of query frame 0."""
     table = ScoreTable()
     add_cell(table, [RefId(0, i) for i in range(len(counts))], [RefId(0, 0)], counts)
-    try:
-        return finalize_scores(table, db)
-    finally:
-        table.close()
+    return finalize_scores(table, db)
 
 
 def test_finalize_scores_division(tmp_path):
@@ -311,10 +307,10 @@ def test_finalize_unknown_ref(tmp_path):
         finalize_scores(table, db)
 
 
-def test_score_table_spilled_items_sorted_and_summed(tmp_path):
+def test_score_table_spilled_items_sorted_and_summed():
     rng = random.Random(41)
     for budget in (1, 2, 3):
-        table = ScoreTable(budget=budget, tmp_dir=tmp_path)
+        table = ScoreTable(budget=budget)
         expected: dict = {}
         for _ in range(300):
             db_ref = RefId(rng.randrange(4), rng.randrange(6))
@@ -325,8 +321,6 @@ def test_score_table_spilled_items_sorted_and_summed(tmp_path):
             expected[key] = expected.get(key, 0) + count
         assert list(table.items()) == sorted(expected.items())
         assert table.spills > 0
-        table.close()
-        assert list(tmp_path.iterdir()) == []
 
 
 _FIELD = st.one_of(st.integers(0, 3), st.just(2**32 - 1))
@@ -343,24 +337,19 @@ _CELL = st.tuples(
 def test_score_table_equals_dict_oracle(cells, budget):
     # per-cell batches, as merge_scan_match adds them, against a plain dict
     expected: dict = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        table = ScoreTable(budget=budget, tmp_dir=tmp)
-        try:
-            for db_counts, query_refs in cells:
-                add_cell(table, list(db_counts), query_refs, list(db_counts.values()))
-                for query_ref in query_refs:
-                    for db_ref, count in db_counts.items():
-                        key = (*db_ref, *query_ref)
-                        expected[key] = expected.get(key, 0) + count
-            first = list(table.items())
-            assert first == sorted(expected.items())
-            assert list(table.items()) == first  # items() does not consume the table
-            assert len(table.pairs()) == len(expected)
-            if budget == DEFAULT_SCORE_BUDGET:
-                assert table.spills == 0
-        finally:
-            table.close()
-        assert os.listdir(tmp) == []
+    table = ScoreTable(budget=budget)
+    for db_counts, query_refs in cells:
+        add_cell(table, list(db_counts), query_refs, list(db_counts.values()))
+        for query_ref in query_refs:
+            for db_ref, count in db_counts.items():
+                key = (*db_ref, *query_ref)
+                expected[key] = expected.get(key, 0) + count
+    first = list(table.items())
+    assert first == sorted(expected.items())
+    assert list(table.items()) == first  # items() does not consume the table
+    assert len(table.reduced().pair) == len(expected)
+    if budget == DEFAULT_SCORE_BUDGET:
+        assert table.spills == 0
 
 
 def test_threshold_filter_bounds(tmp_path):
@@ -449,7 +438,6 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
         table, hot = ScoreTable(), HotCells(cutoff)
         merge_scan_match(db.grid, gq, table, hot=hot)
         joined = dict(table.items())
-        table.close()
         cells = []
         if hot.n_cells:
             db_keys, counts, db_cells, q_keys, q_cells = hot.columns()
@@ -475,7 +463,6 @@ def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
     assert finalize_scores(table, db, hot, 0.0).pairs.tolist() == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
     # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not
     assert finalize_scores(table, db, hot, 0.3).pairs.tolist() == [(1, 7, 3), (1, 8, 1)]
-    table.close()
 
 
 @pytest.mark.parametrize("cutoff", CUTOFFS)

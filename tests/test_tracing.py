@@ -1,13 +1,18 @@
-"""The benchmark's tracer must find every binding it wraps.
+"""The benchmark reads patchgrid from outside, and these tests hold its contract.
 
-perfbench/tracing.py wraps patchgrid functions by name from outside; a
-renamed or deleted binding makes its per-layer metrics read null.
+perfbench/tracing.py wraps patchgrid functions by name; a renamed or deleted
+binding makes its per-layer metrics read null, and a traced counter must count
+what the program counts. perfbench/run.py prints its result as the last stdout
+line, so the library itself must print nothing.
 """
 
 import importlib.util
 from pathlib import Path
 
 from patchgrid import grid, preprocess
+from patchgrid.matcher import match_query
+from patchgrid.preprocess import add_patches, build_patch_database, compact
+from patchgrid.synthetic import planted_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +35,32 @@ def test_tracer_finds_every_traced_binding():
     finally:
         tracer.uninstall()
     assert (preprocess._patch_entries, grid._chunk_records, grid.morton_encode) == originals
+
+
+def test_tracer_counts_score_table_reductions_like_the_program(tmp_path):
+    instance = planted_instance(seed=78, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        stats: dict = {}
+        match_query(instance.query, db, 0.0, tmp_dir=tmp_path, score_budget=3, stats=stats)
+    finally:
+        tracer.uninstall()
+    assert tracer.n_calls("matcher.score_spills") == stats["score_spills"] > 0
+
+
+def test_library_writes_nothing_to_stdout(tmp_path, capsys):
+    instance = planted_instance(seed=79, n_patches=8)
+    half = len(instance.patches) // 2
+    # A budget of 7 entries makes the external sort spill chunks in both writes.
+    db = build_patch_database(instance.patches[:half], instance.params, tmp_path / "db",
+                              memory_budget_entries=7, tmp_dir=tmp_path)
+    db = add_patches(db, instance.patches[half:], memory_budget_entries=7, tmp_dir=tmp_path)
+    assert len(db.grid.runs) == 2
+    db = compact(db)
+    stats: dict = {}
+    results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, score_budget=3, stats=stats)
+    assert results and stats["score_spills"] > 0
+    assert capsys.readouterr().out == ""

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import baseline, matcher, preprocess, reliability, synthetic
 from .errors import PatchGridError
-from .grid import GridParams, RefId, atomic_write_text
+from .grid import DEFAULT_MEMORY_BUDGET, GridParams, RefId, atomic_write_text
 from .ingest import (
     Patch,
     Protein,
@@ -41,7 +41,7 @@ SHARED_OPTIONS = {
     "delta": (float, 1.0, "cell edge length in Angstroms (default 1.0)"),
     "bits_per_axis": (int, 21, "Morton bits per axis (default 21)"),
     "tau_pp": (float, 0.9, "patch match score threshold (default 0.9)"),
-    "mem_budget": (int, 500_000, "external-sort memory budget in entries"),
+    "mem_budget": (int, DEFAULT_MEMORY_BUDGET, "external-sort memory budget in entries"),
     "db": (str, None, "database directory"),
     "tmp": (str, None, "directory for temporary files"),
 }
@@ -129,9 +129,19 @@ def db_write_lock(db_dir: Path):
             pass
 
 
-def _read_inputs(structure_paths, template_paths, counters) -> list[Patch]:
+def _db_dir(config: dict) -> Path:
+    if not config["db"]:
+        raise ValueError("--db is required")
+    return Path(config["db"])
+
+
+def _read_inputs(args: argparse.Namespace, counters: dict[str, int]) -> list[Patch]:
+    """The patches of the structure and template files, deduplicated.
+
+    Raises PatchGridError when the inputs hold no patch.
+    """
     patches: list[Patch] = []
-    for path in structure_paths or []:
+    for path in args.structures or []:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         protein = parse_structure_file(lines, protein_id=Path(path).stem.upper())
@@ -139,19 +149,20 @@ def _read_inputs(structure_paths, template_paths, counters) -> list[Patch]:
         patches.extend(extract_site_patches(lines, protein, counters=counters))
     counters["site_patches"] = len(patches)
     n_before = len(patches)
-    for path in template_paths or []:
+    for path in args.templates or []:
         with open(path, "r", encoding="utf-8") as fh:
             patches.extend(parse_template_file(fh))
     counters["template_patches"] = len(patches) - n_before
-    return patches
+    if not patches:
+        raise PatchGridError("no patches extracted from the inputs")
+    deduped = dedup_patches(patches)
+    counters["duplicates_removed"] = len(patches) - len(deduped)
+    return deduped
 
 
 def cmd_build_db(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if not config["db"]:
-        print("error: --db is required", file=sys.stderr)
-        return 2
-    db_dir = Path(config["db"])
+    db_dir = _db_dir(config)
     params = GridParams(delta=config["delta"], bits_per_axis=config["bits_per_axis"])
     if db_dir.exists():
         try:
@@ -172,18 +183,13 @@ def cmd_build_db(args: argparse.Namespace) -> int:
 
     counters: dict[str, int] = {}
     with db_write_lock(db_dir):
-        patches = _read_inputs(args.structures, args.templates, counters)
-        if not patches:
-            print("error: no patches extracted from the inputs", file=sys.stderr)
-            return 1
-        deduped = dedup_patches(patches)
-        counters["duplicates_removed"] = len(patches) - len(deduped)
+        patches = _read_inputs(args, counters)
         staging = Path(str(db_dir) + ".building")
         if staging.exists():
             print(f"warning: removing {staging} left by an interrupted build-db", file=sys.stderr)
             shutil.rmtree(staging)
         db = preprocess.build_patch_database(
-            deduped,
+            patches,
             params,
             staging,
             memory_budget_entries=config["mem_budget"],
@@ -212,10 +218,7 @@ def _write_results_tsv(path: Path, results) -> None:
 
 def cmd_query(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if not config["db"]:
-        print("error: --db is required", file=sys.stderr)
-        return 2
-    db = PatchDatabase.load(Path(config["db"]))
+    db = PatchDatabase.load(_db_dir(config))
     with open(args.query, "r", encoding="utf-8") as fh:
         query = parse_structure_file(fh, protein_id=Path(args.query).stem.upper())
     stats: dict = {}
@@ -241,22 +244,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_add(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if not config["db"]:
-        print("error: --db is required", file=sys.stderr)
-        return 2
-    db_dir = Path(config["db"])
+    db_dir = _db_dir(config)
     counters: dict[str, int] = {}
     with db_write_lock(db_dir):
         db = PatchDatabase.load(db_dir)
-        patches = _read_inputs(args.structures, args.templates, counters)
-        if not patches:
-            print("error: no patches extracted from the inputs", file=sys.stderr)
-            return 1
-        deduped = dedup_patches(patches)
-        counters["duplicates_removed"] = len(patches) - len(deduped)
         db = preprocess.add_patches(
             db,
-            deduped,
+            _read_inputs(args, counters),
             memory_budget_entries=config["mem_budget"],
             tmp_dir=Path(config["tmp"]) if config["tmp"] else None,
             counters=counters,
@@ -315,10 +309,7 @@ def _parse_tau_list(text: str | None, default: tuple[float, ...]) -> tuple[float
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if not config["db"]:
-        print("error: --db is required", file=sys.stderr)
-        return 2
-    db = PatchDatabase.load(Path(config["db"]))
+    db = PatchDatabase.load(_db_dir(config))
     with open(args.annotations, "r", encoding="utf-8") as fh:
         annotations = {a.entity_id: a for a in parse_keyword_file(fh)}
 

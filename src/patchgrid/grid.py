@@ -31,9 +31,11 @@ z that does not strictly increase) raises ``CorruptDatabase``.
 The write path is columnar too. Writes go through one cell writer that
 takes sorted record blocks (``RUN_RECORD`` arrays), and one external sort
 (``sort_run``) orders record blocks into a run. Past the memory budget it
-spills sorted chunks of ``RUN_RECORD`` bytes and merges them as arrays:
-each round cuts every chunk's current block at the smallest last key among
-them, lexsorts what lies below the cut and writes it. Quantization
+spills sorted chunks of ``RUN_RECORD`` bytes into one temporary directory,
+made at the first spill and removed when the sort ends, and merges them as
+arrays: each round cuts every chunk's current block at the smallest last
+key among them, lexsorts what lies below the cut and writes it. A failed
+write, the final flush included, removes the run's temp file. Quantization
 (``cells_of_points``) and Morton codes (``morton_codes``) work on whole
 coordinate arrays; the scalar ``morton_encode`` and ``cell_of`` are the
 one-cell API.
@@ -46,6 +48,7 @@ import itertools
 import os
 import struct
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -330,7 +333,8 @@ class _RunReader:
     wide as an entry (12 bytes), so the block is viewed as rows of three
     uint32 words and each cell's entries are a slice of those rows. Raises
     CorruptDatabase for a cut cell header or body and for a z that does not
-    strictly increase.
+    strictly increase. The file closes after the last cell, and a closed
+    reader raises StopIteration on every further call.
     """
 
     def __init__(self, path: Path):
@@ -361,6 +365,8 @@ class _RunReader:
         return True
 
     def __next__(self) -> Cell:
+        if self._fh.closed:
+            raise StopIteration
         if not self._buffered(_CELL_HEADER.size):
             if self._pos < len(self._buf):
                 raise CorruptDatabase(
@@ -468,30 +474,33 @@ def sort_run(
 
     Sorts by (z, structure_key, residue_ordinal, atom_ordinal), holding at
     most ``memory_budget_entries`` records plus one block; each full
-    budget is spilled to ``tmp_dir`` as one sorted chunk, and the chunks
-    and the sorted remainder are merged block by block on write, holding
-    one block per chunk. Identical records collapse to one. Output is
-    byte-identical to an in-memory sort of the same records.
+    budget is spilled as one sorted chunk, and the chunks and the sorted
+    remainder are merged block by block on write, holding one block per
+    chunk. The chunks live in one ``tempfile.TemporaryDirectory`` under
+    ``tmp_dir``, made at the first spill and removed with its chunks when
+    the sort ends, however it ends. Identical records collapse to one.
+    Output is byte-identical to an in-memory sort of the same records.
     """
     if memory_budget_entries < 2:
         raise ValueError("memory budget must allow at least 2 entries")
     chunk_paths: list[Path] = []
-    spill_dir: str | None = None
     held: list[np.ndarray] = []
     n_held = 0
-    try:
+    with ExitStack() as stack:
         for block in blocks:
             held.append(block)
             n_held += len(block)
             if n_held < memory_budget_entries:
                 continue
-            if spill_dir is None:
-                spill_dir = tempfile.mkdtemp(prefix="rgsort-", dir=str(tmp_dir) if tmp_dir else None)
+            if not chunk_paths:
+                spill_dir = Path(stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)
+                ))
             records = np.concatenate(held)
             held.clear()
             n_held = len(records) % memory_budget_entries
             for start in range(0, len(records) - n_held, memory_budget_entries):
-                path = Path(spill_dir) / f"chunk_{len(chunk_paths):06d}.bin"
+                path = spill_dir / f"chunk_{len(chunk_paths):06d}.bin"
                 _sorted(records[start:start + memory_budget_entries]).tofile(path)
                 chunk_paths.append(path)
             held = [records[len(records) - n_held:]]
@@ -504,21 +513,10 @@ def sort_run(
                 streams = [_chunk_records(p) for p in chunk_paths] + [iter([tail])]
                 for records in _merge_blocks(streams):
                     writer.add(records)
+            return writer.close()
         except BaseException:
             writer.abort()
             raise
-        return writer.close()
-    finally:
-        for p in chunk_paths:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-        if spill_dir is not None:
-            try:
-                os.rmdir(spill_dir)
-            except OSError:
-                pass
 
 
 def build_sorted_run(
@@ -657,9 +655,9 @@ def merge_runs(grid: DiskGrid) -> DiskGrid:
     try:
         for cells in _batches(cursor, _WRITE_BLOCK_CELLS):
             writer.add(_cell_records(cells))
+        return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])
     except BaseException:
         writer.abort()
         raise
     finally:
         cursor.close()
-    return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])

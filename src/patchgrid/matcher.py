@@ -22,35 +22,37 @@ batch's sorted distinct keys, so the rows reduce with one ``np.bincount``,
 or one sort of the key when the key space is sparse. Beyond ``budget``
 buffered rows the buffer is reduced in memory to one block of distinct
 pairs; the final merge reduces those blocks with the buffer once. The
-threshold is applied to the raw counts, so a ``MatchResult`` is built only
-for a pair that is kept.
+scored pairs stay that one block (``_Block``) through the hot-cell recount
+to the threshold, which is applied to the raw counts, so a ``MatchResult``
+is built only for a pair that is kept.
 
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
 frame, yet none of them can decide a match alone. ``match_query`` therefore
 marks a matched cell *hot*, during the scan, when its fan-in (distinct
 database frames times distinct query frames) exceeds a cutoff. A hot cell
-adds no rows to the score table; it is kept in memory as its database
-keys, their entry counts and its query keys, and each database frame f
-sums its hot-cell counts into ``hot_max[f]``. A pair (f, q) then scores at
-most ``cold(f, q) + hot_max[f]``, where ``cold`` is its score-table count,
-because q can gain at most f's own count from each hot cell. After the scan
-a cold pair stays a candidate only if that bound passes the threshold, and
-a frame whose ``hot_max`` alone passes it is crossed with every query frame
-of the hot cells, which covers pairs that met only in hot cells. Each
-candidate then gets its exact count, the cold count plus f's count in every
-hot cell that also holds q, and pairs with count 0 are dropped. A
-candidate visits only the hot cells holding f and looks q up in a boolean
-membership row of each, so the recount costs the candidates' hot-cell
-memberships, not hot cells times candidates. The bound uses the
-threshold's own float64 ``count / n_atoms >= tau_pp`` test, which is
-monotone in the count, so no pair that reaches the threshold is pruned and
-the results equal the unpruned ones for any choice of hot cells; the cutoff
-only trades table rows against recount work.
+adds no rows to the score table; the table's ``hot`` collector keeps it in
+memory as its database keys, their entry counts and its query keys, and
+each database frame f sums its hot-cell counts into ``hot_max[f]``. A pair
+(f, q) then scores at most ``cold(f, q) + hot_max[f]``, where ``cold`` is
+its score-table count, because q can gain at most f's own count from each
+hot cell. After the scan a cold pair stays a candidate only if that bound
+passes the threshold, and a frame whose ``hot_max`` alone passes it is
+crossed with every query frame of the hot cells, which covers pairs that
+met only in hot cells. Each candidate then gets its exact count, the cold
+count plus f's count in every hot cell that also holds q, and pairs with
+count 0 are dropped. A candidate visits only the hot cells holding f and
+looks q up in a boolean membership row of each, so the recount costs the
+candidates' hot-cell memberships, not hot cells times candidates. The
+bound uses the threshold's own float64 ``count / n_atoms >= tau_pp`` test,
+which is monotone in the count, so no pair that reaches the threshold is
+pruned and the results equal the unpruned ones for any choice of hot
+cells; the cutoff only trades table rows against recount work.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -82,10 +84,8 @@ DEFAULT_SCORE_BUDGET = 1_000_000
 # M database 3,000 to 30,000 ran at equal speed and 1,000 was slower.
 _HOT_FANIN = 10_000
 
-# One score row: packed database ref, packed query ref, matched count. A ref
-# packs as structure_key << 32 | residue_ordinal, both u32 as in run files,
-# so ascending packed keys are ascending (db ref, query ref) tuples.
-_PAIR_DTYPE = np.dtype([("db", "<u8"), ("q", "<u8"), ("count", "<u8")])
+# A ref packs as structure_key << 32 | residue_ordinal, both u32 as in run
+# files, so ascending packed keys are ascending (db ref, query ref) tuples.
 _LOW32 = 0xFFFFFFFF
 
 
@@ -144,14 +144,10 @@ def _merge(blocks: list[_Block]) -> _Block:
     return _Block(db, q, np.concatenate(pair), np.concatenate([b.count for b in blocks]))
 
 
-def _rows(block: _Block) -> np.ndarray:
-    """The block as ``_PAIR_DTYPE`` rows, in the order of its pair keys."""
-    rows = np.empty(len(block.pair), dtype=_PAIR_DTYPE)
-    if len(rows):
-        rows["db"] = block.db[block.pair // len(block.q)]
-        rows["q"] = block.q[block.pair % len(block.q)]
-        rows["count"] = block.count
-    return rows
+def _decode(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block's packed database refs, packed query refs and counts, in pair-key order."""
+    n_q = max(len(block.q), 1)
+    return block.db[block.pair // n_q], block.q[block.pair % n_q], block.count
 
 
 def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -179,13 +175,20 @@ class ScoreTable:
     time. Once more than ``budget`` rows are buffered, ``_spill`` reduces
     them to one block of distinct pairs, kept in memory; ``spills`` counts
     those reductions. ``reduced()`` merges the reduced blocks with the
-    buffer and reduces them once.
+    buffer and reduces them once, so every block's distinct pairs are held
+    until then.
+
+    The table owns the query's hot cells as ``hot``, a ``HotCells``: the
+    merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
+    instead of to ``add``. The default ``fanin`` makes no cell hot, so
+    ``items()`` is then the full join.
     """
 
-    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET):
+    def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, fanin: float = math.inf):
         if budget < 1:
             raise ValueError("score table budget must be >= 1")
         self.budget = budget
+        self.hot = HotCells(fanin)
         self._blocks: list[_Block] = []
         self._buffered = 0
         self._reduced: list[_Block] = []
@@ -233,7 +236,7 @@ class ScoreTable:
 
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """Yield ((db sk, db ro, q sk, q ro), total count) for every reduced pair, in key order."""
-        for db, q, count in _rows(self.reduced()).tolist():
+        for db, q, count in zip(*(column.tolist() for column in _decode(self.reduced()))):
             yield (db >> 32, db & _LOW32, q >> 32, q & _LOW32), count
 
 
@@ -246,7 +249,7 @@ class HotCells:
     their cell numbers.
     """
 
-    def __init__(self, fanin: int):
+    def __init__(self, fanin: float):
         self.fanin = fanin
         self.n_cells = 0
         self._columns: list[tuple[np.ndarray, ...]] = []
@@ -273,14 +276,15 @@ class HotCells:
 
 @dataclass(frozen=True)
 class ScoredPairs:
-    """Every scored pair, columnar: reduced score rows plus each row's patch atom count."""
+    """Every scored pair, columnar: the reduced pairs as one ``_Block`` plus
+    each pair's patch atom count, in pair-key order."""
 
-    pairs: np.ndarray
+    pairs: _Block
     n_atoms: np.ndarray
     patch_meta: Mapping[int, PatchMeta]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.pairs.pair)
 
 
 def build_query_grid(
@@ -288,7 +292,7 @@ def build_query_grid(
     params: GridParams,
     mps: float,
     out_dir: Path,
-    memory_budget_entries: int | None = None,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
 ) -> DiskGrid:
@@ -312,8 +316,7 @@ def build_query_grid(
         raise NoValidFrame(f"query {query.protein_id}: no residue yields a frame")
     points = positions_array(query.atoms)
     ordinals = np.array([atom.atom_ordinal for atom in query.atoms], dtype=np.uint32)
-    budget = memory_budget_entries or DEFAULT_MEMORY_BUDGET
-    group = max(1, budget // len(points))
+    group = max(1, memory_budget_entries // len(points))
 
     def blocks() -> Iterator[np.ndarray]:
         for g in range(0, len(frames), group):
@@ -335,7 +338,7 @@ def build_query_grid(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    info = sort_run(blocks(), out_dir / "run_000000.bin", budget, tmp_dir)
+    info = sort_run(blocks(), out_dir / "run_000000.bin", memory_budget_entries, tmp_dir)
     return DiskGrid(params=params, directory=out_dir, runs=[info])
 
 
@@ -355,17 +358,15 @@ def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
     return keys[starts], counts, np.repeat(np.arange(len(cells)), lengths)[starts]
 
 
-def _join_cells(
-    p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable, hot: HotCells | None
-) -> None:
+def _join_cells(p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable) -> None:
     """Score matched cells, given as their database and query entry arrays:
-    cells with fan-in over ``hot.fanin`` go to ``hot``, the rest to ``table``."""
+    cells with fan-in over ``table.hot.fanin`` go to ``table.hot``, the rest
+    to ``table``."""
     db_keys, counts, db_cells = _distinct_frames(p_entries)
     q_keys, _, q_cells = _distinct_frames(q_entries)
     n = len(p_entries)
-    fanin = np.bincount(db_cells, minlength=n) * np.bincount(q_cells, minlength=n)
-    is_hot = fanin > hot.fanin if hot is not None else np.zeros(n, dtype=bool)
-    for target, chosen in ((table, ~is_hot), (hot, is_hot)):
+    is_hot = np.bincount(db_cells, minlength=n) * np.bincount(q_cells, minlength=n) > table.hot.fanin
+    for target, chosen in ((table, ~is_hot), (table.hot, is_hot)):
         if chosen.any():
             d, q = chosen[db_cells], chosen[q_cells]
             target.add(db_keys[d], counts[d], db_cells[d], q_keys[q], q_cells[q])
@@ -376,15 +377,14 @@ def merge_scan_match(
     gq: DiskGrid,
     table: ScoreTable,
     stats: dict | None = None,
-    hot: HotCells | None = None,
 ) -> ScoreTable:
     """Join two z-sorted grids in a single pass, updating the score table.
 
     When the two cursors sit on equal z, every distinct query ref in the
     query cell receives the per-ref entry counts of the database cell. The
     matched cells' entry arrays are collected and scored in batches of
-    about ``table.budget`` entries. With ``hot``, a matched cell whose
-    fan-in exceeds ``hot.fanin`` goes to ``hot`` instead of the table. Both
+    about ``table.budget`` entries; a matched cell whose fan-in exceeds
+    ``table.hot.fanin`` goes to ``table.hot`` instead of the table. Both
     cursors are driven to exhaustion so each stored cell of either grid is
     physically read exactly once (asserted via the cursors' read counters).
     """
@@ -408,12 +408,12 @@ def merge_scan_match(
                 q_entries.append(cell_q.entries)
                 held += len(cell_p.entries) + len(cell_q.entries)
                 if held >= table.budget:
-                    _join_cells(p_entries, q_entries, table, hot)
+                    _join_cells(p_entries, q_entries, table)
                     p_entries, q_entries, held = [], [], 0
                 cell_p = next(cur_p, None)
                 cell_q = next(cur_q, None)
         if p_entries:
-            _join_cells(p_entries, q_entries, table, hot)
+            _join_cells(p_entries, q_entries, table)
         # Drain both sides: a full scan reads every stored cell once.
         while cell_p is not None:
             cell_p = next(cur_p, None)
@@ -447,7 +447,7 @@ def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
 
 def _hot_candidates(
     cold: _Block, hot: HotCells, db: PatchDatabase, tau_pp: float, chunk_rows: int
-) -> np.ndarray:
+) -> _Block:
     """The pairs whose hot-cell bound passes tau_pp, with exact nonzero counts.
 
     ``cold`` holds the reduced score-table pairs; see the module docstring
@@ -492,33 +492,29 @@ def _hot_candidates(
         hit = member[h_cells[t], q_of[item]]
         count += np.bincount(item[hit], weights=h_counts[t[hit]], minlength=len(key)).astype(np.uint64)
     nonzero = count > 0
-    return _rows(_Block(f_keys, q_keys, key[nonzero], count[nonzero]))
+    return _Block(f_keys, q_keys, key[nonzero], count[nonzero])
 
 
-def finalize_scores(
-    table: ScoreTable,
-    db: PatchDatabase,
-    hot: HotCells | None = None,
-    tau_pp: float = 0.0,
-) -> ScoredPairs:
+def finalize_scores(table: ScoreTable, db: PatchDatabase, tau_pp: float = 0.0) -> ScoredPairs:
     """Attach to every reduced pair the atom count of the patch owning its db frame.
 
-    With hot cells, the pairs are only the candidates that can reach
-    ``tau_pp``, each with its exact count. Raises UnknownRefId when a pair
-    references a structure key absent from the patch metadata, and
-    PatchGridError when a pair count exceeds the patch's atom count.
+    The pairs stay one ``_Block``. When the table holds hot cells, they are
+    only the candidates that can reach ``tau_pp``, each with its exact
+    count. Raises UnknownRefId when a pair references a structure key
+    absent from the patch metadata, and PatchGridError when a pair count
+    exceeds the patch's atom count.
     """
-    if hot is not None and hot.n_cells:
-        pairs = _hot_candidates(table.reduced(), hot, db, tau_pp, table.budget)
-    else:
-        pairs = _rows(table.reduced())
-    n_atoms = _atom_counts(pairs["db"], db)
-    over = np.flatnonzero(pairs["count"] > n_atoms)
+    pairs = table.reduced()
+    if table.hot.n_cells:
+        pairs = _hot_candidates(pairs, table.hot, db, tau_pp, table.budget)
+    db_keys, _, counts = _decode(pairs)
+    n_atoms = _atom_counts(db_keys, db)
+    over = np.flatnonzero(counts > n_atoms)
     if over.size:
         i = over[0]
         raise PatchGridError(
-            f"corrupt score table: pair count {pairs['count'][i]} exceeds atom count "
-            f"{n_atoms[i]} of patch {db.patch_meta[int(pairs['db'][i]) >> 32].patch_id}"
+            f"corrupt score table: pair count {counts[i]} exceeds atom count "
+            f"{n_atoms[i]} of patch {db.patch_meta[int(db_keys[i]) >> 32].patch_id}"
         )
     return ScoredPairs(pairs, n_atoms, db.patch_meta)
 
@@ -533,10 +529,11 @@ def threshold_filter(scored: ScoredPairs, tau_pp: float) -> list[MatchResult]:
     """
     if not (0.0 <= tau_pp <= 1.0):
         raise ValueError("tau_pp must be in [0, 1]")
-    scores = scored.pairs["count"] / scored.n_atoms
+    db_keys, q_keys, counts = _decode(scored.pairs)
+    scores = counts / scored.n_atoms
     kept = np.flatnonzero(scores >= tau_pp)
     results = []
-    for (db_key, q_key, _), score in zip(scored.pairs[kept].tolist(), scores[kept].tolist()):
+    for db_key, q_key, score in zip(db_keys[kept].tolist(), q_keys[kept].tolist(), scores[kept].tolist()):
         meta = scored.patch_meta[db_key >> 32]
         results.append(
             MatchResult(
@@ -558,7 +555,7 @@ def match_query(
     db: PatchDatabase,
     tau_pp: float,
     tmp_dir: Path | None = None,
-    memory_budget_entries: int | None = None,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     score_budget: int = DEFAULT_SCORE_BUDGET,
     stats: dict | None = None,
     _hot_fanin: int | None = None,
@@ -582,15 +579,14 @@ def match_query(
             tmp_dir=tmp_dir,
             counters=stats,
         )
-        table = ScoreTable(budget=score_budget)
-        hot = HotCells(_HOT_FANIN if _hot_fanin is None else _hot_fanin)
-        merge_scan_match(db.grid, gq, table, stats=stats, hot=hot)
-        scored = finalize_scores(table, db, hot, tau_pp)
+        table = ScoreTable(score_budget, _HOT_FANIN if _hot_fanin is None else _hot_fanin)
+        merge_scan_match(db.grid, gq, table, stats=stats)
+        scored = finalize_scores(table, db, tau_pp)
     if stats is not None:
         stats["pairs_scored"] = len(scored)
         stats["score_spills"] = table.spills
         stats["score_rows"] = table.rows
-        stats["hot_cells"] = hot.n_cells
+        stats["hot_cells"] = table.hot.n_cells
     return threshold_filter(scored, tau_pp)
 
 

@@ -245,7 +245,7 @@ def build_patch_database(
     patches: Sequence[Patch],
     params: GridParams,
     db_dir: Path,
-    memory_budget_entries: int | None = None,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
 ) -> PatchDatabase:
@@ -275,7 +275,7 @@ def build_patch_database(
 def add_patches(
     db: PatchDatabase,
     patches: Sequence[Patch],
-    memory_budget_entries: int | None = None,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
 ) -> PatchDatabase:
@@ -294,7 +294,7 @@ def add_patches(
 def _append_run(
     db: PatchDatabase,
     patches: Sequence[Patch],
-    memory_budget_entries: int | None,
+    memory_budget_entries: int,
     tmp_dir: Path | None,
     counters: dict[str, int] | None,
 ) -> PatchDatabase | None:
@@ -335,7 +335,7 @@ def _append_run(
     info = build_sorted_run(
         itertools.chain.from_iterable(streams),
         grid.directory / grid.next_run_name(),
-        memory_budget_entries=memory_budget_entries or DEFAULT_MEMORY_BUDGET,
+        memory_budget_entries=memory_budget_entries,
         tmp_dir=tmp_dir,
     )
     grid.runs.append(info)

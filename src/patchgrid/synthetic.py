@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,21 +55,7 @@ def rigid_motion(rng: random.Random, max_translation: float = 50.0) -> tuple[np.
 
 def move_atoms(atoms: Sequence[AtomRecord], rotation: np.ndarray, translation: np.ndarray) -> tuple[AtomRecord, ...]:
     points = positions_array(atoms) @ rotation.T + translation
-    moved = []
-    for atom, row in zip(atoms, points):
-        moved.append(
-            AtomRecord(
-                atom_ordinal=atom.atom_ordinal,
-                element=atom.element,
-                atom_name=atom.atom_name,
-                residue_ordinal=atom.residue_ordinal,
-                residue_name=atom.residue_name,
-                position=Point3(float(row[0]), float(row[1]), float(row[2])),
-                chain_id=atom.chain_id,
-                residue_seq=atom.residue_seq,
-            )
-        )
-    return tuple(moved)
+    return tuple(replace(atom, position=Point3(*row.tolist())) for atom, row in zip(atoms, points))
 
 
 def move_protein(protein: Protein, rotation: np.ndarray, translation: np.ndarray,
@@ -78,10 +64,6 @@ def move_protein(protein: Protein, rotation: np.ndarray, translation: np.ndarray
         protein_id=new_id or protein.protein_id,
         atoms=move_atoms(protein.atoms, rotation, translation),
     )
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(float(v @ v))
 
 
 def _random_direction(rng: random.Random) -> np.ndarray:
@@ -169,6 +151,19 @@ def random_patch(
     )
 
 
+def _plant(atoms: list[AtomRecord], moved: Sequence[AtomRecord], residue_base: int) -> int:
+    """Append moved patch atoms to the chain-Q query ``atoms``, numbering
+    atoms on from ``len(atoms)`` and residues on from ``residue_base``;
+    returns the next free residue ordinal."""
+    residue_map: dict[int, int] = {}
+    for atom in moved:
+        ordinal = residue_map.setdefault(atom.residue_ordinal, residue_base + len(residue_map))
+        atoms.append(replace(
+            atom, atom_ordinal=len(atoms), residue_ordinal=ordinal, chain_id="Q", residue_seq=ordinal + 1
+        ))
+    return residue_base + len(residue_map)
+
+
 @dataclass
 class SyntheticInstance:
     params: GridParams
@@ -209,24 +204,7 @@ def planted_instance(
     residue_base = 0
     for patch in planted:
         rotation, translation = rigid_motion(rng)
-        moved = move_atoms(patch.atoms, rotation, translation)
-        residue_map: dict[int, int] = {}
-        for atom in moved:
-            if atom.residue_ordinal not in residue_map:
-                residue_map[atom.residue_ordinal] = residue_base + len(residue_map)
-            atoms.append(
-                AtomRecord(
-                    atom_ordinal=len(atoms),
-                    element=atom.element,
-                    atom_name=atom.atom_name,
-                    residue_ordinal=residue_map[atom.residue_ordinal],
-                    residue_name=atom.residue_name,
-                    position=atom.position,
-                    chain_id="Q",
-                    residue_seq=residue_map[atom.residue_ordinal] + 1,
-                )
-            )
-        residue_base += len(residue_map)
+        residue_base = _plant(atoms, move_atoms(patch.atoms, rotation, translation), residue_base)
     for _ in range(query_noise_residues):
         center = np.array([rng.uniform(-80, 80) for _ in range(3)])
         atoms.extend(
@@ -248,6 +226,9 @@ def planted_instance(
 # Lattice-aligned construction for pose-invariance checks
 
 
+_MAX_CELL = 3
+
+
 def _half_cell(k: int, delta: float) -> float:
     # Odd multiple of delta/2: the midpoint of cell k.
     return (k + 0.5) * delta
@@ -259,11 +240,12 @@ def lattice_patch(
     delta: float,
     rng: random.Random,
     n_extra_atoms: int = 4,
-    max_cell: int = 3,
     radius_bump: float = 0.0,
 ) -> Patch:
     """Single-residue patch whose own frame coordinates are all either exact
     anchor zeros or cell midpoints, so matches survive any rigid motion.
+    Extra atoms sit in distinct cells at most ``_MAX_CELL`` cells from the
+    origin on each axis.
 
     Built directly in the frame's canonical pose: CA at the origin, N on the
     first axis, C in the first/second-axis plane. ``radius_bump`` adds one
@@ -278,9 +260,9 @@ def lattice_patch(
     for i in range(n_extra_atoms):
         while True:
             cell = (
-                rng.randint(-max_cell, max_cell),
-                rng.randint(-max_cell, max_cell),
-                rng.randint(-max_cell, max_cell),
+                rng.randint(-_MAX_CELL, _MAX_CELL),
+                rng.randint(-_MAX_CELL, _MAX_CELL),
+                rng.randint(-_MAX_CELL, _MAX_CELL),
             )
             if cell not in used:
                 used.add(cell)
@@ -294,7 +276,7 @@ def lattice_patch(
             )
         )
     if radius_bump > 0:
-        k = int(math.ceil(radius_bump / delta)) + max_cell + 2
+        k = int(math.ceil(radius_bump / delta)) + _MAX_CELL + 2
         coords.append(("SD", _half_cell(k, delta), _half_cell(0, delta), _half_cell(0, delta)))
     atoms = tuple(
         AtomRecord(
@@ -321,45 +303,26 @@ def lattice_query(
     patches: Sequence[Patch],
     rng: random.Random,
     separation: float,
-    protein_id: str = "LATQ",
 ) -> Protein:
-    """A query containing one rigidly moved copy of each patch, spaced far
-    enough apart that cross-frame coordinates exceed any realistic mps."""
+    """A query "LATQ" containing one rigidly moved copy of each patch, spaced
+    far enough apart that cross-frame coordinates exceed any realistic mps."""
     atoms: list[AtomRecord] = []
     residue_base = 0
     for i, patch in enumerate(patches):
         rotation = random_rotation(rng)
-        translation = np.array([ (i + 1) * separation, 0.0, 0.0 ])
-        moved = move_atoms(patch.atoms, rotation, translation)
-        residue_map: dict[int, int] = {}
-        for atom in moved:
-            if atom.residue_ordinal not in residue_map:
-                residue_map[atom.residue_ordinal] = residue_base + len(residue_map)
-            atoms.append(
-                AtomRecord(
-                    atom_ordinal=len(atoms),
-                    element=atom.element,
-                    atom_name=atom.atom_name,
-                    residue_ordinal=residue_map[atom.residue_ordinal],
-                    residue_name=atom.residue_name,
-                    position=atom.position,
-                    chain_id="Q",
-                    residue_seq=residue_map[atom.residue_ordinal] + 1,
-                )
-            )
-        residue_base += len(residue_map)
-    return Protein(protein_id=protein_id, atoms=tuple(atoms))
+        translation = np.array([(i + 1) * separation, 0.0, 0.0])
+        residue_base = _plant(atoms, move_atoms(patch.atoms, rotation, translation), residue_base)
+    return Protein(protein_id="LATQ", atoms=tuple(atoms))
 
 
 def margin_violations(
     protein: Protein,
     params: GridParams,
     mps: float,
-    margin_factor: float = 0.1,
 ) -> int:
     """Count query entries whose frame coordinates sit in the quantization
-    dead zone (farther than the snap width but closer than margin_factor *
-    delta to a cell boundary) or hug the mps clip sphere. Zero means the
+    dead zone (farther than the snap width but closer than 0.1 * delta to a
+    cell boundary) or hug the mps clip sphere. Zero means the
     query's matches are stable under rigid motion."""
     violations = 0
     frames = residue_frames(protein.atoms)
@@ -374,6 +337,6 @@ def margin_violations(
             continue
         q = surviving / params.delta
         dist = np.abs(surviving - np.rint(q) * params.delta)
-        bad = (dist > BOUNDARY_SNAP) & (dist < margin_factor * params.delta)
+        bad = (dist > BOUNDARY_SNAP) & (dist < 0.1 * params.delta)
         violations += int(bad.any(axis=1).sum())
     return violations

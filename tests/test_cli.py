@@ -4,6 +4,7 @@ import socket
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +325,38 @@ def test_options_a_command_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_zero_memory_budget_exits_2(workspace, capsys):
+    tmp_path, files, _, _, _ = workspace
+    rc = main(["build-db", str(files["SRC0"]), "--db", str(tmp_path / "db2"), "--mem-budget", "0"])
+    assert rc == 2
+    assert "memory budget" in capsys.readouterr().err
+
+
+def run_module(*argv, cwd):
+    """Run ``python -m patchgrid`` with this checkout's src/ on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "patchgrid", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_entry_point_oracle_compare_passes(tmp_path):
+    done = run_module("oracle-compare", "--instances", "1", cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "PASS"
+
+
+def test_entry_point_query_without_db_exits_2(workspace):
+    tmp_path, files, _, _, _ = workspace
+    done = run_module("query", str(files["SRC0"]), cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == "error: --db is required\n"
+
+
+def test_entry_point_build_without_inputs_exits_1(tmp_path):
+    done = run_module("build-db", "--db", "D", cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "error: no patches extracted from the inputs\n"
+    assert not (tmp_path / "D").exists() and not (tmp_path / "D.lock").exists()

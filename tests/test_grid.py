@@ -512,3 +512,38 @@ def test_run_writer_blocks_match_one_block(tmp_path, monkeypatch, held):
     with pytest.raises(ValueError, match="out-of-order"):
         backwards.add(np.array([(5, 0, 0, 0)], dtype=grid_module.RUN_RECORD))
     backwards.abort()
+
+
+def test_exhausted_reader_and_cursors_keep_stopping(tmp_path):
+    a = make_run(tmp_path, "a.bin", [(CellIndex(0, 0, 0), entry(0, 0, 0)), (CellIndex(1, 0, 0), entry(0, 1, 0))])
+    b = make_run(tmp_path, "b.bin", [(CellIndex(0, 0, 0), entry(1, 0, 0))])
+    reader = grid_module._RunReader(tmp_path / "a.bin")
+    with scan(DiskGrid(P1, tmp_path, [a])) as single, scan(DiskGrid(P1, tmp_path, [a, b])) as multi:
+        for cells in (reader, single, multi):
+            assert len(list(cells)) == 2
+            assert next(cells, None) is None
+            assert next(cells, None) is None
+
+
+@pytest.mark.parametrize("op", ["sort_run", "merge_runs"])
+def test_failed_final_flush_leaves_no_temp_file(tmp_path, monkeypatch, op):
+    items = [(CellIndex(i, 0, 0), entry(0, i, 0)) for i in range(5)]
+    grid = DiskGrid(P1, tmp_path, [make_run(tmp_path, "a.bin", items[:3]), make_run(tmp_path, "b.bin", items[2:])])
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    flushes = []
+
+    def full_disk(writer, records):
+        flushes.append(len(records))
+        raise OSError("no space left on device")
+
+    # Small runs hold every record until close(), so its flush is the only write.
+    monkeypatch.setattr(grid_module._RunWriter, "_write_cells", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        if op == "sort_run":
+            build_sorted_run(z_records(items, P1), tmp_path / "c.bin", memory_budget_entries=2, tmp_dir=spill)
+        else:
+            merge_runs(grid)
+    assert flushes == [5]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "spill"]
+    assert list(spill.iterdir()) == []

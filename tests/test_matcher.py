@@ -28,7 +28,6 @@ from patchgrid.grid import (
 from patchgrid.ingest import Protein
 from patchgrid.matcher import (
     DEFAULT_SCORE_BUDGET,
-    HotCells,
     MatchResult,
     ScoreTable,
     build_query_grid,
@@ -84,7 +83,7 @@ def join_oracle(gp, gq):
 
 
 def add_cell(target, db_refs, query_refs, counts):
-    """Add one matched cell to a ScoreTable or HotCells: counts[i] to the
+    """Add one matched cell to a ScoreTable or its hot cells: counts[i] to the
     pair (db_refs[i], q) for every q in query_refs."""
     def packed(refs):
         return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
@@ -183,7 +182,8 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
                         lambda path: chunks_read.append(path) or chunk_records(path))
     spill = tmp_path / "spill"
     spill.mkdir()
-    gq = build_query_grid(query, P1, mps, tmp_path / "gq", memory_budget_entries=budget, tmp_dir=spill)
+    budget_option = {} if budget is None else {"memory_budget_entries": budget}
+    gq = build_query_grid(query, P1, mps, tmp_path / "gq", tmp_dir=spill, **budget_option)
     assert gq.run_path(gq.runs[0]).read_bytes() == (tmp_path / "expected.bin").read_bytes()
     assert gq.runs == [type(expected)("run_000000.bin", expected.n_cells, expected.n_entries)]
     assert (len(chunks_read) > 0) == (budget is not None)
@@ -435,8 +435,8 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
     gq = build_query_grid(instance.query, db.params, db.mps, tmp_path / "gq")
     expected = join_oracle(db.grid, gq)
     for cutoff in (0, 2, 4, 2**62):
-        table, hot = ScoreTable(), HotCells(cutoff)
-        merge_scan_match(db.grid, gq, table, hot=hot)
+        table = merge_scan_match(db.grid, gq, ScoreTable(fanin=cutoff))
+        hot = table.hot
         joined = dict(table.items())
         cells = []
         if hot.n_cells:
@@ -453,16 +453,22 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
         assert all(len(db_keys) * len(q_keys) > cutoff for db_keys, _, q_keys in cells)
 
 
+def _pair_rows(scored):
+    """The scored pairs as (packed db ref, packed query ref, count) tuples, in key order."""
+    return list(zip(*(column.tolist() for column in matcher._decode(scored.pairs))))
+
+
 def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
     db, _ = _lattice_db(tmp_path, 10)
-    table, hot = ScoreTable(), HotCells(0)
+    table = ScoreTable(fanin=0)
+    hot = table.hot
     add_cell(table, [RefId(0, 1)], [RefId(0, 8)], [1])
     add_cell(hot, [RefId(0, 1)], [RefId(0, 7)], [3])  # hot cell A: db frame 1, query frame 7
     add_cell(hot, [RefId(0, 2)], [RefId(0, 8)], [2])  # hot cell B: db frame 2, query frame 8
     # tau 0: every pair that met, none of the crossed pairs that did not, e.g. (2, 7)
-    assert finalize_scores(table, db, hot, 0.0).pairs.tolist() == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
+    assert _pair_rows(finalize_scores(table, db, 0.0)) == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
     # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not
-    assert finalize_scores(table, db, hot, 0.3).pairs.tolist() == [(1, 7, 3), (1, 8, 1)]
+    assert _pair_rows(finalize_scores(table, db, 0.3)) == [(1, 7, 3), (1, 8, 1)]
 
 
 @pytest.mark.parametrize("cutoff", CUTOFFS)

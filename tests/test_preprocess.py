@@ -451,3 +451,13 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
         PatchDatabase.load(db_dir)
     assert main(["add", "--db", str(db_dir)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_memory_budget_below_two_entries_is_rejected(tmp_path, budget):
+    proteins, patches = corpus(3, n_proteins=2)
+    with pytest.raises(ValueError, match="memory budget"):
+        build_patch_database(patches, P1, tmp_path / "rejected", memory_budget_entries=budget)
+    db = build_patch_database(patches, P1, tmp_path / "db")
+    with pytest.raises(ValueError, match="memory budget"):
+        match_query(proteins[0], db, 0.5, tmp_dir=tmp_path, memory_budget_entries=budget)

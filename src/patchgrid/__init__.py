@@ -70,7 +70,6 @@ from .preprocess import (
     PatchMeta,
     add_patches,
     build_patch_database,
-    insert_patch,
     residue_frames,
 )
 from .reliability import (

@@ -94,7 +94,6 @@ def naive_match(
     params: GridParams,
     mode: FrameMode,
     tau: float,
-    triple_cap: int = DEFAULT_TRIPLE_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> list[MatchResult]:
     """Match a query against patches entirely in memory.
@@ -102,7 +101,8 @@ def naive_match(
     PerResidue mode mirrors the engine bit for bit: same frames, same
     transform kernel, same quantization, same mps clip, same increment rule,
     same normalization and ordering. AllTriples mode enumerates every triple
-    frame and applies no clipping.
+    frame, up to ``DEFAULT_TRIPLE_CAP`` atoms per structure, and applies no
+    clipping.
     """
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must be in [0, 1]")
@@ -117,7 +117,7 @@ def naive_match(
     entries_budget = entry_cap
     for patch in patches:
         key = len(patch_of_key)
-        frames = naive_frames(patch.atoms, mode, structure_key=key, triple_cap=triple_cap)
+        frames = naive_frames(patch.atoms, mode, structure_key=key)
         if not frames:
             continue
         patch_of_key[key] = patch
@@ -141,7 +141,7 @@ def naive_match(
     # Walk the query frames and accumulate the same increment rule as the
     # merge scan: each database frame's cell count is added once per query
     # frame that occupies the cell.
-    query_frames = naive_frames(query.atoms, mode, structure_key=0, triple_cap=triple_cap)
+    query_frames = naive_frames(query.atoms, mode, structure_key=0)
     points = positions_array(query.atoms)
     scores: dict[tuple, int] = {}
     for frame_id, frame in query_frames:

@@ -43,7 +43,7 @@ SHARED_OPTIONS = {
     "tau_pp": (float, 0.9, "patch match score threshold (default 0.9)"),
     "mem_budget": (int, DEFAULT_MEMORY_BUDGET, "external-sort memory budget in entries"),
     "db": (str, None, "database directory"),
-    "tmp": (str, None, "directory for temporary files"),
+    "tmp": (Path, None, "directory for temporary files"),
 }
 
 ENV_PREFIX = "PATCHGRID_"
@@ -188,14 +188,18 @@ def cmd_build_db(args: argparse.Namespace) -> int:
         if staging.exists():
             print(f"warning: removing {staging} left by an interrupted build-db", file=sys.stderr)
             shutil.rmtree(staging)
-        db = preprocess.build_patch_database(
-            patches,
-            params,
-            staging,
-            memory_budget_entries=config["mem_budget"],
-            tmp_dir=Path(config["tmp"]) if config["tmp"] else None,
-            counters=counters,
-        )
+        try:
+            db = preprocess.build_patch_database(
+                patches,
+                params,
+                staging,
+                memory_budget_entries=config["mem_budget"],
+                tmp_dir=config["tmp"],
+                counters=counters,
+            )
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
         os.rename(staging, db_dir)
         for key in ("structures", "site_patches", "template_patches", "duplicates_removed",
                     "patches_excluded", "patches_indexed"):
@@ -227,7 +231,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         query,
         db,
         config["tau_pp"],
-        tmp_dir=Path(config["tmp"]) if config["tmp"] else None,
+        tmp_dir=config["tmp"],
         memory_budget_entries=config["mem_budget"],
         stats=stats,
     )
@@ -252,7 +256,7 @@ def cmd_add(args: argparse.Namespace) -> int:
             db,
             _read_inputs(args, counters),
             memory_budget_entries=config["mem_budget"],
-            tmp_dir=Path(config["tmp"]) if config["tmp"] else None,
+            tmp_dir=config["tmp"],
             counters=counters,
         )
         if args.compact:
@@ -339,8 +343,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         query_proteins,
         source_proteins,
         db,
-        db.params,
-        tmp_dir=Path(config["tmp"]) if config["tmp"] else None,
+        tmp_dir=config["tmp"],
         counters=counters,
     )
     out_path = Path(args.out) if args.out else Path("tp_report.tsv")

@@ -241,15 +241,11 @@ def morton_decode(z: int, params: GridParams) -> CellIndex:
 # Atomic file helpers
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
+def atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(text.encode("utf-8"))
     os.replace(tmp, path)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,28 +12,30 @@ which keeps scores in [0, 1].
 
 The read path is columnar from the run file to the threshold. Each cell
 arrives as a ``(count, 3)`` uint32 array, and the matched cells' arrays are
-collected and scored in batches of about ``score_budget`` entries: a cell's
-distinct frames and their entry counts are the runs of equal packed
-(structure key, residue ordinal) keys in its sorted entries, and a cold
-cell's cross product becomes increment rows built with ``np.repeat``,
-``budget`` rows at a time. A row is keyed by one integer, the dense database
-index times the number of query frames plus the dense query index over the
-batch's sorted distinct keys, so the rows reduce with one ``np.bincount``,
-or one sort of the key when the key space is sparse. Beyond ``budget``
-buffered rows the buffer is reduced in memory to one block of distinct
-pairs; the final merge reduces those blocks with the buffer once. The
-scored pairs stay that one block (``_Block``) through the hot-cell recount
-to the threshold, which is applied to the raw counts, so a ``MatchResult``
-is built only for a pair that is kept.
+collected and scored in batches of about the score table's ``budget``
+entries (``DEFAULT_SCORE_BUDGET`` in ``match_query``): a cell's distinct
+frames and their entry counts are the runs of equal packed (structure key,
+residue ordinal) keys in its sorted entries, and a cold cell's cross product
+becomes increment rows built with ``np.repeat``, ``budget`` rows at a time.
+A row is keyed by one integer, the dense database index times the number of
+query frames plus the dense query index over the batch's sorted distinct
+keys, so the rows reduce with one ``np.bincount``, or one sort of the key
+when the key space is sparse. Beyond ``budget`` buffered rows the buffer is
+reduced in memory to one block of distinct pairs; the final merge reduces
+those blocks with the buffer once. The scored pairs stay that one block
+(``_Block``) through the hot-cell recount to the threshold, which is applied
+to the raw counts, so a ``MatchResult`` is built only for a pair that is
+kept.
 
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
 frame, yet none of them can decide a match alone. ``match_query`` therefore
 marks a matched cell *hot*, during the scan, when its fan-in (distinct
-database frames times distinct query frames) exceeds a cutoff. A hot cell
-adds no rows to the score table; the table's ``hot`` collector keeps it in
-memory as its database keys, their entry counts and its query keys, and
-each database frame f sums its hot-cell counts into ``hot_max[f]``. A pair
+database frames times distinct query frames) exceeds the internal cutoff
+``_HOT_FANIN``. A hot cell adds no rows to the score table; the table's
+``hot`` collector keeps it in memory as its database keys, their entry
+counts and its query keys, and each database frame f sums its hot-cell
+counts into ``hot_max[f]``. A pair
 (f, q) then scores at most ``cold(f, q) + hot_max[f]``, where ``cold`` is
 its score-table count, because q can gain at most f's own count from each
 hot cell. After the scan a cold pair stays a candidate only if that bound
@@ -181,7 +183,9 @@ class ScoreTable:
     The table owns the query's hot cells as ``hot``, a ``HotCells``: the
     merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
     instead of to ``add``. The default ``fanin`` makes no cell hot, so
-    ``items()`` is then the full join.
+    ``items()`` is then the full join. ``match_query`` builds its table from
+    the module constants ``DEFAULT_SCORE_BUDGET`` and ``_HOT_FANIN``; they
+    are internal and not options of any entry point.
     """
 
     def __init__(self, budget: int = DEFAULT_SCORE_BUDGET, fanin: float = math.inf):
@@ -556,14 +560,13 @@ def match_query(
     tau_pp: float,
     tmp_dir: Path | None = None,
     memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
-    score_budget: int = DEFAULT_SCORE_BUDGET,
     stats: dict | None = None,
-    _hot_fanin: int | None = None,
 ) -> list[MatchResult]:
     """Full pipeline: query grid, merge scan, normalization, threshold.
 
-    ``_hot_fanin`` overrides the hot-cell cutoff ``_HOT_FANIN``; it changes
-    the speed, never the results.
+    The score table buffers ``DEFAULT_SCORE_BUDGET`` rows and marks a cell
+    hot above the fan-in ``_HOT_FANIN``; both are module constants, read
+    when the query runs, and neither changes the results.
     """
     if not (0.0 <= tau_pp <= 1.0):
         raise ValueError("tau_pp must be in [0, 1]")
@@ -579,7 +582,7 @@ def match_query(
             tmp_dir=tmp_dir,
             counters=stats,
         )
-        table = ScoreTable(score_budget, _HOT_FANIN if _hot_fanin is None else _hot_fanin)
+        table = ScoreTable(DEFAULT_SCORE_BUDGET, _HOT_FANIN)
         merge_scan_match(db.grid, gq, table, stats=stats)
         scored = finalize_scores(table, db, tau_pp)
     if stats is not None:

@@ -30,7 +30,7 @@ import itertools
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +53,8 @@ ANCHOR_ATOM_NAMES = ("CA", "N", "C")
 
 GRID_SUBDIR = "grid"
 MANIFEST_FILE = "manifest.tsv"
+# The manifest's one-value rows; each appears exactly once.
+_SETTING_ROWS = ("delta", "bits_per_axis", "mps")
 
 
 class PatchMeta(NamedTuple):
@@ -118,27 +120,6 @@ def residue_frames(
     return ResidueFrames(ordinals[valid], origins[valid], bases[valid])
 
 
-def insert_patch(
-    patch: Patch,
-    params: GridParams,
-    structure_key: int = 0,
-) -> Iterator[tuple[int, int, int, int]]:
-    """Emit one grid entry per (frame, atom) pair of the patch.
-
-    An entry is the tuple (z, structure_key, residue_ordinal, atom_ordinal):
-    z is the Morton code of the atom's quantized frame coordinate, and the
-    frame is the one of residue ``residue_ordinal``; a patch with n atoms
-    and m frames yields exactly n*m entries. Raises NoValidFrame when no
-    residue yields a frame (before any entry is produced); out-of-extent
-    atoms raise OutOfExtent since database patches are small by
-    construction.
-    """
-    frames = residue_frames(patch.atoms)
-    if not frames:
-        raise NoValidFrame(f"patch {patch.patch_id}: no residue yields a frame")
-    return _patch_entries(patch, frames, params, structure_key, None)
-
-
 def _patch_entries(patch, frames, params, structure_key, stats):
     # One transform of all frames, then quantization and Morton codes as
     # columns; the entries leave as tuples, one per stored entry.
@@ -162,11 +143,14 @@ def _patch_entries(patch, frames, params, structure_key, stats):
 class PatchDatabase:
     """An indexed patch collection: disk grid plus per-patch metadata."""
 
-    params: GridParams
     grid: DiskGrid
     patch_meta: dict[int, PatchMeta]
     mps: float
     directory: Path
+
+    @property
+    def params(self) -> GridParams:
+        return self.grid.params
 
     @property
     def patch_ids(self) -> set[str]:
@@ -194,10 +178,11 @@ class PatchDatabase:
     def load(cls, directory: Path) -> "PatchDatabase":
         """Read a database from its manifest and check it against its runs.
 
-        Raises CorruptDatabase when a manifest row is missing or malformed,
-        when the patches' sum of n_atoms*n_frames differs from the runs'
-        entry total, or when a listed run file is missing or its size
-        disagrees with its cell and entry counts.
+        Raises CorruptDatabase when a manifest row is missing, malformed,
+        repeated or of unknown kind, when the patches' sum of
+        n_atoms*n_frames differs from the runs' entry total, or when a
+        listed run file is missing or its size disagrees with its cell and
+        entry counts.
         """
         directory = Path(directory)
         values: dict[str, str] = {}
@@ -213,9 +198,15 @@ class PatchDatabase:
                         runs.append(RunInfo(name, int(n_cells), int(n_entries)))
                     elif kind == "patch":
                         key, patch_id, source_id, n_atoms, n_frames = fields
+                        if int(key) in meta:
+                            raise CorruptDatabase(f"{manifest}: repeated patch row for key {key}")
                         meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
-                    else:
+                    elif kind in _SETTING_ROWS:
+                        if kind in values:
+                            raise CorruptDatabase(f"{manifest}: repeated {kind} row")
                         (values[kind],) = fields
+                    else:
+                        raise CorruptDatabase(f"{manifest}: unknown row kind {kind!r}")
             params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
             mps = float(values["mps"])
         except KeyError as exc:
@@ -223,7 +214,6 @@ class PatchDatabase:
         except ValueError as exc:
             raise CorruptDatabase(f"{manifest}: malformed row: {exc}") from exc
         db = cls(
-            params=params,
             grid=DiskGrid(params=params, directory=directory / GRID_SUBDIR, runs=runs),
             patch_meta=meta,
             mps=mps,
@@ -260,7 +250,6 @@ def build_patch_database(
         raise ValueError("at least one patch is required")
     db_dir = Path(db_dir)
     empty = PatchDatabase(
-        params=params,
         grid=DiskGrid(params=params, directory=db_dir / GRID_SUBDIR),
         patch_meta={},
         mps=0.0,
@@ -340,7 +329,6 @@ def _append_run(
     )
     grid.runs.append(info)
     updated = PatchDatabase(
-        params=db.params,
         grid=grid,
         patch_meta=meta,
         mps=max(db.mps, build_stats.get("max_radius", 0.0)),

@@ -225,7 +225,6 @@ def sweep(
     query_proteins: Mapping[str, Protein],
     source_proteins: Mapping[str, Protein],
     db: PatchDatabase,
-    params: GridParams,
     identity_cache: dict | None = None,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
@@ -234,9 +233,10 @@ def sweep(
 
     ``pairs`` must carry scores at or below the smallest tau_pp of interest;
     each row keeps pairs with score >= tau_pp, applies the redundancy filter
-    at tau_prot, then computes D and TP against a shared R. In ``counters``,
-    ``pairs_missing_source``, ``pairs_removed_redundant`` and
-    ``pairs_unannotated`` count each input pair once if any row counts it.
+    at tau_prot with ``db.params``, then computes D and TP against a shared
+    R. In ``counters``, ``pairs_missing_source``, ``pairs_removed_redundant``
+    and ``pairs_unannotated`` count each input pair once if any row counts
+    it.
     """
     if identity_cache is None:
         identity_cache = {}
@@ -251,7 +251,7 @@ def sweep(
                 query_proteins,
                 source_proteins,
                 tau_prot,
-                params,
+                db.params,
                 identity_cache=identity_cache,
                 tmp_dir=tmp_dir,
                 counters=row_counters,

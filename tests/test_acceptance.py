@@ -370,7 +370,7 @@ def test_acceptance_09_tp_rate_machinery(tmp_path):
     ]
     cache = {(q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")}
     report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {},
-                   db, db.params, identity_cache=cache)
+                   db, identity_cache=cache)
     # hand computation: R = 4/8; D per tau_pp tier; TP = (D - R) / (1 - R)
     expected_d = {0.80: 4 / 8, 0.85: 4 / 6, 0.90: 3 / 4, 0.95: 2 / 2}
     parsed = [line.split("\t") for line in report.to_tsv().splitlines()[1:]]
@@ -436,7 +436,7 @@ def test_acceptance_10_threshold_semantics(tmp_path):
         "B": KeywordAnnotation("B", frozenset({"k"})),
     }
     report = sweep(pairs, config, annotations, query_proteins, source_proteins,
-                   db, params, identity_cache=cache, tmp_dir=tmp_path)
+                   db, identity_cache=cache, tmp_dir=tmp_path)
     rows = {(row.tau_pp, row.tau_prot) for row in report.rows}
     assert rows == set(itertools.product((0.80, 0.85, 0.90, 0.95),
                                          tuple(round(0.1 * i, 10) for i in range(1, 11))))

@@ -334,6 +334,22 @@ def test_zero_memory_budget_exits_2(workspace, capsys):
     assert "memory budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, status, message", [
+    (["--mem-budget", "0"], 2, "memory budget"),
+    (["--bits-per-axis", "2", "--delta", "0.5"], 1, "quantizes outside the grid extent"),
+], ids=["memory budget", "out of extent"])
+def test_failed_build_leaves_nothing_behind(workspace, capsys, flags, status, message):
+    tmp_path, files, _, _, _ = workspace
+    db_dir = tmp_path / "dbz"
+    assert main(["build-db", str(files["SRC0"]), "--db", str(db_dir), *flags]) == status
+    assert message in capsys.readouterr().err
+    left = [path for path in (db_dir, tmp_path / "dbz.building", tmp_path / "dbz.lock") if path.exists()]
+    assert left == []
+    assert main(["build-db", str(files["SRC0"]), "--db", str(db_dir)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert PatchDatabase.load(db_dir).patch_ids == {"SRC0_0"}
+
+
 def run_module(*argv, cwd):
     """Run ``python -m patchgrid`` with this checkout's src/ on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,6 +1,8 @@
 import random
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -400,7 +402,8 @@ def test_threshold_pushdown_equals_reference(tmp_path, seed):
     for tau in (0.0, 0.5, 1.0, scores[len(scores) // 2]):  # the last one is an exact score
         expected = match_reference(instance.query, db, tau, tmp_path)
         for budget in (3, DEFAULT_SCORE_BUDGET):
-            results = match_query(instance.query, db, tau, tmp_dir=tmp_path, score_budget=budget)
+            with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", budget):
+                results = match_query(instance.query, db, tau, tmp_dir=tmp_path)
             assert results == expected
             assert all(type(r.score) is float for r in results)
 
@@ -423,6 +426,11 @@ def test_threshold_pushdown_exact_boundary(tmp_path):
 
 # Every matched cell hot, some hot, the default cutoff, no cell hot.
 CUTOFFS = [0, 4, None, 2**62]
+
+
+def hot_fanin(cutoff):
+    """Set the hot-cell cutoff match_query reads; None keeps the default."""
+    return nullcontext() if cutoff is None else mock.patch.object(matcher, "_HOT_FANIN", cutoff)
 
 
 def _oracle(instance, tau):
@@ -478,9 +486,8 @@ def test_pruned_match_equals_oracle(tmp_path, cutoff):
         db = build_patch_database(instance.patches, instance.params, tmp_path / f"db{seed}")
         for tau in (0.0, 0.5, 0.9, 1.0):
             stats: dict = {}
-            results = match_query(
-                instance.query, db, tau, tmp_dir=tmp_path, stats=stats, _hot_fanin=cutoff
-            )
+            with hot_fanin(cutoff):
+                results = match_query(instance.query, db, tau, tmp_dir=tmp_path, stats=stats)
             assert results == _oracle(instance, tau)
             if cutoff == 0:
                 assert stats["hot_cells"] > 0 and stats["score_rows"] == 0
@@ -500,7 +507,8 @@ def test_pruned_match_equals_oracle_property(seed, cutoff, data):
     with tempfile.TemporaryDirectory() as tmp:
         db = build_patch_database(instance.patches, instance.params, Path(tmp) / "db")
         for tau in (0.0, 0.5, 1.0, exact):
-            results = match_query(instance.query, db, tau, tmp_dir=tmp, _hot_fanin=cutoff)
+            with hot_fanin(cutoff):
+                results = match_query(instance.query, db, tau, tmp_dir=tmp)
             assert results == _oracle(instance, tau)
 
 
@@ -510,16 +518,18 @@ def test_pruned_match_exact_boundary(tmp_path, cutoff):
     rng = random.Random(8)
     db, patch = _lattice_db(tmp_path, 10)
     query = Protein("A", move_atoms(patch.atoms[:7], *rigid_motion(rng)))
-    results = match_query(query, db, 0.7, tmp_dir=tmp_path, _hot_fanin=cutoff)
-    assert [r.score for r in results] == [0.7]
-    assert match_query(query, db, 0.7000000000000001, tmp_dir=tmp_path, _hot_fanin=cutoff) == []
+    with hot_fanin(cutoff):
+        results = match_query(query, db, 0.7, tmp_dir=tmp_path)
+        assert [r.score for r in results] == [0.7]
+        assert match_query(query, db, 0.7000000000000001, tmp_dir=tmp_path) == []
 
 
 def test_all_hot_tau_zero_reports_no_zero_count_pair(tmp_path):
     instance = planted_instance(seed=83, n_patches=6)
     db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
     stats: dict = {}
-    results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats, _hot_fanin=0)
+    with hot_fanin(0):
+        results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
     assert results == _oracle(instance, 0.0)
     assert all(r.score > 0.0 for r in results)
     assert stats["pairs_scored"] == len(results)
@@ -539,11 +549,12 @@ def test_pairs_scored_is_length_of_finalized_pairs(tmp_path, monkeypatch, cutoff
     instance = planted_instance(seed=85, n_patches=6)
     db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
     stats: dict = {}
-    match_query(instance.query, db, 0.5, tmp_dir=tmp_path, stats=stats, _hot_fanin=cutoff)
+    with hot_fanin(cutoff):
+        match_query(instance.query, db, 0.5, tmp_dir=tmp_path, stats=stats)
     assert lengths == [stats["pairs_scored"]]
 
 
-def test_structural_identity_unchanged_by_pruning(tmp_path, monkeypatch):
+def test_structural_identity_unchanged_by_pruning(tmp_path):
     rng = random.Random(12)
     b = random_protein(rng, "B", 4)
     pairs = [
@@ -551,12 +562,12 @@ def test_structural_identity_unchanged_by_pruning(tmp_path, monkeypatch):
         (move_protein(b, *rigid_motion(rng), new_id="M"), b),
         (Protein("P", move_atoms(b.atoms[: len(b.atoms) // 2], *rigid_motion(rng))), b),
     ]
-    monkeypatch.setattr(matcher, "_HOT_FANIN", 2**62)
-    unpruned = [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs]
+    with hot_fanin(2**62):
+        unpruned = [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs]
     assert 0.0 < min(unpruned) and max(unpruned) == 1.0
     for cutoff in (0, 4):
-        monkeypatch.setattr(matcher, "_HOT_FANIN", cutoff)
-        assert [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs] == unpruned
+        with hot_fanin(cutoff):
+            assert [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs] == unpruned
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +609,8 @@ def test_match_query_single_access_counters(tmp_path):
 def test_match_query_spill_equals_in_memory(tmp_path):
     instance = planted_instance(seed=78, n_patches=6)
     db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
-    spilled = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, score_budget=3)
+    with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", 3):
+        spilled = match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
     in_memory = match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
     assert spilled == in_memory
 

@@ -19,7 +19,7 @@ from patchgrid.geometry import (
     positions_array,
     transform_points,
 )
-from patchgrid.grid import CellIndex, GridParams, morton_encode
+from patchgrid.grid import CellIndex, GridParams, morton_encode, scan
 from patchgrid.ingest import OriginTag, Patch
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import (
@@ -27,7 +27,6 @@ from patchgrid.preprocess import (
     add_patches,
     build_patch_database,
     compact,
-    insert_patch,
     residue_frames,
 )
 from patchgrid.synthetic import lattice_patch, random_protein
@@ -133,25 +132,23 @@ def test_residue_frames_keep_order_of_first_appearance():
     assert [ro for ro, _ in residue_frames(atoms)] == [7, 2]
 
 
-def test_insert_patch_counts_n_times_m():
-    patch = two_frame_patch()
-    entries = list(insert_patch(patch, P1))
-    assert len(entries) == 7 * 2
-
-
-def test_insert_patch_no_valid_frame_is_eager():
+def test_build_without_a_valid_frame_creates_no_directory(tmp_path):
     atoms = tuple(residue(COMPLETE[:2]))
     patch = Patch("BAD_0", "BAD", atoms, OriginTag.SiteRecord)
     with pytest.raises(NoValidFrame):
-        insert_patch(patch, P1)
+        build_patch_database([patch], P1, tmp_path / "db")
+    assert not (tmp_path / "db").exists()
 
 
-def test_insert_patch_anchor_lands_in_origin_cell():
-    patch = Patch("ONE_0", "ONE", tuple(residue(COMPLETE)), OriginTag.SiteRecord)
-    entries = list(insert_patch(patch, P1, structure_key=3))
-    ca_cells = [z for z, _, _, ao in entries if ao == 0]
+def test_built_patch_anchor_lands_in_origin_cell(tmp_path):
+    # the second patch is indexed under structure key 1
+    one = Patch("ONE_0", "ONE", tuple(residue(COMPLETE)), OriginTag.SiteRecord)
+    db = build_patch_database([two_frame_patch(), one], P1, tmp_path / "db")
+    with scan(db.grid) as cursor:
+        entries = [(cell.z, *row) for cell in cursor for row in cell.entries.tolist()]
+    ca_cells = [z for z, sk, _, ao in entries if sk == 1 and ao == 0]
     assert ca_cells == [morton_encode(CellIndex(0, 0, 0), P1)]
-    assert all(sk == 3 for _, sk, _, _ in entries)
+    assert sum(sk == 1 for _, sk, _, _ in entries) == len(one.atoms)
 
 
 def test_build_database_entry_exactness(tmp_path):
@@ -286,7 +283,7 @@ def test_out_of_extent_patch_rejected(tmp_path):
     from patchgrid.errors import OutOfExtent
 
     with pytest.raises(OutOfExtent):
-        list(insert_patch(patch, params))
+        build_patch_database([patch], params, tmp_path / "db")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +417,19 @@ def test_compact_deletes_only_unlisted_run_files(tmp_path):
     assert PatchDatabase.load(db.directory).grid.runs == [listed]
 
 
+# Rows save() never writes, appended to a valid manifest.
+EXTRA_ROWS = {
+    "unknown row kind": "bogus\t1\n",
+    "repeated delta": "delta\t1.0\n",
+    "repeated bits_per_axis": "bits_per_axis\t21\n",
+    "repeated mps": "mps\t0.1\n",
+    "repeated patch": None,  # the manifest's last patch row again
+}
+
+
 @pytest.mark.parametrize("damage", [
     "drop run row", "truncate run file", "drop mps row", "run row missing field",
-    "non-integer count",
+    "non-integer count", *EXTRA_ROWS,
 ])
 def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     _, patches = corpus(seed=8, n_proteins=6)
@@ -444,13 +451,18 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
             if row.startswith("patch\t") else row
             for row in rows
         ))
+    elif damage in EXTRA_ROWS:
+        manifest.write_text("".join(rows) + (EXTRA_ROWS[damage] or rows[-1]))
     else:
         path = db.grid.run_path(db.grid.runs[0])
         path.write_bytes(path.read_bytes()[:-12])
     with pytest.raises(CorruptDatabase):
         PatchDatabase.load(db_dir)
     assert main(["add", "--db", str(db_dir)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if damage in EXTRA_ROWS:
+        assert f"{manifest}: " in err
 
 
 @pytest.mark.parametrize("budget", [0, 1])

@@ -274,7 +274,7 @@ def hand_built_sweep_inputs(tmp_path):
 def test_sweep_matches_hand_computation(tmp_path):
     annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
     config = EvalConfig()
-    report = sweep(pairs, config, annotations, {"Q1": None, "Q2": None}, {}, db, P1,
+    report = sweep(pairs, config, annotations, {"Q1": None, "Q2": None}, {}, db,
                    identity_cache=cache)
     assert len(report.rows) == 40
     # R: 8 cross pairs, sharing = (Q1,S1),(Q1,S3),(Q2,S2),(Q2,S3) -> 0.5
@@ -293,7 +293,7 @@ def test_sweep_matches_hand_computation(tmp_path):
 
 def test_sweep_grid_dimensions(tmp_path):
     annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
-    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db, P1,
+    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db,
                    identity_cache=cache)
     taus_pp = sorted({row.tau_pp for row in report.rows})
     taus_prot = sorted({row.tau_prot for row in report.rows})
@@ -304,7 +304,7 @@ def test_sweep_grid_dimensions(tmp_path):
 def test_sweep_empty_results_all_na(tmp_path):
     db = _db_with_sources(tmp_path, ["S1"])
     report = sweep([], EvalConfig(), {"S1": ann("S1", "k"), "Q": ann("Q", "k")},
-                   {"Q": None}, {}, db, P1, identity_cache={})
+                   {"Q": None}, {}, db, identity_cache={})
     assert all(row.d_value is None and row.tp is None for row in report.rows)
     text = report.to_tsv()
     assert "NA" in text
@@ -316,7 +316,7 @@ def test_sweep_pair_count_consistency(tmp_path):
     cache[("Q1", "S1")] = 0.95  # planted redundant pair
     counters: dict[str, int] = {}
     report = sweep(pairs, EvalConfig(tau_pp_values=(0.8,), tau_prot_values=(0.5,)),
-                   annotations, {"Q1": None, "Q2": None}, {}, db, P1,
+                   annotations, {"Q1": None, "Q2": None}, {}, db,
                    identity_cache=cache, counters=counters)
     (row,) = report.rows
     assert row.pair_count + counters["pairs_removed_redundant"] == len(pairs)
@@ -328,7 +328,7 @@ def test_sweep_counters_count_each_pair_once(tmp_path):
     pairs.append(pair("Q1", "S9", 0.96))  # no source structure: dropped in all 40 rows
     del annotations["S4"]  # (Q1, S4) and (Q2, S4) unannotated in the 10 rows at tau_pp 0.8
     counters: dict[str, int] = {}
-    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db, P1,
+    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db,
                    identity_cache=cache, counters=counters)
     assert len(report.rows) == 40
     assert counters["pairs_removed_redundant"] == 1

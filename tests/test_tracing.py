@@ -8,8 +8,9 @@ line, so the library itself must print nothing.
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
-from patchgrid import grid, preprocess
+from patchgrid import grid, matcher, preprocess
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import add_patches, build_patch_database, compact
 from patchgrid.synthetic import planted_instance
@@ -45,7 +46,8 @@ def test_tracer_counts_score_table_reductions_like_the_program(tmp_path):
     tracer.install(tracing.TARGETS)
     try:
         stats: dict = {}
-        match_query(instance.query, db, 0.0, tmp_dir=tmp_path, score_budget=3, stats=stats)
+        with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", 3):
+            match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
     finally:
         tracer.uninstall()
     assert tracer.n_calls("matcher.score_spills") == stats["score_spills"] > 0
@@ -61,6 +63,7 @@ def test_library_writes_nothing_to_stdout(tmp_path, capsys):
     assert len(db.grid.runs) == 2
     db = compact(db)
     stats: dict = {}
-    results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, score_budget=3, stats=stats)
+    with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", 3):
+        results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
     assert results and stats["score_spills"] > 0
     assert capsys.readouterr().out == ""

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .geometry import (
     AtomRecord,
+    Atoms,
     Point3,
     RigidFrame,
     distance,

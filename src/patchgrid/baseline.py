@@ -19,11 +19,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, CollinearAtoms, OutOfExtent
 from .geometry import (
-    AtomRecord,
+    Atoms,
     RigidFrame,
     frame_from_triple,
     point_norms,
-    positions_array,
     transform_points,
 )
 from .grid import GridParams, RefId, cells_of_points
@@ -49,7 +48,7 @@ class TripleFrameId(NamedTuple):
 
 
 def naive_frames(
-    atoms: Sequence[AtomRecord],
+    atoms: Atoms,
     mode: FrameMode,
     structure_key: int = 0,
     triple_cap: int = DEFAULT_TRIPLE_CAP,
@@ -69,6 +68,7 @@ def naive_frames(
     n = len(atoms)
     if n > triple_cap:
         raise CapExceeded(f"AllTriples over {n} atoms exceeds cap {triple_cap}")
+    points, ordinals = atoms.positions, atoms.atom_ordinals.tolist()
     frames: list[tuple[RefId | TripleFrameId, RigidFrame]] = []
     for i in range(n):
         for j in range(n):
@@ -78,12 +78,10 @@ def naive_frames(
                 if k == i or k == j:
                     continue
                 try:
-                    frame = frame_from_triple(
-                        atoms[i].position, atoms[j].position, atoms[k].position
-                    )
+                    frame = frame_from_triple(points[i], points[j], points[k])
                 except CollinearAtoms:
                     continue
-                triple = (atoms[i].atom_ordinal, atoms[j].atom_ordinal, atoms[k].atom_ordinal)
+                triple = (ordinals[i], ordinals[j], ordinals[k])
                 frames.append((TripleFrameId(structure_key, triple), frame))
     return frames
 
@@ -121,7 +119,7 @@ def naive_match(
         if not frames:
             continue
         patch_of_key[key] = patch
-        points = positions_array(patch.atoms)
+        points = patch.atoms.positions
         for frame_id, frame in frames:
             coords = transform_points(frame, points)
             radius = float(point_norms(coords).max())
@@ -142,7 +140,7 @@ def naive_match(
     # merge scan: each database frame's cell count is added once per query
     # frame that occupies the cell.
     query_frames = naive_frames(query.atoms, mode, structure_key=0)
-    points = positions_array(query.atoms)
+    points = query.atoms.positions
     scores: dict[tuple, int] = {}
     for frame_id, frame in query_frames:
         coords = transform_points(frame, points)

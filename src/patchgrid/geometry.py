@@ -1,4 +1,8 @@
-"""Points, rigid reference frames built from atom triples, and frame transforms.
+"""Atoms, points, rigid reference frames built from atom triples, and frame transforms.
+
+``Atoms`` holds a structure's atoms as read-only columns, the one form in
+which atoms are stored; ``AtomRecord`` is the row view it gives out one
+atom at a time.
 
 A frame is an orthonormal, right-handed coordinate system anchored at an
 atom. For a residue the anchors are (CA, N, C): the origin sits on CA,
@@ -13,10 +17,9 @@ are safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,9 +42,8 @@ class Point3(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class AtomRecord:
-    """One atom of a structure, in file order.
+class AtomRecord(NamedTuple):
+    """One atom of a structure, in file order: the row view of ``Atoms``.
 
     ``atom_ordinal`` is the 0-based position within the parent structure and
     ``residue_ordinal`` the 0-based index of the residue the atom belongs to
@@ -58,6 +60,121 @@ class AtomRecord:
     position: Point3
     chain_id: str = "A"
     residue_seq: int = 0
+
+
+class Atoms:
+    """The atoms of one structure or patch, in file order, as columns.
+
+    Row i of every column describes the same atom: ``positions`` is an
+    (n, 3) float64 array; ``atom_ordinals``, ``residue_ordinals`` and
+    ``residue_seqs`` are int64 arrays; ``atom_names``, ``residue_names``,
+    ``elements`` and ``chain_ids`` are object arrays of str. The columns
+    are read-only. Indexing with an int gives that row as an ``AtomRecord``,
+    iteration gives every row so, and a slice or an index array gives an
+    ``Atoms``. Two ``Atoms`` are equal when all their columns are.
+    """
+
+    __slots__ = COLUMNS = (
+        "positions", "atom_ordinals", "residue_ordinals", "residue_seqs",
+        "atom_names", "residue_names", "elements", "chain_ids",
+    )
+
+    def __init__(self, positions, atom_ordinals, residue_ordinals, residue_seqs,
+                 atom_names, residue_names, elements, chain_ids):
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        n = (len(positions),)
+        self.positions = _read_only(positions, np.float64, positions.shape)
+        self.atom_ordinals = _read_only(atom_ordinals, np.int64, n)
+        self.residue_ordinals = _read_only(residue_ordinals, np.int64, n)
+        self.residue_seqs = _read_only(residue_seqs, np.int64, n)
+        self.atom_names = _read_only(atom_names, object, n)
+        self.residue_names = _read_only(residue_names, object, n)
+        self.elements = _read_only(elements, object, n)
+        self.chain_ids = _read_only(chain_ids, object, n)
+
+    @classmethod
+    def from_records(cls, records: Iterable[AtomRecord]) -> "Atoms":
+        """Columns of a sequence of ``AtomRecord``s, in order."""
+        records = list(records)
+        return cls(
+            positions=np.array([a.position for a in records], dtype=np.float64).reshape(-1, 3),
+            atom_ordinals=[a.atom_ordinal for a in records],
+            residue_ordinals=[a.residue_ordinal for a in records],
+            residue_seqs=[a.residue_seq for a in records],
+            atom_names=[a.atom_name for a in records],
+            residue_names=[a.residue_name for a in records],
+            elements=[a.element for a in records],
+            chain_ids=[a.chain_id for a in records],
+        )
+
+    @classmethod
+    def concat(cls, parts: Iterable["Atoms"]) -> "Atoms":
+        """The rows of ``parts``, one after the other."""
+        parts = list(parts)
+        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in cls.COLUMNS))
+
+    def replace(self, **columns) -> "Atoms":
+        """A copy with the given columns replaced."""
+        return Atoms(**{name: columns.get(name, getattr(self, name)) for name in self.COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.atom_ordinals)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return AtomRecord(
+                atom_ordinal=int(self.atom_ordinals[index]),
+                element=self.elements[index],
+                atom_name=self.atom_names[index],
+                residue_ordinal=int(self.residue_ordinals[index]),
+                residue_name=self.residue_names[index],
+                position=Point3(*self.positions[index].tolist()),
+                chain_id=self.chain_ids[index],
+                residue_seq=int(self.residue_seqs[index]),
+            )
+        # Rows of valid columns stay valid; a slice of a read-only column is
+        # read-only, an index array's copy is made so.
+        atoms = object.__new__(Atoms)
+        for name in self.COLUMNS:
+            column = getattr(self, name)[index]
+            if not isinstance(index, slice):
+                column.setflags(write=False)
+            setattr(atoms, name, column)
+        return atoms
+
+    def __iter__(self) -> Iterator[AtomRecord]:
+        return map(
+            AtomRecord,
+            self.atom_ordinals.tolist(),
+            self.elements.tolist(),
+            self.atom_names.tolist(),
+            self.residue_ordinals.tolist(),
+            self.residue_names.tolist(),
+            map(Point3._make, self.positions.tolist()),
+            self.chain_ids.tolist(),
+            self.residue_seqs.tolist(),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Atoms):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS
+        )
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Atoms({list(self)!r})"
+
+
+def _read_only(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    if column.shape != shape:
+        raise ValueError(f"atom column of shape {column.shape}, not {shape}")
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +297,3 @@ def distance(p, q) -> float:
     """Euclidean distance between two points."""
     d = _as_vec(p) - _as_vec(q)
     return math.sqrt(float(d @ d))
-
-
-def positions_array(atoms: Sequence[AtomRecord]) -> np.ndarray:
-    """Stack atom positions into an (n, 3) float64 array."""
-    coordinates = itertools.chain.from_iterable([atom.position for atom in atoms])
-    return np.fromiter(coordinates, dtype=np.float64, count=3 * len(atoms)).reshape(-1, 3)

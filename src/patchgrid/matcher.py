@@ -63,7 +63,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import NoValidFrame, ParamsMismatch, PatchGridError, UnknownRefId
-from .geometry import point_norms, positions_array, transform_frames
+from .geometry import point_norms, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
     RUN_RECORD,
@@ -318,8 +318,8 @@ def build_query_grid(
     frames = residue_frames(query.atoms, counters=counters)
     if not frames:
         raise NoValidFrame(f"query {query.protein_id}: no residue yields a frame")
-    points = positions_array(query.atoms)
-    ordinals = np.array([atom.atom_ordinal for atom in query.atoms], dtype=np.uint32)
+    points = query.atoms.positions
+    ordinals = query.atoms.atom_ordinals.astype(np.uint32)
     group = max(1, memory_budget_entries // len(points))
 
     def blocks() -> Iterator[np.ndarray]:

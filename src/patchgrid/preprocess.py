@@ -3,11 +3,13 @@
 For every residue owning a complete (CA, N, C) backbone triple, one
 reference frame is generated and all patch atoms are expressed in it, so a
 patch with n atoms and m usable residues contributes exactly n*m grid
-entries. A structure's frames are built together (``residue_frames``: one
-anchor lookup, one ``frames_from_triples`` call), and a patch's entries are
-computed as columns (one transform of all its frames, one quantization, one
-Morton pass) and streamed as ``(z, structure_key, residue_ordinal,
-atom_ordinal)`` tuples into ``build_sorted_run``.
+entries. Atoms are read only as ``Atoms`` columns. Patches are indexed in
+groups whose entries fit the memory budget: a group's frames are built
+together (``residue_frames``: one anchor lookup, one ``frames_from_triples``
+call), each patch's atoms are transformed into all of its frames in one
+call, and the group's entries are quantized and Morton-encoded in one pass,
+then streamed as ``(z, structure_key, residue_ordinal, atom_ordinal)``
+tuples into ``build_sorted_run``.
 
 A database directory holds ``manifest.tsv`` and the run files
 under ``grid/``. The tab-separated manifest is the database's only root:
@@ -35,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CorruptDatabase, DuplicatePatchId, NoValidFrame, OutOfExtent
-from .geometry import AtomRecord, RigidFrame, frames_from_triples, point_norms, positions_array, transform_frames
+from .geometry import Atoms, RigidFrame, frames_from_triples, point_norms, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
     DiskGrid,
@@ -55,6 +57,9 @@ GRID_SUBDIR = "grid"
 MANIFEST_FILE = "manifest.tsv"
 # The manifest's one-value rows; each appears exactly once.
 _SETTING_ROWS = ("delta", "bits_per_axis", "mps")
+# Most entries a group of patches may bound (see _groups): the group's
+# coordinate, cell and code columns stay a few MB beside the sort's buffer.
+_GROUP_ENTRIES = 1 << 16
 
 
 class PatchMeta(NamedTuple):
@@ -67,17 +72,19 @@ class PatchMeta(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ResidueFrames:
-    """The frames of one structure, one per usable residue, as columns.
+    """The frames of one or more structures, one per usable residue, as columns.
 
     ``residue_ordinals`` (m,), ``origins`` (m, 3) and ``bases`` (m, 3, 3)
-    hold frame i's residue, origin and basis rows. Indexing and iteration
-    give ``(residue_ordinal, RigidFrame)`` pairs, in residue order of first
-    appearance.
+    hold frame i's residue, origin and basis rows, and ``structures`` (m,)
+    the index of the structure it belongs to. Indexing and iteration give
+    ``(residue_ordinal, RigidFrame)`` pairs, structure by structure and in
+    residue order of first appearance within a structure.
     """
 
     residue_ordinals: np.ndarray
     origins: np.ndarray
     bases: np.ndarray
+    structures: np.ndarray
 
     def __len__(self) -> int:
         return len(self.residue_ordinals)
@@ -86,57 +93,91 @@ class ResidueFrames:
         return int(self.residue_ordinals[i]), RigidFrame(self.origins[i], self.bases[i])
 
 
-# Column of each anchor in a residue's anchor row; any other atom name maps
-# to the spare column 3.
-_ANCHOR_COLUMN = {name: i for i, name in enumerate(ANCHOR_ATOM_NAMES)}
-
-
 def residue_frames(
-    atoms: Sequence[AtomRecord],
+    atoms: Atoms | Sequence[Atoms],
     counters: dict[str, int] | None = None,
 ) -> ResidueFrames:
     """One frame per residue possessing CA, N and C atoms (first occurrence
     each), anchored in that order. Residues missing an anchor or with
     collinear anchors are skipped and counted.
 
-    The anchors of every residue are looked up at once and all frames come
-    from one ``frames_from_triples`` call.
+    ``atoms`` is one structure or a sequence of them, whose residues are told
+    apart by structure. The anchors of every residue are looked up at once
+    and all frames come from one ``frames_from_triples`` call.
     """
-    n = len(atoms)
-    residues = np.fromiter((a.residue_ordinal for a in atoms), dtype=np.int64, count=n)
-    columns = np.fromiter((_ANCHOR_COLUMN.get(a.atom_name, 3) for a in atoms), dtype=np.int64, count=n)
-    ordinals, first_atom = np.unique(residues, return_index=True)
+    parts = [atoms] if isinstance(atoms, Atoms) else list(atoms)
+    sizes = [len(part) for part in parts]
+    n = sum(sizes)
+    residues = np.concatenate([part.residue_ordinals for part in parts])
+    names = np.concatenate([part.atom_names for part in parts])
+    columns = np.full(n, 3)
+    for k, name in enumerate(ANCHOR_ATOM_NAMES):
+        columns[names == name] = k
+    # A residue is keyed by its structure and its ordinal within it.
+    low = residues.min() if n else 0
+    span = residues.max() - low + 1 if n else 1
+    keys = np.repeat(np.arange(len(parts)), sizes) * span + (residues - low)
+    _, first_atom, residue_of_atom = np.unique(keys, return_index=True, return_inverse=True)
     # anchor[r, k]: index of the first atom of residue r in column k, n if none.
-    anchor = np.full((len(ordinals), 4), n)
-    np.minimum.at(anchor, (np.searchsorted(ordinals, residues), columns), np.arange(n))
+    anchor = np.full((len(first_atom), 4), n)
+    np.minimum.at(anchor, (residue_of_atom, columns), np.arange(n))
     order = np.argsort(first_atom)
-    anchor, ordinals = anchor[order, :3], ordinals[order]
+    anchor, first_atom = anchor[order, :3], first_atom[order]
     complete = (anchor < n).all(axis=1)
-    anchor, ordinals = anchor[complete], ordinals[complete]
-    origins, bases, valid = frames_from_triples(*positions_array(atoms)[anchor.T])
+    anchor, first_atom = anchor[complete], first_atom[complete]
+    positions = np.concatenate([part.positions for part in parts])
+    origins, bases, valid = frames_from_triples(*positions[anchor.T])
     for key, kept in (("residues_missing_anchor", complete), ("residues_collinear", valid)):
         if not kept.all():
             _count(counters, key, int(len(kept) - kept.sum()))
-    return ResidueFrames(ordinals[valid], origins[valid], bases[valid])
+    first_atom = first_atom[valid]
+    structures = np.searchsorted(np.cumsum(sizes), first_atom, side="right")
+    return ResidueFrames(residues[first_atom], origins[valid], bases[valid], structures)
 
 
-def _patch_entries(patch, frames, params, structure_key, stats):
-    # One transform of all frames, then quantization and Morton codes as
-    # columns; the entries leave as tuples, one per stored entry.
-    points = positions_array(patch.atoms)
-    coords = transform_frames(frames.origins, frames.bases, points).reshape(-1, 3)
+def _groups(patches: Sequence[Patch], limit: int):
+    """Consecutive runs of patches, each holding one patch or bounding at
+    most ``limit`` entries. A patch of n atoms has at most n // 3 frames,
+    as each frame's three anchors are distinct atoms of its own residue, so
+    it bounds n * (n // 3) entries."""
+    group: list[Patch] = []
+    bound = 0
+    for patch in patches:
+        n = len(patch.atoms)
+        if group and bound + n * (n // 3) > limit:
+            yield group
+            group, bound = [], 0
+        group.append(patch)
+        bound += n * (n // 3)
+    if group:
+        yield group
+
+
+def _patch_entries(patches, frames, params, keys, stats):
+    # One group: each patch's atoms transformed into all its frames in one
+    # call, then quantization and Morton codes over the group's columns; the
+    # entries leave as tuples, one per stored entry. A patch with no frame
+    # adds none, and keys[j] is patch j's structure key.
+    bounds = np.searchsorted(frames.structures, np.arange(len(patches) + 1)).tolist()
+    framed = [(patch, lo, hi) for patch, lo, hi in zip(patches, bounds, bounds[1:]) if hi > lo]
+    coords = np.concatenate([
+        transform_frames(frames.origins[lo:hi], frames.bases[lo:hi], patch.atoms.positions).reshape(-1, 3)
+        for patch, lo, hi in framed
+    ])
+    atom_of = np.concatenate([np.tile(patch.atoms.atom_ordinals, hi - lo) for patch, lo, hi in framed])
+    sizes = np.array([len(patch.atoms) for patch in patches])
+    frame_of = np.repeat(np.arange(len(frames)), sizes[frames.structures])
     if stats is not None:
         stats["max_radius"] = max(stats.get("max_radius", 0.0), float(point_norms(coords).max()))
     cells, in_extent = cells_of_points(coords, params)
     if not bool(in_extent.all()):
-        bad = int((~in_extent).argmax()) % len(points)
-        raise OutOfExtent(
-            f"patch {patch.patch_id}: atom {patch.atoms[bad].atom_ordinal} quantizes outside the grid extent"
-        )
+        bad = int((~in_extent).argmax())
+        patch = patches[frames.structures[frame_of[bad]]]
+        raise OutOfExtent(f"patch {patch.patch_id}: atom {atom_of[bad]} quantizes outside the grid extent")
     z = morton_codes(cells, params).tolist()
-    residues = np.repeat(frames.residue_ordinals, len(points)).tolist()
-    atom_ordinals = [atom.atom_ordinal for atom in patch.atoms] * len(frames)
-    yield from zip(z, itertools.repeat(structure_key), residues, atom_ordinals)
+    structure_keys = np.asarray(keys)[frames.structures][frame_of].tolist()
+    residues = frames.residue_ordinals[frame_of].tolist()
+    yield from zip(z, structure_keys, residues, atom_of.tolist())
 
 
 @dataclass
@@ -179,7 +220,8 @@ class PatchDatabase:
         """Read a database from its manifest and check it against its runs.
 
         Raises CorruptDatabase when a manifest row is missing, malformed,
-        repeated or of unknown kind, when the patches' sum of
+        repeated or of unknown kind, when two patch rows share a patch id,
+        when the patches' sum of
         n_atoms*n_frames differs from the runs' entry total, or when a
         listed run file is missing or its size disagrees with its cell and
         entry counts.
@@ -188,6 +230,7 @@ class PatchDatabase:
         values: dict[str, str] = {}
         runs: list[RunInfo] = []
         meta: dict[int, PatchMeta] = {}
+        patch_ids: set[str] = set()
         manifest = directory / MANIFEST_FILE
         try:
             with open(manifest, "r", encoding="utf-8") as fh:
@@ -200,6 +243,9 @@ class PatchDatabase:
                         key, patch_id, source_id, n_atoms, n_frames = fields
                         if int(key) in meta:
                             raise CorruptDatabase(f"{manifest}: repeated patch row for key {key}")
+                        if patch_id in patch_ids:
+                            raise CorruptDatabase(f"{manifest}: repeated patch id {patch_id!r}")
+                        patch_ids.add(patch_id)
                         meta[int(key)] = PatchMeta(int(key), patch_id, source_id, int(n_atoms), int(n_frames))
                     elif kind in _SETTING_ROWS:
                         if kind in values:
@@ -292,8 +338,10 @@ def _append_run(
     Structure keys continue after the largest existing key. Patches without
     a single valid frame are excluded and counted under
     ``counters['patches_excluded']``; None is returned, and nothing written,
-    when no patch is left. The run file is written first, then the manifest
-    is replaced as the commit point.
+    when no patch is left. Every group's frames are built before any entry
+    is generated, and each group's entries are generated as the sort takes
+    them. The run file is written first, then the manifest is replaced as
+    the commit point.
     """
     existing = db.patch_ids
     new_ids: set[str] = set()
@@ -306,16 +354,18 @@ def _append_run(
     meta = dict(db.patch_meta)
     build_stats: dict = {}
     next_key = max(meta) + 1 if meta else 0
-    for patch in patches:
-        frames = residue_frames(patch.atoms, counters=counters)
-        if not frames:
-            _count(counters, "patches_excluded")
-            continue
-        meta[next_key] = PatchMeta(
-            next_key, patch.patch_id, patch.source_protein_id, len(patch.atoms), len(frames)
-        )
-        streams.append(_patch_entries(patch, frames, db.params, next_key, build_stats))
-        next_key += 1
+    for group in _groups(patches, min(memory_budget_entries, _GROUP_ENTRIES)):
+        frames = residue_frames([patch.atoms for patch in group], counters=counters)
+        keys = []
+        for patch, m in zip(group, np.bincount(frames.structures, minlength=len(group)).tolist()):
+            keys.append(next_key if m else -1)
+            if not m:
+                _count(counters, "patches_excluded")
+                continue
+            meta[next_key] = PatchMeta(next_key, patch.patch_id, patch.source_protein_id, len(patch.atoms), m)
+            next_key += 1
+        if len(frames):
+            streams.append(_patch_entries(group, frames, db.params, keys, build_stats))
     if not streams:
         return None
 

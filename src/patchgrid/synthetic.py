@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import AtomRecord, Point3, positions_array, transform_points
+from .geometry import Atoms, transform_points
 from .grid import BOUNDARY_SNAP, GridParams
-from .ingest import OriginTag, Patch, Protein
+from .ingest import OriginTag, Patch, Protein, _first_appearance_ordinals
 from .preprocess import residue_frames
 
 _RESIDUE_NAMES = ("ALA", "GLY", "SER", "LEU", "VAL", "THR", "ASP", "LYS")
@@ -53,9 +53,8 @@ def rigid_motion(rng: random.Random, max_translation: float = 50.0) -> tuple[np.
     return rotation, translation
 
 
-def move_atoms(atoms: Sequence[AtomRecord], rotation: np.ndarray, translation: np.ndarray) -> tuple[AtomRecord, ...]:
-    points = positions_array(atoms) @ rotation.T + translation
-    return tuple(replace(atom, position=Point3(*row.tolist())) for atom, row in zip(atoms, points))
+def move_atoms(atoms: Atoms, rotation: np.ndarray, translation: np.ndarray) -> Atoms:
+    return atoms.replace(positions=atoms.positions @ rotation.T + translation)
 
 
 def move_protein(protein: Protein, rotation: np.ndarray, translation: np.ndarray,
@@ -74,14 +73,12 @@ def _random_direction(rng: random.Random) -> np.ndarray:
             return v / math.sqrt(n)
 
 
-def random_residue_atoms(
-    rng: random.Random,
-    residue_ordinal: int,
-    first_atom_ordinal: int,
-    center: np.ndarray,
-    n_extra_atoms: int,
-    chain_id: str = "A",
-) -> list[AtomRecord]:
+# One residue as columns: residue name, then the atom names, elements and
+# (k, 3) positions of its atoms.
+Residue = tuple[str, list[str], list[str], np.ndarray]
+
+
+def random_residue(rng: random.Random, center: np.ndarray, n_extra_atoms: int) -> Residue:
     """One residue with well-separated, non-collinear CA/N/C anchors plus
     ``n_extra_atoms`` atoms scattered within ~2.5 A of the CA."""
     residue_name = rng.choice(_RESIDUE_NAMES)
@@ -92,28 +89,29 @@ def random_residue_atoms(
         cosang = float(u @ v)
         if abs(cosang) < 0.82:
             break
-    ca = center
-    n_pos = center + rng.uniform(1.3, 1.6) * u
-    c_pos = center + rng.uniform(1.3, 1.6) * v
-    atoms = []
-    specs = [("CA", "C", ca), ("N", "N", n_pos), ("C", "C", c_pos)]
-    for i in range(n_extra_atoms):
-        offset = np.array([rng.uniform(-2.5, 2.5) for _ in range(3)])
-        specs.append((_EXTRA_ATOM_NAMES[i % len(_EXTRA_ATOM_NAMES)], "C", center + offset))
-    for i, (name, element, pos) in enumerate(specs):
-        atoms.append(
-            AtomRecord(
-                atom_ordinal=first_atom_ordinal + i,
-                element=element,
-                atom_name=name,
-                residue_ordinal=residue_ordinal,
-                residue_name=residue_name,
-                position=Point3(float(pos[0]), float(pos[1]), float(pos[2])),
-                chain_id=chain_id,
-                residue_seq=residue_ordinal + 1,
-            )
-        )
-    return atoms
+    anchors = [center, center + rng.uniform(1.3, 1.6) * u, center + rng.uniform(1.3, 1.6) * v]
+    offsets = np.array([[rng.uniform(-2.5, 2.5) for _ in range(3)] for _ in range(n_extra_atoms)])
+    names = ["CA", "N", "C"] + [_EXTRA_ATOM_NAMES[i % len(_EXTRA_ATOM_NAMES)] for i in range(n_extra_atoms)]
+    elements = ["C", "N", "C"] + ["C"] * n_extra_atoms
+    return residue_name, names, elements, np.concatenate((anchors, center + offsets.reshape(-1, 3)))
+
+
+def residues_to_atoms(residues: Sequence[Residue], chain_id: str = "A", first_residue: int = 0) -> Atoms:
+    """Consecutive residues as one Atoms: residue k gets ordinal
+    ``first_residue + k`` and sequence number one more; atoms are numbered
+    from 0."""
+    counts = [len(names) for _, names, _, _ in residues]
+    ordinals = np.repeat(np.arange(first_residue, first_residue + len(residues)), counts)
+    return Atoms(
+        positions=np.concatenate([positions for *_, positions in residues]) if residues else [],
+        atom_ordinals=np.arange(len(ordinals)),
+        residue_ordinals=ordinals,
+        residue_seqs=ordinals + 1,
+        atom_names=[name for _, names, _, _ in residues for name in names],
+        residue_names=[r[0] for r, count in zip(residues, counts) for _ in range(count)],
+        elements=[element for _, _, elements, _ in residues for element in elements],
+        chain_ids=[chain_id] * len(ordinals),
+    )
 
 
 def random_protein(
@@ -123,16 +121,12 @@ def random_protein(
     extra_atoms: tuple[int, int] = (1, 5),
     spacing: float = 4.0,
 ) -> Protein:
-    atoms: list[AtomRecord] = []
+    residues = []
     span = max(10.0, spacing * n_residues ** (1 / 3) * 2.0)
-    for r in range(n_residues):
+    for _ in range(n_residues):
         center = np.array([rng.uniform(0, span) for _ in range(3)])
-        atoms.extend(
-            random_residue_atoms(
-                rng, r, len(atoms), center, rng.randint(*extra_atoms)
-            )
-        )
-    return Protein(protein_id=protein_id, atoms=tuple(atoms))
+        residues.append(random_residue(rng, center, rng.randint(*extra_atoms)))
+    return Protein(protein_id=protein_id, atoms=residues_to_atoms(residues))
 
 
 def random_patch(
@@ -151,17 +145,19 @@ def random_patch(
     )
 
 
-def _plant(atoms: list[AtomRecord], moved: Sequence[AtomRecord], residue_base: int) -> int:
-    """Append moved patch atoms to the chain-Q query ``atoms``, numbering
-    atoms on from ``len(atoms)`` and residues on from ``residue_base``;
-    returns the next free residue ordinal."""
-    residue_map: dict[int, int] = {}
-    for atom in moved:
-        ordinal = residue_map.setdefault(atom.residue_ordinal, residue_base + len(residue_map))
-        atoms.append(replace(
-            atom, atom_ordinal=len(atoms), residue_ordinal=ordinal, chain_id="Q", residue_seq=ordinal + 1
-        ))
-    return residue_base + len(residue_map)
+def _plant(parts: list[Atoms], moved: Atoms, residue_base: int) -> int:
+    """Append moved patch atoms to the chain-Q query ``parts``, numbering
+    residues on from ``residue_base`` in order of first appearance; returns
+    the next free residue ordinal. Atoms are numbered when the parts are
+    joined."""
+    ordinals = residue_base + _first_appearance_ordinals(moved.residue_ordinals)
+    parts.append(moved.replace(residue_ordinals=ordinals, residue_seqs=ordinals + 1, chain_ids=["Q"] * len(moved)))
+    return int(ordinals.max(initial=residue_base - 1)) + 1
+
+
+def _joined(parts: list[Atoms]) -> Atoms:
+    atoms = Atoms.concat(parts)
+    return atoms.replace(atom_ordinals=np.arange(len(atoms)))
 
 
 @dataclass
@@ -200,20 +196,17 @@ def planted_instance(
         n_planted = rng.randint(1, max(1, n_patches // 2))
     planted = rng.sample(patches, k=min(n_planted, len(patches)))
 
-    atoms: list[AtomRecord] = []
+    parts: list[Atoms] = []
     residue_base = 0
     for patch in planted:
         rotation, translation = rigid_motion(rng)
-        residue_base = _plant(atoms, move_atoms(patch.atoms, rotation, translation), residue_base)
+        residue_base = _plant(parts, move_atoms(patch.atoms, rotation, translation), residue_base)
+    noise = []
     for _ in range(query_noise_residues):
         center = np.array([rng.uniform(-80, 80) for _ in range(3)])
-        atoms.extend(
-            random_residue_atoms(
-                rng, residue_base, len(atoms), center, rng.randint(*extra_atoms), chain_id="Q"
-            )
-        )
-        residue_base += 1
-    query = Protein(protein_id=f"QRY{seed}", atoms=tuple(atoms))
+        noise.append(random_residue(rng, center, rng.randint(*extra_atoms)))
+    parts.append(residues_to_atoms(noise, chain_id="Q", first_residue=residue_base))
+    query = Protein(protein_id=f"QRY{seed}", atoms=_joined(parts))
     return SyntheticInstance(
         params=params,
         patches=patches,
@@ -278,18 +271,9 @@ def lattice_patch(
     if radius_bump > 0:
         k = int(math.ceil(radius_bump / delta)) + _MAX_CELL + 2
         coords.append(("SD", _half_cell(k, delta), _half_cell(0, delta), _half_cell(0, delta)))
-    atoms = tuple(
-        AtomRecord(
-            atom_ordinal=i,
-            element=name[:1],
-            atom_name=name,
-            residue_ordinal=0,
-            residue_name="GLY",
-            position=Point3(x, y, z),
-            chain_id="A",
-            residue_seq=1,
-        )
-        for i, (name, x, y, z) in enumerate(coords)
+    names = [name for name, *_ in coords]
+    atoms = residues_to_atoms(
+        [("GLY", names, [name[:1] for name in names], [xyz for _, *xyz in coords])]
     )
     return Patch(
         patch_id=patch_id,
@@ -306,13 +290,13 @@ def lattice_query(
 ) -> Protein:
     """A query "LATQ" containing one rigidly moved copy of each patch, spaced
     far enough apart that cross-frame coordinates exceed any realistic mps."""
-    atoms: list[AtomRecord] = []
+    parts: list[Atoms] = []
     residue_base = 0
     for i, patch in enumerate(patches):
         rotation = random_rotation(rng)
         translation = np.array([(i + 1) * separation, 0.0, 0.0])
-        residue_base = _plant(atoms, move_atoms(patch.atoms, rotation, translation), residue_base)
-    return Protein(protein_id="LATQ", atoms=tuple(atoms))
+        residue_base = _plant(parts, move_atoms(patch.atoms, rotation, translation), residue_base)
+    return Protein(protein_id="LATQ", atoms=_joined(parts))
 
 
 def margin_violations(
@@ -326,7 +310,7 @@ def margin_violations(
     query's matches are stable under rigid motion."""
     violations = 0
     frames = residue_frames(protein.atoms)
-    points = positions_array(protein.atoms)
+    points = protein.atoms.positions
     clip_eps = 1e-6
     for _, frame in frames:
         coords = transform_points(frame, points)

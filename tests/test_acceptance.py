@@ -14,7 +14,7 @@ import pytest
 
 from conftest import corpus, z_records
 from patchgrid.baseline import FrameMode, naive_frames, naive_match
-from patchgrid.geometry import AtomRecord, Point3, positions_array, transform_points
+from patchgrid.geometry import AtomRecord, Atoms, Point3, transform_points
 from patchgrid.grid import (
     CellIndex,
     DiskGrid,
@@ -115,7 +115,7 @@ def test_acceptance_03_rigid_motion_invariance(tmp_path):
     base = match_query(query, db, 0.0, tmp_dir=tmp_path)
     assert sum(1 for r in base if r.score == 1.0) >= 3
     base_frames = residue_frames(query.atoms)
-    base_points = positions_array(query.atoms)
+    base_points = query.atoms.positions
     base_coords = [transform_points(frame, base_points) for _, frame in base_frames]
     worst = 0.0
     for k in range(50):
@@ -124,7 +124,7 @@ def test_acceptance_03_rigid_motion_invariance(tmp_path):
         moved = move_protein(query, rotation, translation)
         results = match_query(moved, db, 0.0, tmp_dir=tmp_path)
         assert results == base
-        moved_points = positions_array(moved.atoms)
+        moved_points = moved.atoms.positions
         for (_, frame), reference in zip(residue_frames(moved.atoms), base_coords):
             deviation = np.abs(transform_points(frame, moved_points) - reference).max()
             worst = max(worst, float(deviation))
@@ -145,12 +145,12 @@ def test_acceptance_04_storage_exactness(tmp_path):
     assert stored == expected
 
     rng = random.Random(7)
-    atoms = [
+    atoms = Atoms.from_records(
         AtomRecord(i, "C", "CB", 0, "GLY",
                    Point3(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10)),
                    "A", 1)
         for i in range(20)
-    ]
+    )
     frames = naive_frames(atoms, FrameMode.AllTriples)
     assert len(frames) == 6840
     print(f"ACCEPTANCE 04 PASS — stored entries {stored} == sum(n*m) == {expected}; "

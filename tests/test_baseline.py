@@ -10,7 +10,7 @@ from patchgrid.baseline import (
     naive_match,
 )
 from patchgrid.errors import CapExceeded
-from patchgrid.geometry import AtomRecord, Point3
+from patchgrid.geometry import AtomRecord, Atoms, Point3
 from patchgrid.grid import GridParams, RefId
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.matcher import match_query
@@ -21,9 +21,9 @@ P1 = GridParams(delta=1.0)
 
 
 def point_atoms(points):
-    return [
+    return Atoms.from_records(
         AtomRecord(i, "C", "CB", 0, "GLY", Point3(*p), "A", 1) for i, p in enumerate(points)
-    ]
+    )
 
 
 def test_all_triples_three_atoms_gives_six_frames():

@@ -376,3 +376,21 @@ def test_entry_point_build_without_inputs_exits_1(tmp_path):
     assert done.returncode == 1
     assert done.stderr == "error: no patches extracted from the inputs\n"
     assert not (tmp_path / "D").exists() and not (tmp_path / "D.lock").exists()
+
+
+def test_no_atom_record_is_built_on_the_build_add_and_query_path(workspace, monkeypatch, capsys):
+    # atoms stay columns from the parser to the index and the query grid
+    from patchgrid import geometry
+
+    tmp_path, files, template, _, _ = workspace
+    built = []
+    new = geometry.AtomRecord.__new__
+    monkeypatch.setattr(geometry.AtomRecord, "__new__", lambda cls, *a, **k: built.append(1) or new(cls, *a, **k))
+    db_dir = str(tmp_path / "db")
+    assert main(["build-db", str(files["SRC0"]), "--templates", str(template), "--db", db_dir]) == 0
+    assert main(["add", str(files["SRC1"]), "--db", db_dir, "--compact"]) == 0
+    assert main(["query", str(files["SRC2"]), "--db", db_dir, "--tau-pp", "0.5",
+                 "--out", str(tmp_path / "q")]) == 0
+    capsys.readouterr()
+    assert built == []
+    assert geometry.AtomRecord(0, "C", "CA", 0, "ALA", geometry.Point3(0, 0, 0)) and built == [1]

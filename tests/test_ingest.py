@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from patchgrid.ingest import (
     DUPLICATE_COORD_TOL,
     OriginTag,
     Patch,
-    _atoms_equivalent,
+    Protein,
+    _parse_float,
+    _parse_int,
     dedup_patches,
     extract_site_patches,
     parse_keyword_file,
@@ -104,6 +107,148 @@ def test_parser_total_on_arbitrary_text(text):
         assert protein.atoms
     except (MalformedRecord, EmptyStructure):
         pass
+
+
+# ---------------------------------------------------------------------------
+# The columnar parser against the line-by-line one it replaced
+
+
+def reference_parse_structure_file(stream, protein_id=None):
+    """Reference: the line-by-line parser parse_structure_file was before it
+    read columns, building one AtomRecord per ATOM line."""
+    atoms = []
+    residue_index = {}
+    header_id = None
+    in_first_model = True
+    for line_number, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n")
+        record = line[0:6].strip()
+        if record == "HEADER" and header_id is None:
+            header_id = line[62:66].strip() or None
+        elif record == "ENDMDL":
+            in_first_model = False
+        elif record == "ATOM" and in_first_model:
+            altloc = line[16:17]
+            if altloc not in ("", " ", "A"):
+                continue
+            _parse_int(line[6:11], "atom serial", line_number)
+            atom_name = line[12:16].strip()
+            residue_name = line[17:20].strip()
+            chain_id = line[21:22].strip()
+            residue_seq = _parse_int(line[22:26], "residue number", line_number)
+            x = _parse_float(line[30:38], "x", line_number)
+            y = _parse_float(line[38:46], "y", line_number)
+            z = _parse_float(line[46:54], "z", line_number)
+            element = line[76:78].strip() or (atom_name[:1] if atom_name else "")
+            key = (chain_id, residue_seq)
+            if key not in residue_index:
+                residue_index[key] = len(residue_index)
+            atoms.append(AtomRecord(
+                atom_ordinal=len(atoms),
+                element=element,
+                atom_name=atom_name,
+                residue_ordinal=residue_index[key],
+                residue_name=residue_name,
+                position=Point3(x, y, z),
+                chain_id=chain_id,
+                residue_seq=residue_seq,
+            ))
+    if not atoms:
+        raise EmptyStructure("no ATOM records found")
+    return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=tuple(atoms))
+
+
+def _outcome(parse, lines):
+    try:
+        return parse(lines)
+    except (MalformedRecord, EmptyStructure) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def _fixed(values, width):
+    return st.sampled_from([v.ljust(width)[:width] for v in values])
+
+
+def _atom_line_strategy(odd):
+    """ATOM-like lines; with ``odd``, any field may also be malformed,
+    unusual or cut short."""
+
+    def field(valid, unusual, width):
+        return st.one_of(valid, _fixed(unusual, width)) if odd else valid
+
+    coordinate = field(
+        st.floats(-999.999, 9999.999, allow_nan=False).map(lambda v: f"{v:8.3f}"),
+        ["1.2.3", "abc", "", "nan", "inf", "-inf", "1e999", "1_0.5", "+.5", "1e2", "\x00", "  1.500\x00", " 1 2"],
+        8,
+    )
+    return st.builds(
+        lambda record, serial, name, altloc, residue, chain, seq, x, y, z, element, tail, cut: (
+            f"{record}{serial} {name}{altloc}{residue} {chain}{seq}    {x}{y}{z}  1.00  0.00          {element}"
+            + tail
+        )[:cut],
+        _fixed(["ATOM  ", " ATOM ", "ATOM\t", "HETATM"] if odd else ["ATOM  ", " ATOM "], 6),
+        field(st.integers(1, 99999).map(lambda v: f"{v:5d}"), ["abc", "", "1.5", " 1_2", "\x001", "  12\x00"], 5),
+        _fixed(["CA", " CA", "N", "C", "CB", "OD1", ""] + (["\x00", "\tN"] if odd else []), 4),
+        st.sampled_from([" ", "A", "B"]),
+        _fixed(["ALA", "GLY", "SER", "", "\u00c5LA", "G\u00e9Y"] + (["\x1cAL"] if odd else []), 3),
+        st.sampled_from([" ", "A", "B", "\u00e9"]),
+        field(st.integers(-99, 12).map(lambda v: f"{v:4d}"), ["1a", "", "1_0", "+ 3", "\u0663", " 12\x00"], 4),
+        coordinate,
+        coordinate,
+        coordinate,
+        _fixed(["", " C", "N", "FE", " \u00c5"], 2),
+        st.sampled_from(["", "  ", "  X1 \u00e9"]),
+        st.integers(0, 90) if odd else st.sampled_from([54, 60, 77, 78, 90]),
+    )
+
+
+_OTHER_LINE = st.sampled_from([
+    "HEADER" + " " * 56 + "1ABC",
+    "HEADER" + " " * 56 + "2XYZ",
+    "HEADER" + " " * 56 + "    ",
+    "HEADER    short",
+    "MODEL        1",
+    "MODEL        2",
+    "ENDMDL",
+    "REMARK   2 RESOLUTION.",
+    "TER",
+    "",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.one_of(*[_atom_line_strategy(odd=False)] * 4, _atom_line_strategy(odd=True), _OTHER_LINE),
+             max_size=25),
+    st.booleans(),
+)
+def test_parser_equals_line_by_line_reference(lines, newlines):
+    # ATOM lines with altloc blank, A or B, short and long lines, blank
+    # elements, non-ASCII and control characters and bad, non-finite or
+    # unusual numeric fields, among HEADER, MODEL and ENDMDL records
+    text = [line + "\n" if newlines else line for line in lines]
+    expected = _outcome(reference_parse_structure_file, text)
+    assert _outcome(parse_structure_file, text) == expected
+    assert _outcome(parse_structure_file, iter(text)) == expected
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("serial", "  1.5", "line 3: bad atom serial field '1.5'"),
+    ("residue", "  x1", "line 3: bad residue number field 'x1'"),
+    ("y", "     inf", "line 3: non-finite y field 'inf'"),
+    ("z", "   1.2.3", "line 3: bad z field '1.2.3'"),
+    ("x", "  1.500\x00", "line 3: bad x field '1.500\\x00'"),
+])
+def test_parser_reports_the_first_bad_field(field, text, message):
+    good = atom_line(1, "CA", "ALA", "A", 1, 1.0, 2.0, 3.0)
+    columns = {"serial": (6, 11), "residue": (22, 26), "x": (30, 38), "y": (38, 46), "z": (46, 54)}
+    start, stop = columns[field]
+    bad = good[:start] + text + good[stop:]
+    later = good[:30] + "     abc" + good[38:]
+    with pytest.raises(MalformedRecord) as excinfo:
+        parse_structure_file([good, good, bad, later])
+    assert str(excinfo.value) == message
+    assert excinfo.value.line_number == 3
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +423,23 @@ def test_dedup_prefers_site_record():
     assert dedup_patches([template, site]) == [site]
 
 
+def _atoms_equivalent(a: Patch, b: Patch) -> bool:
+    """Reference: the atom-by-atom comparison dedup_patches made before it
+    compared columns."""
+    if len(a.atoms) != len(b.atoms):
+        return False
+    for x, y in zip(a.atoms, b.atoms):
+        if x.atom_name != y.atom_name or x.residue_name != y.residue_name:
+            return False
+        if (
+            abs(x.position.x - y.position.x) > DUPLICATE_COORD_TOL
+            or abs(x.position.y - y.position.y) > DUPLICATE_COORD_TOL
+            or abs(x.position.z - y.position.z) > DUPLICATE_COORD_TOL
+        ):
+            return False
+    return True
+
+
 def dedup_oracle(patches):
     """dedup_patches as a scan of every earlier group of equal atom count."""
     groups = []
@@ -331,6 +493,28 @@ def test_dedup_equals_scan_oracle(specs):
         tag = OriginTag.SiteRecord if site else OriginTag.Template
         patches.append(Patch(f"P{pid}_{k}", f"P{pid}", atoms, tag))
     assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dedup_tolerance_is_inclusive_to_the_ulp(axis, sign):
+    # coordinates 0.0 and +-1e-3 differ by exactly the tolerance, which is a
+    # duplicate; one ulp more is not
+    def shifted(patch_id, d):
+        atoms = _simple_patch(patch_id, OriginTag.SiteRecord).atoms
+        positions = atoms.positions.copy()
+        positions[1, axis] = d
+        return Patch(patch_id, patch_id.split("_")[0], atoms.replace(positions=positions), OriginTag.SiteRecord)
+
+    base = shifted("A_0", 0.0)
+    at_tol = shifted("B_0", sign * DUPLICATE_COORD_TOL)
+    past_tol = shifted("C_0", sign * math.nextafter(DUPLICATE_COORD_TOL, math.inf))
+    assert abs(at_tol.atoms.positions[1, axis] - base.atoms.positions[1, axis]) == DUPLICATE_COORD_TOL
+    assert _atoms_equivalent(base, at_tol) and not _atoms_equivalent(base, past_tol)
+    for patches in ([base, at_tol], [base, past_tol], [past_tol, base, at_tol]):
+        assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)]
+    assert dedup_patches([base, at_tol]) == [base]
+    assert dedup_patches([base, past_tol]) == [base, past_tol]
 
 
 def test_dedup_patch_matching_two_groups_joins_the_earlier():

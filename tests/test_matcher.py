@@ -14,7 +14,7 @@ from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
 from patchgrid import grid as grid_module
-from patchgrid.geometry import point_norms, positions_array, transform_points
+from patchgrid.geometry import point_norms, transform_points
 from patchgrid.grid import (
     CellIndex,
     DiskGrid,
@@ -142,7 +142,7 @@ def test_query_grid_matches_patch_grid_cells(tmp_path):
         q_cells = {c.z for c in cursor}
     assert db_cells == q_cells
     # independent recomputation with the scalar quantizer
-    points = positions_array(patch.atoms)
+    points = patch.atoms.positions
     expected = set()
     for _, frame in residue_frames(patch.atoms):
         for row in transform_points(frame, points):
@@ -170,7 +170,7 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
     mps = 5.0
 
     def entries():
-        points = positions_array(query.atoms)
+        points = query.atoms.positions
         for residue_ordinal, frame in residue_frames(query.atoms):
             coords = transform_points(frame, points)
             cells, in_extent = cells_of_points(coords, P1)

@@ -13,10 +13,10 @@ from patchgrid.cli import main
 from patchgrid.errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame
 from patchgrid.geometry import (
     AtomRecord,
+    Atoms,
     Point3,
     frame_from_triple,
     point_norms,
-    positions_array,
     transform_points,
 )
 from patchgrid.grid import CellIndex, GridParams, morton_encode, scan
@@ -53,14 +53,14 @@ def two_frame_patch() -> Patch:
 
 
 def test_residue_frames_complete_residue():
-    frames = residue_frames(residue(COMPLETE))
+    frames = residue_frames(Atoms.from_records(residue(COMPLETE)))
     assert len(frames) == 1
     assert frames[0][0] == 0
 
 
 def test_residue_frames_missing_anchor_counted():
     counters: dict[str, int] = {}
-    frames = residue_frames(residue(COMPLETE[:1] + COMPLETE[2:]), counters=counters)
+    frames = residue_frames(Atoms.from_records(residue(COMPLETE[:1] + COMPLETE[2:])), counters=counters)
     assert len(frames) == 0
     assert counters["residues_missing_anchor"] == 1
 
@@ -68,7 +68,7 @@ def test_residue_frames_missing_anchor_counted():
 def test_residue_frames_collinear_counted():
     counters: dict[str, int] = {}
     collinear = [("CA", (0, 0, 0)), ("N", (1, 0, 0)), ("C", (2, 0, 0))]
-    assert len(residue_frames(residue(collinear), counters=counters)) == 0
+    assert len(residue_frames(Atoms.from_records(residue(collinear)), counters=counters)) == 0
     assert counters["residues_collinear"] == 1
 
 
@@ -117,7 +117,7 @@ def test_residue_frames_equal_per_residue_oracle(raw):
         for i, (residue, name, xyz) in enumerate(raw)
     ]
     counters, expected_counters = {}, {}
-    frames = residue_frames(atoms, counters=counters)
+    frames = residue_frames(Atoms.from_records(atoms), counters=counters)
     expected = residue_frames_oracle(atoms, expected_counters)
     assert counters == expected_counters
     assert [ro for ro, _ in frames] == [ro for ro, _ in expected]
@@ -126,10 +126,38 @@ def test_residue_frames_equal_per_residue_oracle(raw):
         assert np.array_equal(frame.basis, oracle.basis)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(["CA", "N", "C", "CB"]),
+                  st.tuples(*[st.integers(-2, 2) for _ in range(3)])),
+        max_size=12,
+    ),
+    min_size=1, max_size=5,
+))
+def test_residue_frames_of_several_structures_equal_one_call_each(structures):
+    # equal residue ordinals in different structures are different residues
+    parts = [
+        Atoms.from_records(
+            AtomRecord(i, name[:1], name, residue, "ALA", Point3(*map(float, xyz)), "A", residue + 1)
+            for i, (residue, name, xyz) in enumerate(raw)
+        )
+        for raw in structures
+    ]
+    counters, expected_counters = {}, {}
+    frames = residue_frames(parts, counters=counters)
+    singles = [residue_frames(part, counters=expected_counters) for part in parts]
+    assert counters == expected_counters
+    assert frames.structures.tolist() == [k for k, single in enumerate(singles) for _ in range(len(single))]
+    assert np.array_equal(frames.residue_ordinals, np.concatenate([f.residue_ordinals for f in singles]))
+    assert np.array_equal(frames.origins, np.concatenate([f.origins for f in singles]).reshape(-1, 3))
+    assert np.array_equal(frames.bases, np.concatenate([f.bases for f in singles]).reshape(-1, 3, 3))
+
+
 def test_residue_frames_keep_order_of_first_appearance():
     atoms = residue(COMPLETE, residue_ordinal=7) + residue(COMPLETE, residue_ordinal=2, base=4)
     atoms += residue(COMPLETE[:1], residue_ordinal=7, base=8)
-    assert [ro for ro, _ in residue_frames(atoms)] == [7, 2]
+    assert [ro for ro, _ in residue_frames(Atoms.from_records(atoms))] == [7, 2]
 
 
 def test_build_without_a_valid_frame_creates_no_directory(tmp_path):
@@ -216,13 +244,13 @@ def test_mps_is_max_frame_radius(tmp_path):
     db = build_patch_database(patches, P1, tmp_path / "db")
     expected = 0.0
     for patch in patches:
-        points = positions_array(patch.atoms)
+        points = patch.atoms.positions
         for _, frame in residue_frames(patch.atoms):
             expected = max(expected, float(point_norms(transform_points(frame, points)).max()))
     assert db.mps == expected
     # dominance: every patch/frame/atom radius is within mps
     for patch in patches:
-        points = positions_array(patch.atoms)
+        points = patch.atoms.positions
         for _, frame in residue_frames(patch.atoms):
             assert float(point_norms(transform_points(frame, points)).max()) <= db.mps + 1e-9
 
@@ -284,6 +312,78 @@ def test_out_of_extent_patch_rejected(tmp_path):
 
     with pytest.raises(OutOfExtent):
         build_patch_database([patch], params, tmp_path / "db")
+
+
+# ---------------------------------------------------------------------------
+# grouped indexing: groups of patches give what one patch at a time gave
+
+
+def reference_index(patches, params, path, counters):
+    """Reference: index one patch at a time, with one frame_from_triple and
+    one transform_points call per residue, and sort the entries into a run."""
+    records = []
+    key = 0
+    for patch in patches:
+        frames = residue_frames_oracle(list(patch.atoms), counters)
+        if not frames:
+            counters["patches_excluded"] = counters.get("patches_excluded", 0) + 1
+            continue
+        for residue_ordinal, frame in frames:
+            cells, in_extent = grid.cells_of_points(transform_points(frame, patch.atoms.positions), params)
+            assert in_extent.all()
+            for cell, atom_ordinal in zip(cells.tolist(), patch.atoms.atom_ordinals.tolist()):
+                records.append((morton_encode(CellIndex(*cell), params), key, residue_ordinal, atom_ordinal))
+        key += 1
+    block = np.array(records, dtype=grid.RUN_RECORD)
+    grid.sort_run([block], path)
+    return path.read_bytes()
+
+
+def mixed_patches():
+    """Corpus patches, plus patches with a frameless, a collinear and an
+    anchorless residue, and one with no frame at all."""
+    _, patches = corpus(seed=13, n_proteins=6)
+    collinear = [("CA", (0, 0, 0)), ("N", (1, 0, 0)), ("C", (2, 0, 0)), ("CB", (0, 1, 0))]
+    patches.insert(3, Patch("COL_0", "COL", tuple(residue(collinear) + residue(COMPLETE, 1, base=4)),
+                            OriginTag.SiteRecord))
+    patches.insert(5, Patch("NONE_0", "NONE", tuple(residue(COMPLETE[:2])), OriginTag.SiteRecord))
+    patches.append(Patch("HALF_0", "HALF", tuple(residue(COMPLETE[1:], 0) + residue(COMPLETE, 1, base=3)),
+                         OriginTag.Template))
+    return patches
+
+
+@pytest.mark.parametrize("budget", [2, 60, 1000, grid.DEFAULT_MEMORY_BUDGET])
+def test_grouped_indexing_writes_the_reference_run(tmp_path, budget):
+    patches = mixed_patches()
+    expected_counters: dict[str, int] = {}
+    expected = reference_index(patches, P1, tmp_path / "reference.bin", expected_counters)
+    counters: dict[str, int] = {}
+    db = build_patch_database(patches, P1, tmp_path / "db", memory_budget_entries=budget, counters=counters)
+    (run,) = db.grid.runs
+    assert db.grid.run_path(run).read_bytes() == expected
+    for key in ("residues_missing_anchor", "residues_collinear", "patches_excluded"):
+        assert counters[key] == expected_counters[key] > 0
+
+
+def far_patch(patch_id):
+    """Two residues with identity frames at x = 0 and x = 6; CG (atom 4) is
+    out of a 4-bit extent only in the second frame, CD (atom 9) only in the
+    first, so the first bad atom depends on the frame order."""
+    first = residue(COMPLETE, 0) + residue([("CG", (-3, 0, 0))], 0, base=4)
+    second = residue([(n, (x + 6, y, z)) for n, (x, y, z) in COMPLETE], 1, base=5)
+    return Patch(patch_id, patch_id[:-2], tuple(first + second + residue([("CD", (10, 0, 0))], 1, base=9)),
+                 OriginTag.SiteRecord)
+
+
+@pytest.mark.parametrize("budget", [2, 60, 1000, grid.DEFAULT_MEMORY_BUDGET])
+def test_out_of_extent_names_the_first_bad_patch_and_atom(tmp_path, budget):
+    from patchgrid.errors import OutOfExtent
+
+    params = GridParams(delta=1.0, bits_per_axis=4)
+    good = Patch("GOOD_0", "GOOD", tuple(residue(COMPLETE)), OriginTag.SiteRecord)
+    patches = [good, far_patch("FAR1_0"), Patch("GOOD_1", "GOOD", good.atoms, good.origin_tag), far_patch("FAR2_0")]
+    with pytest.raises(OutOfExtent, match=r"^patch FAR1_0: atom 9 quantizes outside the grid extent$"):
+        build_patch_database(patches, params, tmp_path / "db", memory_budget_entries=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +563,19 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     assert "error:" in err
     if damage in EXTRA_ROWS:
         assert f"{manifest}: " in err
+
+
+def test_load_rejects_a_repeated_patch_id(tmp_path, capsys):
+    rng = random.Random(3)
+    db_dir = tmp_path / "db"
+    build_patch_database([lattice_patch(f"{sid}_0", sid, 1.0, rng) for sid in "AB"], P1, db_dir)
+    manifest = db_dir / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace("\tB_0\t", "\tA_0\t"))
+    with pytest.raises(CorruptDatabase, match="repeated patch id 'A_0'"):
+        PatchDatabase.load(db_dir)
+    assert main(["add", "--db", str(db_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"{manifest}: repeated patch id 'A_0'" in err
 
 
 @pytest.mark.parametrize("budget", [0, 1])

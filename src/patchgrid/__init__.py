@@ -41,7 +41,6 @@ from .grid import (
     build_sorted_run,
     cell_of,
     merge_runs,
-    morton_decode,
     morton_encode,
     scan,
 )

@@ -24,21 +24,19 @@ manifest (see ``preprocess.PatchDatabase``), never by the grid itself.
 The read path is columnar. A run is read in bounded byte blocks, and each
 cell comes back as its z plus a ``(count, 3)`` uint32 view of its entries
 (structure key, residue ordinal, atom ordinal), so no object is built per
-entry. Equal-z cells of several runs are unioned by a lexicographic sort
-and dedup of their arrays. A damaged run (a cut cell header or body, or a
-z that does not strictly increase) raises ``CorruptDatabase``.
+entry. A damaged run (a cut cell header or body, or a z that does not
+strictly increase) raises ``CorruptDatabase``.
 
-The write path is columnar too. Writes go through one cell writer that
-takes sorted record blocks (``RUN_RECORD`` arrays), and one external sort
-(``sort_run``) orders record blocks into a run. Past the memory budget it
-spills sorted chunks of ``RUN_RECORD`` bytes into one temporary directory,
-made at the first spill and removed when the sort ends, and merges them as
-arrays: each round cuts every chunk's current block at the smallest last
-key among them, lexsorts what lies below the cut and writes it. A failed
-write, the final flush included, removes the run's temp file. Quantization
-(``cells_of_points``) and Morton codes (``morton_codes``) work on whole
-coordinate arrays; the scalar ``morton_encode`` and ``cell_of`` are the
-one-cell API.
+Sorted record blocks (``RUN_RECORD`` arrays) have one merge,
+``_merge_blocks``, and one cell writer, which drops duplicates. The
+external sort (``sort_run``) spills lexsorted chunks past the memory budget
+into one temporary directory, made at the first spill and removed when the
+sort ends, and merges them; ``merge_runs`` merges a grid's runs; and a
+multi-run ``GridCursor`` cuts its cells from the merged runs, so equal-z
+cells of several runs become one cell. A failed write, the final flush
+included, removes the run's temp file. Quantization (``cells_of_points``)
+and Morton codes (``morton_codes``) work on whole coordinate arrays;
+``cell_of`` and ``morton_encode`` are their one-row calls.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import struct
 import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -77,10 +74,9 @@ RUN_RECORD = np.dtype([("z", "<u8"), ("sk", "<u4"), ("ro", "<u4"), ("ao", "<u4")
 
 # Bytes a run reader asks the file for at a time.
 _READ_BLOCK_BYTES = 1 << 20
-# Records, and cells, per block handed to the run writer by the merge steps.
-# Small blocks keep the build's peak memory below that of a tuple list sort.
+# Records per block handed to the run writer and to the merge. Small blocks
+# keep the build's peak memory below that of a tuple list sort.
 _WRITE_BLOCK_RECORDS = 1 << 12
-_WRITE_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,9 @@ def cell_of(p, params: GridParams) -> CellIndex:
 _MASK21 = 0x1FFFFF
 
 
-def _spread_bits(n):
-    # Classic 64-bit spread: 21 input bits land on every third output bit.
-    # Works on a Python int and, element-wise, on a uint64 array.
+def _spread_bits(n: np.ndarray) -> np.ndarray:
+    # Classic 64-bit spread, element-wise over a uint64 array: 21 input bits
+    # land on every third output bit.
     n = n & _MASK21
     n = (n | (n << 32)) & 0x1F00000000FFFF
     n = (n | (n << 16)) & 0x1F0000FF0000FF
@@ -189,52 +185,25 @@ def _spread_bits(n):
     return n
 
 
-def _compact_bits(n: int) -> int:
-    n &= 0x1249249249249249
-    n = (n ^ (n >> 2)) & 0x10C30C30C30C30C3
-    n = (n ^ (n >> 4)) & 0x100F00F00F00F00F
-    n = (n ^ (n >> 8)) & 0x1F0000FF0000FF
-    n = (n ^ (n >> 16)) & 0x1F00000000FFFF
-    n = (n ^ (n >> 32)) & _MASK21
-    return n
-
-
-def interleave_bits(ox: int, oy: int, oz: int) -> int:
-    """Interleave non-negative offset indices: bit i of x lands on code bit 3i,
-    of y on 3i+1, of z on 3i+2."""
-    return _spread_bits(ox) | (_spread_bits(oy) << 1) | (_spread_bits(oz) << 2)
-
-
-def deinterleave_bits(code: int) -> tuple[int, int, int]:
-    return _compact_bits(code), _compact_bits(code >> 1), _compact_bits(code >> 2)
-
-
 def morton_encode(c: CellIndex, params: GridParams) -> int:
-    """Morton code of a cell: offset each component by half_extent_cells to
-    make it non-negative, then interleave the bit-strings of the axes."""
-    h = params.half_extent_cells
-    ox, oy, oz = c[0] + h, c[1] + h, c[2] + h
-    limit = 1 << params.bits_per_axis
-    if not (0 <= ox < limit and 0 <= oy < limit and 0 <= oz < limit):
-        raise OutOfExtent(f"cell {tuple(c)} outside extent for {params.bits_per_axis} bits")
-    return interleave_bits(ox, oy, oz)
+    """Morton code of one cell: ``morton_codes`` of a one-row array."""
+    return int(morton_codes([c], params)[0])
 
 
 def morton_codes(cells: np.ndarray, params: GridParams) -> np.ndarray:
-    """morton_encode of every row of an (n, 3) integer cell array, as uint64."""
+    """Morton codes of an (n, 3) integer cell array, as uint64.
+
+    Each component is offset by half_extent_cells to make it non-negative,
+    then the axes' bit-strings are interleaved: bit i of x lands on code bit
+    3i, of y on 3i+1, of z on 3i+2. Raises OutOfExtent when any cell falls
+    outside the addressable range.
+    """
     offsets = np.asarray(cells, dtype=np.int64).reshape(-1, 3) + params.half_extent_cells
     if not ((offsets >= 0) & (offsets < 1 << params.bits_per_axis)).all():
         raise OutOfExtent(f"cells outside extent for {params.bits_per_axis} bits")
     # All three axes spread in one pass over the (n, 3) array.
     spread = _spread_bits(offsets.astype(np.uint64))
     return spread[:, 0] | (spread[:, 1] << 1) | (spread[:, 2] << 2)
-
-
-def morton_decode(z: int, params: GridParams) -> CellIndex:
-    """Exact inverse of morton_encode."""
-    ox, oy, oz = deinterleave_bits(z)
-    h = params.half_extent_cells
-    return CellIndex(ox - h, oy - h, oz - h)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +219,31 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Run files
+
+
+def _append_distinct(held: np.ndarray, records: np.ndarray) -> tuple[np.ndarray, int]:
+    """Sorted ``held`` then ``records`` without exact duplicates, plus the row
+    where their last cell, which may continue in the next block, starts.
+    A record below its predecessor raises ValueError."""
+    records = np.concatenate([held, records])
+    if not len(records):
+        return records, 0
+    later = np.zeros(len(records) - 1, dtype=bool)
+    same = np.ones(len(records) - 1, dtype=bool)
+    for name in RUN_RECORD.names:
+        column = records[name]
+        later |= same & (column[1:] > column[:-1])
+        same &= column[1:] == column[:-1]
+    if not (later | same).all():
+        raise ValueError("run writer received out-of-order record")
+    records = records[np.concatenate(([True], ~same))]
+    return records, int(np.searchsorted(records["z"], records["z"][-1]))
+
+
+def _cell_starts(z: np.ndarray) -> np.ndarray:
+    """The row where each cell of a sorted z column starts."""
+    # ~z[0] differs from z[0], so row 0 starts a cell; an empty column has none.
+    return np.flatnonzero(np.diff(z, prepend=~z[:1]))
 
 
 class _RunWriter:
@@ -271,29 +265,15 @@ class _RunWriter:
         self.n_entries = 0
 
     def add(self, records: np.ndarray) -> None:
-        records = np.concatenate([self._held, records])
-        if not len(records):
-            return
-        later = np.zeros(len(records) - 1, dtype=bool)
-        same = np.ones(len(records) - 1, dtype=bool)
-        for name in RUN_RECORD.names:
-            column = records[name]
-            later |= same & (column[1:] > column[:-1])
-            same &= column[1:] == column[:-1]
-        if not (later | same).all():
-            raise ValueError("run writer received out-of-order record")
-        self._held = records[np.concatenate(([True], ~same))]
+        self._held, last_cell = _append_distinct(self._held, records)
         if len(self._held) >= _WRITE_BLOCK_RECORDS:
-            last_cell = int(np.searchsorted(self._held["z"], self._held["z"][-1]))
             self._write_cells(self._held[:last_cell])
             self._held = self._held[last_cell:]
 
     def _write_cells(self, records: np.ndarray) -> None:
         """Write sorted, distinct records as one cell record per distinct z."""
-        if not len(records):
-            return
         z = records["z"]
-        starts = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+        starts = _cell_starts(z)
         # Each cell header (z u64, count u32) is three little-endian u32 words,
         # the same width as an entry, so the cells are one (rows, 3) u32 block.
         header_rows = starts + np.arange(len(starts))
@@ -405,11 +385,6 @@ def _chunk_records(path: Path) -> Iterator[np.ndarray]:
         yield block
 
 
-def _batches(items: Iterable, n: int) -> Iterator[list]:
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, n)), [])
-
-
 def _sorted(records: np.ndarray) -> np.ndarray:
     return records[np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))]
 
@@ -418,12 +393,13 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
     """Merge streams of sorted ``RUN_RECORD`` blocks into sorted blocks.
 
     Every stream holds one head block. Each round cuts at the smallest last
-    key among the heads: every record at or below it is taken from the
-    heads, sorted and yielded, and a head taken whole is replaced by its
-    stream's next block. Two heaps keep the heads by first and by last key,
-    so a round touches only the heads that reach below the cut, and the
-    merge costs O((n + k) log k) for n records in k streams plus the sort
-    of each round's records.
+    key among the heads, takes every record at or below it from the heads,
+    and replaces a head taken whole by its stream's next block. The taken
+    pieces are sorted, so one stable sort of their concatenation merges
+    them: the structured dtype compares z, sk, ro and ao in turn, as a
+    lexsort would. Two heaps keep the heads by first and by last key, so a
+    round touches only the heads that reach below the cut. Duplicates are
+    kept, and a cell may straddle two rounds.
     """
     heads: dict[int, np.ndarray] = {}
     by_first: list[tuple[tuple, int]] = []
@@ -457,7 +433,7 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
         for i in emptied:
             del heads[i]
             load(i)
-        yield _sorted(np.concatenate(taken))
+        yield np.sort(np.concatenate(taken), kind="stable")
 
 
 def sort_run(
@@ -471,7 +447,7 @@ def sort_run(
     Sorts by (z, structure_key, residue_ordinal, atom_ordinal), holding at
     most ``memory_budget_entries`` records plus one block; each full
     budget is spilled as one sorted chunk, and the chunks and the sorted
-    remainder are merged block by block on write, holding one block per
+    remainder are merged by ``_merge_blocks`` on write, holding one block per
     chunk. The chunks live in one ``tempfile.TemporaryDirectory`` under
     ``tmp_dir``, made at the first spill and removed with its chunks when
     the sort ends, however it ends. Identical records collapse to one.
@@ -573,17 +549,21 @@ class DiskGrid:
 class GridCursor:
     """Iterator over the logical cells of a grid in strictly increasing z.
 
-    Cells with equal z across runs are merged (entries unioned, sorted,
-    deduplicated). ``physical_cells_read`` counts stored cell records read
-    from disk: exactly one read per stored cell over a full scan.
+    ``records`` is the runs' ``RUN_RECORD`` blocks merged by
+    ``_merge_blocks``. A multi-run cursor cuts its cells from that stream:
+    equal-z cells of several runs become one cell with the sorted, distinct
+    union of their entries. A single run's cells are read directly.
+    ``physical_cells_read`` counts stored cell records read from disk:
+    exactly one read per stored cell over a full scan.
     """
 
     def __init__(self, grid: DiskGrid):
         self._readers = [
             _RunReader(grid.run_path(info)) for info in grid.runs if info.n_cells > 0
         ]
+        self.records = _merge_blocks([_run_records(r) for r in self._readers])
         self._cells = (
-            self._readers[0] if len(self._readers) == 1 else _union_cells(self._readers)
+            self._readers[0] if len(self._readers) == 1 else _cells_of(self.records)
         )
 
     @property
@@ -608,19 +588,48 @@ class GridCursor:
         return False
 
 
-def _union_cells(readers: list[_RunReader]) -> Iterator[Cell]:
-    """The runs' cells merged by z; equal-z cells become one cell with the
-    lexicographically sorted, distinct union of their entries."""
-    by_z = attrgetter("z")
-    for z, group in itertools.groupby(heapq.merge(*readers, key=by_z), key=by_z):
-        cells = list(group)
-        if len(cells) == 1:
-            yield cells[0]
-            continue
-        entries = np.concatenate([c.entries for c in cells])
-        entries = entries[np.lexsort(entries.T[::-1])]
-        distinct = np.concatenate(([True], (entries[1:] != entries[:-1]).any(axis=1)))
-        yield Cell(z, entries[distinct])
+def _run_records(cells: Iterator[Cell]) -> Iterator[np.ndarray]:
+    """Cells as ``RUN_RECORD`` blocks, each ending with the first cell that
+    brings it to ``_WRITE_BLOCK_RECORDS`` records."""
+    taken: list[Cell] = []
+    n_taken = 0
+    for cell in cells:
+        taken.append(cell)
+        n_taken += len(cell.entries)
+        if n_taken >= _WRITE_BLOCK_RECORDS:
+            yield _cell_records(taken)
+            taken, n_taken = [], 0
+    if taken:
+        yield _cell_records(taken)
+
+
+def _cell_records(cells: list[Cell]) -> np.ndarray:
+    entries = np.concatenate([c.entries for c in cells])
+    records = np.empty(len(entries), dtype=RUN_RECORD)
+    z = np.array([c.z for c in cells], dtype=np.uint64)
+    records["z"] = np.repeat(z, [len(c.entries) for c in cells])
+    records["sk"], records["ro"], records["ao"] = entries.T
+    return records
+
+
+def _cells_of(blocks: Iterator[np.ndarray]) -> Iterator[Cell]:
+    """The sorted, distinct cells of a stream of sorted record blocks."""
+    held = np.empty(0, dtype=RUN_RECORD)
+    for block in blocks:
+        held, last_cell = _append_distinct(held, block)
+        yield from _split_cells(held[:last_cell])
+        held = held[last_cell:]
+    yield from _split_cells(held)
+
+
+def _split_cells(records: np.ndarray) -> Iterator[Cell]:
+    """Sorted, distinct records as one cell per distinct z."""
+    z = records["z"]
+    bounds = np.append(_cell_starts(z), len(records)).tolist()
+    entries = np.column_stack((records["sk"], records["ro"], records["ao"]))
+    entries.flags.writeable = False
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        yield Cell(int(z[start]), entries[start:end])
 
 
 def scan(grid: DiskGrid) -> GridCursor:
@@ -628,32 +637,22 @@ def scan(grid: DiskGrid) -> GridCursor:
     return GridCursor(grid)
 
 
-def _cell_records(cells: list[Cell]) -> np.ndarray:
-    entries = np.concatenate([c.entries for c in cells])
-    records = np.empty(len(entries), dtype=RUN_RECORD)
-    records["z"] = np.repeat(
-        np.array([c.z for c in cells], dtype=np.uint64), [len(c.entries) for c in cells]
-    )
-    records["sk"], records["ro"], records["ao"] = entries.T
-    return records
-
-
 def merge_runs(grid: DiskGrid) -> DiskGrid:
     """Write the grid's cells as one new run and return the grid made of it.
 
-    The old run files are left in place for the caller to delete once the
-    new grid is committed. A single-run grid is returned as is.
+    The runs' merged record stream goes straight to the run writer, which
+    drops the entries that several runs share. The old run files are left
+    in place for the caller to delete once the new grid is committed. A
+    single-run grid is returned as is.
     """
     if len(grid.runs) <= 1:
         return grid
     writer = _RunWriter(grid.directory / grid.next_run_name())
-    cursor = scan(grid)
     try:
-        for cells in _batches(cursor, _WRITE_BLOCK_CELLS):
-            writer.add(_cell_records(cells))
+        with scan(grid) as cursor:
+            for records in cursor.records:
+                writer.add(records)
         return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])
     except BaseException:
         writer.abort()
         raise
-    finally:
-        cursor.close()

@@ -1,11 +1,13 @@
-"""Shared helpers: fixed-width structure text writers and corpus builders."""
+"""Shared helpers: fixed-width structure text writers, corpus builders and
+the reference Morton coder."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from patchgrid.geometry import AtomRecord
-from patchgrid.grid import morton_encode
+from patchgrid.grid import CellIndex, GridParams, morton_codes
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.synthetic import random_protein
 
@@ -127,5 +129,52 @@ def corpus(seed: int, n_proteins: int = 6, residues: tuple[int, int] = (5, 9),
 def z_records(items, params):
     """(CellIndex, (structure key, residue ordinal, atom ordinal)) items as the
     (z, structure key, residue ordinal, atom ordinal) records build_sorted_run takes."""
-    for cell, entry in items:
-        yield (morton_encode(cell, params), *entry)
+    items = iter(items)
+    while chunk := list(itertools.islice(items, 4096)):
+        codes = morton_codes([cell for cell, _ in chunk], params).tolist()
+        for z, (_, entry) in zip(codes, chunk):
+            yield (z, *entry)
+
+
+# ---------------------------------------------------------------------------
+# Reference Morton coder: the scalar form of the bit spread that
+# patchgrid.grid.morton_codes applies to arrays, and its inverse.
+
+_MASK21 = 0x1FFFFF
+
+
+def _spread_bits(n: int) -> int:
+    n &= _MASK21
+    n = (n | (n << 32)) & 0x1F00000000FFFF
+    n = (n | (n << 16)) & 0x1F0000FF0000FF
+    n = (n | (n << 8)) & 0x100F00F00F00F00F
+    n = (n | (n << 4)) & 0x10C30C30C30C30C3
+    n = (n | (n << 2)) & 0x1249249249249249
+    return n
+
+
+def _compact_bits(n: int) -> int:
+    n &= 0x1249249249249249
+    n = (n ^ (n >> 2)) & 0x10C30C30C30C30C3
+    n = (n ^ (n >> 4)) & 0x100F00F00F00F00F
+    n = (n ^ (n >> 8)) & 0x1F0000FF0000FF
+    n = (n ^ (n >> 16)) & 0x1F00000000FFFF
+    n = (n ^ (n >> 32)) & _MASK21
+    return n
+
+
+def interleave_bits(ox: int, oy: int, oz: int) -> int:
+    """Interleave non-negative offset indices: bit i of x lands on code bit 3i,
+    of y on 3i+1, of z on 3i+2."""
+    return _spread_bits(ox) | (_spread_bits(oy) << 1) | (_spread_bits(oz) << 2)
+
+
+def deinterleave_bits(code: int) -> tuple[int, int, int]:
+    return _compact_bits(code), _compact_bits(code >> 1), _compact_bits(code >> 2)
+
+
+def morton_decode(z: int, params: GridParams) -> CellIndex:
+    """The cell whose Morton code is ``z``: the inverse of grid.morton_encode."""
+    ox, oy, oz = deinterleave_bits(z)
+    h = params.half_extent_cells
+    return CellIndex(ox - h, oy - h, oz - h)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import z_records
+from conftest import deinterleave_bits, interleave_bits, morton_decode, z_records
 from patchgrid import grid as grid_module
 from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
@@ -21,10 +21,8 @@ from patchgrid.grid import (
     build_sorted_run,
     cell_of,
     cells_of_points,
-    deinterleave_bits,
-    interleave_bits,
     merge_runs,
-    morton_decode,
+    morton_codes,
     morton_encode,
     scan,
 )
@@ -173,6 +171,21 @@ def test_morton_code_fits_bit_budget():
     h = params.half_extent_cells
     code = morton_encode(CellIndex(h - 1, h - 1, h - 1), params)
     assert code < (1 << (3 * params.bits_per_axis))
+
+
+@pytest.mark.parametrize("bits", [1, 5, 21])
+def test_morton_encode_is_one_row_of_morton_codes(bits):
+    params = GridParams(delta=1.0, bits_per_axis=bits)
+    h = params.half_extent_cells
+    for c in (CellIndex(-h, -h, -h), CellIndex(h - 1, h - 1, h - 1), CellIndex(-h, h - 1, 0)):
+        code = morton_encode(c, params)
+        assert code == int(morton_codes([c], params)[0])
+        assert morton_decode(code, params) == c
+    assert morton_encode(CellIndex(h - 1, h - 1, h - 1), params) == (1 << (3 * bits)) - 1
+    for c in (CellIndex(h, 0, 0), CellIndex(0, -h - 1, 0), CellIndex(-1, -1, -h - 1)):
+        for encode in (morton_encode, lambda c, params: morton_codes([c], params)):
+            with pytest.raises(OutOfExtent, match=f"outside extent for {bits} bits"):
+                encode(c, params)
 
 
 def test_z_equality_iff_same_cell():
@@ -358,6 +371,24 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
     assert union_oracle([DiskGrid(P1, tmp_path, [a]), DiskGrid(P1, tmp_path, [b])]) == {
         c.z: sorted(entry_tuples(c)) for c in cells
     }
+    # A third run repeats entries of both and ties them on z, on (z, sk)
+    # and on (z, sk, ro); scanning and compacting give the same cells.
+    c = make_run(tmp_path, "c.bin", [
+        (CellIndex(1, 0, 0), entry(0, 0, 1)),
+        (CellIndex(1, 0, 0), entry(1, 0, 0)),
+        (CellIndex(1, 0, 0), entry(0, 5, 0)),
+        (CellIndex(1, 0, 0), entry(1, 0, 7)),
+        (CellIndex(2, 0, 0), entry(0, 0, 0)),
+    ])
+    grid = DiskGrid(P1, tmp_path, [a, b, c])
+    with scan(grid) as cursor:
+        cells = [(cell.z, entry_tuples(cell)) for cell in cursor]
+        assert cursor.physical_cells_read == grid.total_cells == 6
+    assert cells == sorted(union_oracle([DiskGrid(P1, tmp_path, [r]) for r in (a, b, c)]).items())
+    assert cells[1][1] == [(0, 0, 1), (0, 5, 0), (1, 0, 0), (1, 0, 7)]
+    merged = merge_runs(grid)
+    assert [(cell.z, entry_tuples(cell)) for cell in read_cells(merged)] == cells
+    assert (merged.total_cells, merged.total_entries) == (3, 7)
 
 
 def test_merge_runs_single_run_unchanged(tmp_path):
@@ -417,7 +448,7 @@ def test_property_run_is_sorted_dedup(tmp_path_factory, raw):
     assert seen == expected
 
 
-def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path):
+def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path, monkeypatch):
     # keys above 2**16 up to 2**32 - 1, the same entries repeated across runs
     rng = random.Random(21)
     wide = [0, 1, 2**16, 2**16 + 1, 2**31, 2**32 - 2, 2**32 - 1]
@@ -434,11 +465,39 @@ def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path):
         for cell in run_cells:
             by_z.setdefault(cell.z, []).append(entry_tuples(cell))
     expected = [(z, sorted(set().union(*lists))) for z, lists in sorted(by_z.items())]
-    with scan(DiskGrid(P1, tmp_path, runs)) as cursor:
-        got = [(cell.z, entry_tuples(cell)) for cell in cursor]
-        assert cursor.physical_cells_read == sum(len(c) for c in per_run)
-    assert got == expected
     assert any(len(lists) > 1 for lists in by_z.values())
+    merge = grid_module._merge_blocks
+    grid = DiskGrid(P1, tmp_path, runs)
+    # two-record blocks make the merge take many more, shorter rounds
+    for block_records in (2, 1 << 12):
+        monkeypatch.setattr(grid_module, "_WRITE_BLOCK_RECORDS", block_records)
+        rounds = []
+        monkeypatch.setattr(grid_module, "_merge_blocks", lambda streams: (
+            rounds.append(set(block["z"].tolist())) or block for block in merge(streams)))
+        with scan(grid) as cursor:
+            got = [(cell.z, entry_tuples(cell)) for cell in cursor]
+            assert cursor.physical_cells_read == grid.total_cells == sum(len(c) for c in per_run)
+        assert got == expected
+        assert any(a & b for a, b in zip(rounds, rounds[1:]))  # a cell straddles two rounds
+        merged = merge_runs(grid)
+        assert [(cell.z, entry_tuples(cell)) for cell in read_cells(merged)] == expected
+        merged.run_path(merged.runs[0]).unlink()
+
+
+RECORD_ROWS = st.lists(st.tuples(st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1]),
+                                 st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(RECORD_ROWS, st.integers(1, 5)), max_size=5))
+def test_property_merge_blocks_equals_one_lexsort(streams):
+    # each stream is presorted and cut into 1-5 blocks, some of them empty
+    sorted_streams = [np.array(sorted(rows), dtype=grid_module.RUN_RECORD) for rows, _ in streams]
+    blocks = list(grid_module._merge_blocks(
+        [iter(np.array_split(records, n)) for records, (_, n) in zip(sorted_streams, streams)]))
+    empty = np.empty(0, dtype=grid_module.RUN_RECORD)
+    expected = grid_module._sorted(np.concatenate([empty, *sorted_streams]))
+    assert np.concatenate([empty, *blocks]).tobytes() == expected.tobytes()
 
 
 def _run_bytes(cells):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, z_records
+from conftest import corpus, morton_decode, z_records
 from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
@@ -23,7 +23,6 @@ from patchgrid.grid import (
     build_sorted_run,
     cell_of,
     cells_of_points,
-    morton_decode,
     morton_encode,
     scan,
 )

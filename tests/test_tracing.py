@@ -53,6 +53,29 @@ def test_tracer_counts_score_table_reductions_like_the_program(tmp_path):
     assert tracer.n_calls("matcher.score_spills") == stats["score_spills"] > 0
 
 
+def test_tracer_counts_each_stored_cell_read_once(tmp_path):
+    # The bench's exact-count check: cells read through the run reader equal
+    # the stored cells of every grid scanned (both grids of the query over
+    # the two-run database) and merged (by compact).
+    instance = planted_instance(seed=80, n_patches=8)
+    half = len(instance.patches) // 2
+    db = build_patch_database(instance.patches[:half], instance.params, tmp_path / "db")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        db = add_patches(db, instance.patches[half:])
+        assert len(db.grid.runs) == 2
+        assert match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
+        merged = compact(db)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == {}
+    assert tracer.n_calls("grid.merge_runs") == 1 and len(merged.grid.runs) == 1
+    counts = tracer.counts
+    assert counts["grid.cells_read"] == counts["grid.cells_stored_scanned"] > 2 * db.grid.total_cells
+
+
 def test_library_writes_nothing_to_stdout(tmp_path, capsys):
     instance = planted_instance(seed=79, n_patches=8)
     half = len(instance.patches) // 2

@@ -288,9 +288,14 @@ def transform_frames(origins: np.ndarray, bases: np.ndarray, points: np.ndarray)
 
 
 def point_norms(points: np.ndarray) -> np.ndarray:
-    """Euclidean norm per row of an (n, 3) array."""
-    p = np.asarray(points, dtype=np.float64)
-    return np.sqrt((p * p).sum(axis=1))
+    """Euclidean norm per row of an (n, 3) array.
+
+    Sums the squares column by column, x*x + y*y + z*z, in the order a
+    row sum takes them, so the result equals ``sqrt((p * p).sum(axis=1))``
+    bit for bit without its slow reduction over a length-3 axis.
+    """
+    x, y, z = np.asarray(points, dtype=np.float64).T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def distance(p, q) -> float:

@@ -29,11 +29,15 @@ strictly increase) raises ``CorruptDatabase``.
 
 Sorted record blocks (``RUN_RECORD`` arrays) have one merge,
 ``_merge_blocks``, and one cell writer, which drops duplicates. The
-external sort (``sort_run``) spills lexsorted chunks past the memory budget
+external sort (``sort_run``) spills sorted chunks past the memory budget
 into one temporary directory, made at the first spill and removed when the
 sort ends, and merges them; ``merge_runs`` merges a grid's runs; and a
 multi-run ``GridCursor`` cuts its cells from the merged runs, so equal-z
-cells of several runs become one cell. A failed write, the final flush
+cells of several runs become one cell. Where the records' (structure
+key, residue ordinal, atom ordinal) already ascend, as in the indexer's
+and the query grid's streams, the chunks of one stream and the runs of one
+database, sorts and merges order them with one stable sort on z; other
+input takes a four-key sort. A failed write, the final flush
 included, removes the run's temp file. Quantization (``cells_of_points``)
 and Morton codes (``morton_codes``) work on whole coordinate arrays;
 ``cell_of`` and ``morton_encode`` are their one-row calls.
@@ -71,6 +75,10 @@ _ENTRY = struct.Struct("<III")
 # One (z, structure key, residue ordinal, atom ordinal) record; a sorted
 # record array written with tofile is a spill chunk's bytes.
 RUN_RECORD = np.dtype([("z", "<u8"), ("sk", "<u4"), ("ro", "<u4"), ("ao", "<u4")])
+# The same records as opaque items: numpy copies a structured array field by
+# field, several times slower than whole items, so blocks are joined in this
+# form, and gathered with ``take``.
+_RAW_RECORD = np.dtype((np.void, RUN_RECORD.itemsize))
 
 # Bytes a run reader asks the file for at a time.
 _READ_BLOCK_BYTES = 1 << 20
@@ -221,22 +229,35 @@ def atomic_write_text(path: Path, text: str) -> None:
 # Run files
 
 
+def _concatenate(blocks: list[np.ndarray]) -> np.ndarray:
+    """``RUN_RECORD`` blocks joined into one, copied as whole items."""
+    return np.concatenate([block.view(_RAW_RECORD) for block in blocks]).view(RUN_RECORD)
+
+
+def _steps(records: np.ndarray, z: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """For each record but the first: whether its key is above the previous
+    record's, and whether the two are equal. The key is (z, sk, ro, ao), or
+    (sk, ro, ao) without ``z``."""
+    later = np.zeros(max(len(records) - 1, 0), dtype=bool)
+    same = np.ones_like(later)
+    for name in RUN_RECORD.names[0 if z else 1:]:
+        column = records[name]
+        later |= same & (column[1:] > column[:-1])
+        same &= column[1:] == column[:-1]
+    return later, same
+
+
 def _append_distinct(held: np.ndarray, records: np.ndarray) -> tuple[np.ndarray, int]:
     """Sorted ``held`` then ``records`` without exact duplicates, plus the row
     where their last cell, which may continue in the next block, starts.
     A record below its predecessor raises ValueError."""
-    records = np.concatenate([held, records])
+    records = _concatenate([held, records])
     if not len(records):
         return records, 0
-    later = np.zeros(len(records) - 1, dtype=bool)
-    same = np.ones(len(records) - 1, dtype=bool)
-    for name in RUN_RECORD.names:
-        column = records[name]
-        later |= same & (column[1:] > column[:-1])
-        same &= column[1:] == column[:-1]
+    later, same = _steps(records)
     if not (later | same).all():
         raise ValueError("run writer received out-of-order record")
-    records = records[np.concatenate(([True], ~same))]
+    records = records.compress(np.concatenate(([True], ~same)))
     return records, int(np.searchsorted(records["z"], records["z"][-1]))
 
 
@@ -386,7 +407,38 @@ def _chunk_records(path: Path) -> Iterator[np.ndarray]:
 
 
 def _sorted(records: np.ndarray) -> np.ndarray:
-    return records[np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))]
+    """Records in (z, sk, ro, ao) order. When (sk, ro, ao) never decreases
+    along the records, a stable sort on z alone gives that order;
+    otherwise a four-key lexsort does."""
+    later, same = _steps(records, z=False)
+    if (later | same).all():
+        return records.take(np.argsort(records["z"], kind="stable"))
+    return records.take(np.lexsort((records["ao"], records["ro"], records["sk"], records["z"])))
+
+
+def _merged(pieces: list[np.ndarray]) -> np.ndarray:
+    """One sorted block of sorted pieces, given in stream order.
+
+    A stable sort on z of the concatenated pieces is kept when no z tie
+    puts a larger (sk, ro, ao) first, as when each stream's (sk, ro, ao)
+    lie above the earlier streams'. Each piece is sorted, so only equal-z
+    neighbours from two pieces can do that. Otherwise one stable sort of
+    the structured records merges them: the dtype compares z, sk, ro and
+    ao in turn, as a lexsort would.
+    """
+    if len(pieces) == 1:
+        return pieces[0]
+    records = _concatenate(pieces)
+    order = np.argsort(records["z"], kind="stable")
+    z = records["z"][order]
+    piece = np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])[order]
+    seams = np.flatnonzero((z[1:] == z[:-1]) & (piece[1:] != piece[:-1]))
+    # Each seam's two records side by side; _steps also compares each pair
+    # with the next one, which [::2] drops.
+    later, same = _steps(records.take(np.column_stack((order[seams], order[seams + 1])).ravel()), z=False)
+    if (later | same)[::2].all():
+        return records.take(order)
+    return np.sort(records, kind="stable")
 
 
 def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
@@ -394,12 +446,10 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
 
     Every stream holds one head block. Each round cuts at the smallest last
     key among the heads, takes every record at or below it from the heads,
-    and replaces a head taken whole by its stream's next block. The taken
-    pieces are sorted, so one stable sort of their concatenation merges
-    them: the structured dtype compares z, sk, ro and ao in turn, as a
-    lexsort would. Two heaps keep the heads by first and by last key, so a
-    round touches only the heads that reach below the cut. Duplicates are
-    kept, and a cell may straddle two rounds.
+    and replaces a head taken whole by its stream's next block; ``_merged``
+    merges the taken pieces in stream order. Two heaps keep the heads by
+    first and by last key, so a round touches only the heads that reach
+    below the cut. Duplicates are kept, and a cell may straddle two rounds.
     """
     heads: dict[int, np.ndarray] = {}
     by_first: list[tuple[tuple, int]] = []
@@ -421,19 +471,19 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
         while by_last and by_last[0][0] == cut:
             emptied.append(heapq.heappop(by_last)[1])
         limit = np.array(cut, dtype=RUN_RECORD)
-        taken = []
+        taken = {}
         while by_first and by_first[0][0] <= cut:
             i = heapq.heappop(by_first)[1]
             block = heads[i]
             k = int(np.searchsorted(block, limit, side="right"))
-            taken.append(block[:k])
+            taken[i] = block[:k]
             if k < len(block):
                 heads[i] = block[k:]
                 heapq.heappush(by_first, (block[k].item(), i))
         for i in emptied:
             del heads[i]
             load(i)
-        yield np.sort(np.concatenate(taken), kind="stable")
+        yield _merged([taken[i] for i in sorted(taken)])
 
 
 def sort_run(
@@ -448,9 +498,11 @@ def sort_run(
     most ``memory_budget_entries`` records plus one block; each full
     budget is spilled as one sorted chunk, and the chunks and the sorted
     remainder are merged by ``_merge_blocks`` on write, holding one block per
-    chunk. The chunks live in one ``tempfile.TemporaryDirectory`` under
-    ``tmp_dir``, made at the first spill and removed with its chunks when
-    the sort ends, however it ends. Identical records collapse to one.
+    chunk. Records whose last three keys ascend in stream order, as the
+    indexer's and the query grid's do, are sorted and merged on z alone
+    (see ``_sorted`` and ``_merged``). The chunks live in one
+    ``tempfile.TemporaryDirectory`` under ``tmp_dir``, made at the first
+    spill and removed with its chunks when the sort ends, however it ends. Identical records collapse to one.
     Output is byte-identical to an in-memory sort of the same records.
     """
     if memory_budget_entries < 2:
@@ -468,7 +520,7 @@ def sort_run(
                 spill_dir = Path(stack.enter_context(
                     tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)
                 ))
-            records = np.concatenate(held)
+            records = _concatenate(held)
             held.clear()
             n_held = len(records) % memory_budget_entries
             for start in range(0, len(records) - n_held, memory_budget_entries):
@@ -476,7 +528,7 @@ def sort_run(
                 _sorted(records[start:start + memory_budget_entries]).tofile(path)
                 chunk_paths.append(path)
             held = [records[len(records) - n_held:]]
-        tail = _sorted(np.concatenate(held)) if held else np.empty(0, dtype=RUN_RECORD)
+        tail = _sorted(_concatenate(held)) if held else np.empty(0, dtype=RUN_RECORD)
         writer = _RunWriter(out_path)
         try:
             if not chunk_paths:

@@ -9,7 +9,9 @@ together (``residue_frames``: one anchor lookup, one ``frames_from_triples``
 call), each patch's atoms are transformed into all of its frames in one
 call, and the group's entries are quantized and Morton-encoded in one pass,
 then streamed as ``(z, structure_key, residue_ordinal, atom_ordinal)``
-tuples into ``build_sorted_run``.
+tuples into ``build_sorted_run``. When a patch lists its residues and
+atoms in ordinal order, as parsed files do, the tuples come in (structure
+key, residue, atom) order and the sort orders them by z alone.
 
 A database directory holds ``manifest.tsv`` and the run files
 under ``grid/``. The tab-separated manifest is the database's only root:
@@ -60,6 +62,8 @@ _SETTING_ROWS = ("delta", "bits_per_axis", "mps")
 # Most entries a group of patches may bound (see _groups): the group's
 # coordinate, cell and code columns stay a few MB beside the sort's buffer.
 _GROUP_ENTRIES = 1 << 16
+# Entries turned into tuples at a time (see _patch_entries).
+_TUPLE_SLICE = 1 << 12
 
 
 class PatchMeta(NamedTuple):
@@ -154,19 +158,36 @@ def _groups(patches: Sequence[Patch], limit: int):
 
 
 def _patch_entries(patches, frames, params, keys, stats):
-    # One group: each patch's atoms transformed into all its frames in one
-    # call, then quantization and Morton codes over the group's columns; the
-    # entries leave as tuples, one per stored entry. A patch with no frame
-    # adds none, and keys[j] is patch j's structure key.
+    # One group's entries leave as tuples, one per stored entry, built from
+    # the group's columns a slice at a time: a whole group as Python ints
+    # would hold several MB while the sort runs.
+    columns = _entry_columns(patches, frames, params, keys, stats)
+    for start in range(0, len(columns[0]), _TUPLE_SLICE):
+        yield from zip(*(column[start:start + _TUPLE_SLICE].tolist() for column in columns))
+
+
+def _entry_columns(patches, frames, params, keys, stats):
+    """A group's (z, structure key, residue ordinal, atom ordinal) columns.
+
+    Each patch's atoms are transformed into all its frames in one call,
+    then quantized and Morton-encoded over the group's columns. A patch
+    with no frame adds none, and keys[j] is patch j's structure key.
+    """
     bounds = np.searchsorted(frames.structures, np.arange(len(patches) + 1)).tolist()
     framed = [(patch, lo, hi) for patch, lo, hi in zip(patches, bounds, bounds[1:]) if hi > lo]
     coords = np.concatenate([
         transform_frames(frames.origins[lo:hi], frames.bases[lo:hi], patch.atoms.positions).reshape(-1, 3)
         for patch, lo, hi in framed
     ])
-    atom_of = np.concatenate([np.tile(patch.atoms.atom_ordinals, hi - lo) for patch, lo, hi in framed])
     sizes = np.array([len(patch.atoms) for patch in patches])
-    frame_of = np.repeat(np.arange(len(frames)), sizes[frames.structures])
+    frame_sizes = sizes[frames.structures]
+    frame_of = np.repeat(np.arange(len(frames)), frame_sizes)
+    # Entry i is atom i - first_entry[f] of its frame f's patch, which is
+    # row first_atom[patch] of the group's concatenated atom ordinals.
+    first_entry = np.cumsum(frame_sizes) - frame_sizes
+    first_atom = np.cumsum(sizes) - sizes
+    atom_row = np.arange(len(frame_of)) - (first_entry - first_atom[frames.structures])[frame_of]
+    atom_of = np.concatenate([patch.atoms.atom_ordinals for patch in patches])[atom_row]
     if stats is not None:
         stats["max_radius"] = max(stats.get("max_radius", 0.0), float(point_norms(coords).max()))
     cells, in_extent = cells_of_points(coords, params)
@@ -174,10 +195,8 @@ def _patch_entries(patches, frames, params, keys, stats):
         bad = int((~in_extent).argmax())
         patch = patches[frames.structures[frame_of[bad]]]
         raise OutOfExtent(f"patch {patch.patch_id}: atom {atom_of[bad]} quantizes outside the grid extent")
-    z = morton_codes(cells, params).tolist()
-    structure_keys = np.asarray(keys)[frames.structures][frame_of].tolist()
-    residues = frames.residue_ordinals[frame_of].tolist()
-    yield from zip(z, structure_keys, residues, atom_of.tolist())
+    structure_keys = np.asarray(keys)[frames.structures][frame_of]
+    return morton_codes(cells, params), structure_keys, frames.residue_ordinals[frame_of], atom_of
 
 
 @dataclass

@@ -1,10 +1,14 @@
-"""Shared helpers: fixed-width structure text writers, corpus builders and
-the reference Morton coder."""
+"""Shared helpers: fixed-width structure text writers, corpus builders, the
+reference run order and run bytes, the reference norms and the reference
+Morton coder."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import struct
+
+import numpy as np
 
 from patchgrid.geometry import AtomRecord
 from patchgrid.grid import CellIndex, GridParams, morton_codes
@@ -134,6 +138,30 @@ def z_records(items, params):
         codes = morton_codes([cell for cell, _ in chunk], params).tolist()
         for z, (_, entry) in zip(codes, chunk):
             yield (z, *entry)
+
+
+def lexsorted(records: np.ndarray) -> np.ndarray:
+    """``RUN_RECORD`` records in (z, structure key, residue ordinal, atom
+    ordinal) order, by one four-key lexsort: the order of a run."""
+    return records[np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))]
+
+
+def reference_run_bytes(records) -> bytes:
+    """The run file holding (z, structure key, residue ordinal, atom ordinal)
+    records, built in plain Python: the distinct records sorted as tuples,
+    one cell per z, in the layout the grid module documents."""
+    out = []
+    for z, rows in itertools.groupby(sorted(set(map(tuple, records))), key=lambda r: r[0]):
+        rows = list(rows)
+        out.append(struct.pack("<QI", z, len(rows)))
+        out.extend(struct.pack("<III", *row[1:]) for row in rows)
+    return b"".join(out)
+
+
+def reference_norms(points) -> np.ndarray:
+    """Euclidean norm per row of an (n, 3) array as a row sum of squares."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.sqrt((p * p).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_norms
 from patchgrid.errors import CollinearAtoms
 from patchgrid.geometry import (
     COLLINEARITY_TOL,
@@ -16,6 +17,7 @@ from patchgrid.geometry import (
     frame_from_triple,
     frames_from_triples,
     from_frame_coords,
+    point_norms,
     to_frame_coords,
     transform_frames,
     transform_points,
@@ -280,3 +282,21 @@ def test_transform_frames_equal_transform_points(n_points):
     assert coords.shape == (7, n_points, 3)
     for frame, batch in zip(frames, coords):
         assert np.array_equal(batch, transform_points(RigidFrame(frame.origin, frame.basis), points))
+
+
+# Components whose squares are signed zeros, subnormal, rounded to zero, or
+# near or past overflow, beside ordinary finite values.
+EDGE_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-154, 1e-160,
+                     1.3407807929942596e154, -1.3407807929942596e154, 1e154, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EDGE_COMPONENTS, EDGE_COMPONENTS, EDGE_COMPONENTS), max_size=20))
+def test_property_point_norms_bit_equal_row_sum(rows):
+    points = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    with np.errstate(over="ignore", under="ignore"):
+        got, expected = point_norms(points), reference_norms(points)
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()

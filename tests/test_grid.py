@@ -2,13 +2,21 @@ import hashlib
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deinterleave_bits, interleave_bits, morton_decode, z_records
+from conftest import (
+    deinterleave_bits,
+    interleave_bits,
+    lexsorted,
+    morton_decode,
+    reference_run_bytes,
+    z_records,
+)
 from patchgrid import grid as grid_module
 from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
@@ -240,22 +248,37 @@ def test_build_sorted_run_idempotent_on_sorted_input(tmp_path):
     assert info2 == type(info2)("b.bin", info1.n_cells, info1.n_entries)
 
 
-@pytest.mark.parametrize("budget", [2, 17, 100])
-def test_build_sorted_run_budget_matches_in_memory(tmp_path, budget):
-    def stream(seed, n):
-        rng = random.Random(seed)
-        for _ in range(n):
-            yield (
-                CellIndex(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)),
-                entry(rng.randint(0, 30), rng.randint(0, 10), rng.randint(0, 60)),
-            )
+def four_key_sorts():
+    """Spies on the four-key sorts the grid falls back to: the lexsort of
+    unordered records and the structured sort of a merge round."""
+    return mock.patch.object(np, "lexsort", wraps=np.lexsort), mock.patch.object(np, "sort", wraps=np.sort)
 
+
+@pytest.mark.parametrize("budget, ordered", [
+    *(pytest.param(budget, False, id=f"{budget}") for budget in (2, 17, 100)),
+    *(pytest.param(budget, True, id=f"{budget}-minor-ordered") for budget in (2, 17, 100)),
+])
+def test_build_sorted_run_budget_matches_in_memory(tmp_path, budget, ordered):
+    # A stream whose (sk, ro, ao) ascend, as the indexer emits it, is sorted
+    # and merged on z alone; any other stream takes the four-key sorts.
+    rng = random.Random(7)
     n = 2_000 if budget == 2 else 20_000
-    small = build_sorted_run(z_records(stream(7, n), P1), tmp_path / "small.bin",
-                             memory_budget_entries=budget, tmp_dir=tmp_path)
-    big = build_sorted_run(z_records(stream(7, n), P1), tmp_path / "big.bin",
-                           memory_budget_entries=10**7)
+    items = [
+        (CellIndex(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)),
+         entry(rng.randint(0, 30), rng.randint(0, 10), rng.randint(0, 60)))
+        for _ in range(n)
+    ]
+    if ordered:
+        cells, entries = zip(*items)
+        items = zip(cells, sorted(entries))
+    records = list(z_records(items, P1))
+    lexsort, sort = four_key_sorts()
+    with lexsort as lexsorts, sort as sorts:
+        small = build_sorted_run(records, tmp_path / "small.bin", memory_budget_entries=budget, tmp_dir=tmp_path)
+        big = build_sorted_run(records, tmp_path / "big.bin", memory_budget_entries=10**7)
+    assert (lexsorts.call_count + sorts.call_count == 0) == ordered
     assert (tmp_path / "small.bin").read_bytes() == (tmp_path / "big.bin").read_bytes()
+    assert (tmp_path / "big.bin").read_bytes() == reference_run_bytes(records)
     assert (small.n_cells, small.n_entries) == (big.n_cells, big.n_entries)
 
 
@@ -489,15 +512,37 @@ RECORD_ROWS = st.lists(st.tuples(st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(RECORD_ROWS, st.integers(1, 5)), max_size=5))
-def test_property_merge_blocks_equals_one_lexsort(streams):
-    # each stream is presorted and cut into 1-5 blocks, some of them empty
+@given(st.lists(st.tuples(RECORD_ROWS, st.integers(1, 5)), max_size=5), st.booleans())
+def test_property_merge_blocks_equals_one_lexsort(streams, ordered):
+    # each stream is presorted and cut into 1-5 blocks, some of them empty;
+    # ordered streams hold structure keys above the earlier streams', so
+    # every round merges on z alone
+    if ordered:
+        streams = [([(z, sk + 3 * i, ro, ao) for z, sk, ro, ao in rows], n) for i, (rows, n) in enumerate(streams)]
     sorted_streams = [np.array(sorted(rows), dtype=grid_module.RUN_RECORD) for rows, _ in streams]
-    blocks = list(grid_module._merge_blocks(
-        [iter(np.array_split(records, n)) for records, (_, n) in zip(sorted_streams, streams)]))
+    lexsort, sort = four_key_sorts()
+    with lexsort, sort as sorts:
+        blocks = list(grid_module._merge_blocks(
+            [iter(np.array_split(records, n)) for records, (_, n) in zip(sorted_streams, streams)]))
+    if ordered:
+        assert sorts.call_count == 0
     empty = np.empty(0, dtype=grid_module.RUN_RECORD)
-    expected = grid_module._sorted(np.concatenate([empty, *sorted_streams]))
+    expected = lexsorted(np.concatenate([empty, *sorted_streams]))
     assert np.concatenate([empty, *blocks]).tobytes() == expected.tobytes()
+
+
+def test_merge_blocks_falls_back_in_the_round_whose_ties_interleave():
+    # Round 1 ties z 1 across the streams in key order and merges on z;
+    # round 3 ties z 5 with the first stream's larger key first, so that
+    # round alone takes the structured sort.
+    first = np.array([(1, 0, 0, 0), (2, 0, 0, 0), (5, 2, 0, 0), (6, 0, 0, 0)], dtype=grid_module.RUN_RECORD)
+    second = np.array([(1, 1, 0, 0), (2, 1, 0, 0), (5, 1, 0, 0), (6, 1, 0, 0)], dtype=grid_module.RUN_RECORD)
+    lexsort, sort = four_key_sorts()
+    with lexsort, sort as sorts:
+        blocks = list(grid_module._merge_blocks([iter(np.split(first, 2)), iter(np.split(second, 2))]))
+    assert [block["z"].tolist() for block in blocks] == [[1, 1, 2], [2], [5, 5, 6], [6]]
+    assert sorts.call_count == 1
+    assert np.concatenate(blocks).tobytes() == lexsorted(np.concatenate([first, second])).tobytes()
 
 
 def _run_bytes(cells):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, morton_decode, z_records
+from conftest import corpus, morton_decode, reference_norms, reference_run_bytes, z_records
 from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
 from patchgrid import grid as grid_module
-from patchgrid.geometry import point_norms, transform_points
+from patchgrid.geometry import transform_points
 from patchgrid.grid import (
     CellIndex,
     DiskGrid,
@@ -161,11 +161,24 @@ def test_query_grid_drops_out_of_extent(tmp_path):
     assert grid.total_entries + counters["entries_out_of_extent"] == n * m
 
 
-@pytest.mark.parametrize("budget", [None, 2, 37])
-def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
-    # the columnar query grid against the entry-at-a-time external sort
+@pytest.mark.parametrize("budget, rows", [
+    pytest.param(budget, rows, id=f"{budget}" if rows == "file-order" else f"{budget}-{rows}")
+    for rows in ("file-order", "shuffled-atoms", "residues-out-of-order")
+    for budget in (None, 2, 37)
+])
+def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget, rows):
+    # the columnar query grid against the entry-at-a-time external sort; a
+    # query whose atom or residue ordinals do not ascend in row order makes
+    # its entries' (sk, ro, ao) descend, so the sort takes the lexsort
     rng = random.Random(6)
     query = random_protein(rng, "Q", 5)
+    residues = query.atoms.residue_ordinals
+    order = {
+        "file-order": np.arange(len(residues)),
+        "shuffled-atoms": np.random.default_rng(6).permutation(len(residues)),
+        "residues-out-of-order": np.argsort(-residues, kind="stable"),
+    }[rows]
+    query = Protein("Q", query.atoms[order])
     mps = 5.0
 
     def entries():
@@ -173,10 +186,11 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
         for residue_ordinal, frame in residue_frames(query.atoms):
             coords = transform_points(frame, points)
             cells, in_extent = cells_of_points(coords, P1)
-            for i in np.flatnonzero((point_norms(coords) <= mps) & in_extent):
+            for i in np.flatnonzero((reference_norms(coords) <= mps) & in_extent):
                 yield (CellIndex(*cells[i].tolist()), (0, residue_ordinal, query.atoms[i].atom_ordinal))
 
     expected = build_sorted_run(z_records(entries(), P1), tmp_path / "expected.bin")
+    assert (tmp_path / "expected.bin").read_bytes() == reference_run_bytes(z_records(entries(), P1))
     chunks_read = []
     chunk_records = grid_module._chunk_records
     monkeypatch.setattr(grid_module, "_chunk_records",
@@ -184,7 +198,10 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget):
     spill = tmp_path / "spill"
     spill.mkdir()
     budget_option = {} if budget is None else {"memory_budget_entries": budget}
-    gq = build_query_grid(query, P1, mps, tmp_path / "gq", tmp_dir=spill, **budget_option)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsorts:
+        gq = build_query_grid(query, P1, mps, tmp_path / "gq", tmp_dir=spill, **budget_option)
+    if rows == "file-order" or budget is None:
+        assert lexsorts.call_count == (rows != "file-order")
     assert gq.run_path(gq.runs[0]).read_bytes() == (tmp_path / "expected.bin").read_bytes()
     assert gq.runs == [type(expected)("run_000000.bin", expected.n_cells, expected.n_entries)]
     assert (len(chunks_read) > 0) == (budget is not None)

@@ -1,14 +1,15 @@
 import os
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus
-from patchgrid import grid
+from conftest import corpus, reference_norms, reference_run_bytes
+from patchgrid import grid, preprocess
 from patchgrid.cli import main
 from patchgrid.errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame
 from patchgrid.geometry import (
@@ -16,7 +17,6 @@ from patchgrid.geometry import (
     Atoms,
     Point3,
     frame_from_triple,
-    point_norms,
     transform_points,
 )
 from patchgrid.grid import CellIndex, GridParams, morton_encode, scan
@@ -246,13 +246,13 @@ def test_mps_is_max_frame_radius(tmp_path):
     for patch in patches:
         points = patch.atoms.positions
         for _, frame in residue_frames(patch.atoms):
-            expected = max(expected, float(point_norms(transform_points(frame, points)).max()))
+            expected = max(expected, float(reference_norms(transform_points(frame, points)).max()))
     assert db.mps == expected
     # dominance: every patch/frame/atom radius is within mps
     for patch in patches:
         points = patch.atoms.positions
         for _, frame in residue_frames(patch.atoms):
-            assert float(point_norms(transform_points(frame, points)).max()) <= db.mps + 1e-9
+            assert float(reference_norms(transform_points(frame, points)).max()) <= db.mps + 1e-9
 
 
 def test_build_is_deterministic(tmp_path):
@@ -318,9 +318,10 @@ def test_out_of_extent_patch_rejected(tmp_path):
 # grouped indexing: groups of patches give what one patch at a time gave
 
 
-def reference_index(patches, params, path, counters):
+def reference_index(patches, params, counters):
     """Reference: index one patch at a time, with one frame_from_triple and
-    one transform_points call per residue, and sort the entries into a run."""
+    one transform_points call per residue, and give the run bytes of the
+    entries."""
     records = []
     key = 0
     for patch in patches:
@@ -334,9 +335,7 @@ def reference_index(patches, params, path, counters):
             for cell, atom_ordinal in zip(cells.tolist(), patch.atoms.atom_ordinals.tolist()):
                 records.append((morton_encode(CellIndex(*cell), params), key, residue_ordinal, atom_ordinal))
         key += 1
-    block = np.array(records, dtype=grid.RUN_RECORD)
-    grid.sort_run([block], path)
-    return path.read_bytes()
+    return reference_run_bytes(records)
 
 
 def mixed_patches():
@@ -352,13 +351,45 @@ def mixed_patches():
     return patches
 
 
-@pytest.mark.parametrize("budget", [2, 60, 1000, grid.DEFAULT_MEMORY_BUDGET])
-def test_grouped_indexing_writes_the_reference_run(tmp_path, budget):
+def shuffled_atoms_patch():
+    """Two residues whose atoms are listed in shuffled order, so the atom
+    ordinals of a frame's entries do not ascend."""
+    atoms = residue(COMPLETE, 0) + residue([(n, (x + 5, y, z)) for n, (x, y, z) in COMPLETE], 1, base=4)
+    random.Random(8).shuffle(atoms)
+    return Patch("SHUF_0", "SHUF", tuple(atoms), OriginTag.SiteRecord)
+
+
+def residues_out_of_order_patch():
+    """Residue 1's atoms listed before residue 0's, so the frames' residue
+    ordinals do not follow first appearance."""
+    atoms = residue([(n, (x + 5, y, z)) for n, (x, y, z) in COMPLETE], 1, base=4) + residue(COMPLETE, 0)
+    return Patch("BACK_0", "BACK", tuple(atoms), OriginTag.SiteRecord)
+
+
+@pytest.mark.parametrize("budget, extra", [
+    pytest.param(budget, extra, id=f"{budget}{name}")
+    for name, extra in (("", None), ("-shuffled-atoms", shuffled_atoms_patch),
+                        ("-residues-out-of-order", residues_out_of_order_patch))
+    for budget in (2, 60, 1000, grid.DEFAULT_MEMORY_BUDGET)
+])
+def test_grouped_indexing_writes_the_reference_run(tmp_path, monkeypatch, budget, extra):
+    # The indexer's entries ascend in (sk, ro, ao), so they are sorted on z
+    # alone; an extra patch whose atoms or residues come out of order makes
+    # the single sort at the default budget take the four-key lexsort. Each
+    # group's tuples are built 7 entries at a time.
+    monkeypatch.setattr(preprocess, "_TUPLE_SLICE", 7)
     patches = mixed_patches()
+    if extra is not None:
+        patches.insert(4, extra())
     expected_counters: dict[str, int] = {}
-    expected = reference_index(patches, P1, tmp_path / "reference.bin", expected_counters)
+    expected = reference_index(patches, P1, expected_counters)
     counters: dict[str, int] = {}
-    db = build_patch_database(patches, P1, tmp_path / "db", memory_budget_entries=budget, counters=counters)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsorts:
+        db = build_patch_database(patches, P1, tmp_path / "db", memory_budget_entries=budget, counters=counters)
+    if extra is None:
+        assert lexsorts.call_count == 0
+    elif budget == grid.DEFAULT_MEMORY_BUDGET:
+        assert lexsorts.call_count == 1
     (run,) = db.grid.runs
     assert db.grid.run_path(run).read_bytes() == expected
     for key in ("residues_missing_anchor", "residues_collinear", "patches_excluded"):

@@ -9,7 +9,6 @@ database in a single merge scan of two z-ordered grids, reporting every
 from .baseline import FrameMode, TripleFrameId, naive_frames, naive_match
 from .errors import (
     CapExceeded,
-    CollinearAtoms,
     CorruptDatabase,
     DuplicatePatchId,
     EmptyStructure,
@@ -27,22 +26,18 @@ from .geometry import (
     Atoms,
     Point3,
     RigidFrame,
-    distance,
     frame_from_triple,
-    from_frame_coords,
-    to_frame_coords,
 )
 from .grid import (
     Cell,
-    CellIndex,
     DiskGrid,
+    GridCursor,
     GridParams,
     RefId,
     build_sorted_run,
-    cell_of,
+    cells_of_points,
     merge_runs,
     morton_encode,
-    scan,
 )
 from .ingest import (
     KeywordAnnotation,

@@ -14,10 +14,13 @@ genuinely independent path.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, CollinearAtoms, OutOfExtent
+import numpy as np
+
+from .errors import CapExceeded, OutOfExtent
 from .geometry import (
     Atoms,
     RigidFrame,
@@ -56,9 +59,10 @@ def naive_frames(
     """Enumerate frames for one structure.
 
     AllTriples yields one frame per ordered non-collinear triple of distinct
-    atoms (collinear triples are skipped); PerResidue delegates to the
-    engine's per-residue rule. Raises CapExceeded when AllTriples would
-    enumerate more than triple_cap**3 combinations.
+    atoms, in (i, j, k) order of their rows, all built by one
+    ``frame_from_triple`` call (collinear triples are skipped); PerResidue
+    delegates to the engine's per-residue rule. Raises CapExceeded when
+    AllTriples would enumerate more than triple_cap**3 combinations.
     """
     if mode is FrameMode.PerResidue:
         return [
@@ -68,22 +72,13 @@ def naive_frames(
     n = len(atoms)
     if n > triple_cap:
         raise CapExceeded(f"AllTriples over {n} atoms exceeds cap {triple_cap}")
-    points, ordinals = atoms.positions, atoms.atom_ordinals.tolist()
-    frames: list[tuple[RefId | TripleFrameId, RigidFrame]] = []
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                try:
-                    frame = frame_from_triple(points[i], points[j], points[k])
-                except CollinearAtoms:
-                    continue
-                triple = (ordinals[i], ordinals[j], ordinals[k])
-                frames.append((TripleFrameId(structure_key, triple), frame))
-    return frames
+    triples = np.array(list(itertools.permutations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    origins, bases, valid = frame_from_triple(*atoms.positions[triples.T])
+    ordinals = atoms.atom_ordinals[triples].tolist()
+    return [
+        (TripleFrameId(structure_key, tuple(ordinals[t])), RigidFrame(origins[t], bases[t]))
+        for t in np.flatnonzero(valid).tolist()
+    ]
 
 
 def naive_match(

@@ -5,10 +5,6 @@ class PatchGridError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CollinearAtoms(PatchGridError):
-    """Three anchor atoms are collinear or coincident; no frame exists."""
-
-
 class MalformedRecord(PatchGridError):
     """A text record failed to parse; carries the 1-based line number."""
 

@@ -17,13 +17,10 @@ are safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-
-from .errors import CollinearAtoms
 
 # Normalized cross-product magnitude below which three anchors are treated
 # as collinear. Structure files carry 3 decimals, so 1e-8 cleanly separates
@@ -189,10 +186,6 @@ class RigidFrame:
         object.__setattr__(self, "basis", np.asarray(self.basis, dtype=np.float64))
 
 
-def _as_vec(p) -> np.ndarray:
-    return np.asarray(p, dtype=np.float64)
-
-
 # Column permutations that line up a row-wise cross product's factors.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -207,7 +200,7 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.take(_NEXT, axis=1) * v.take(_PREV, axis=1) - u.take(_PREV, axis=1) * v.take(_NEXT, axis=1)
 
 
-def frames_from_triples(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def frame_from_triple(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build one frame per row of the (n, 3) anchor arrays ``a``, ``b``, ``c``.
 
     Row i is the frame anchored at a[i]: origin = a; e1 = unit(b - a);
@@ -240,38 +233,11 @@ def frames_from_triples(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchors[0], np.concatenate((e1, e2, e3), axis=1).reshape(-1, 3, 3), valid
 
 
-def frame_from_triple(a, b, c) -> RigidFrame:
-    """Build the frame anchored at ``a`` from three non-collinear points:
-    the one-row call of ``frames_from_triples``.
-
-    Raises CollinearAtoms when the triple is (nearly) collinear or any two
-    anchors (nearly) coincide.
-    """
-    origins, bases, valid = frames_from_triples(a, b, c)
-    if not valid[0]:
-        raise CollinearAtoms(
-            "anchor atoms are collinear or closer than %g A" % MIN_SEPARATION
-        )
-    return RigidFrame(origin=origins[0], basis=bases[0])
-
-
-def to_frame_coords(frame: RigidFrame, p) -> Point3:
-    """Express point ``p`` in ``frame``: basis @ (p - origin)."""
-    q = frame.basis @ (_as_vec(p) - frame.origin)
-    return Point3(float(q[0]), float(q[1]), float(q[2]))
-
-
-def from_frame_coords(frame: RigidFrame, q) -> Point3:
-    """Inverse of to_frame_coords: origin + basis^T @ q."""
-    p = frame.origin + frame.basis.T @ _as_vec(q)
-    return Point3(float(p[0]), float(p[1]), float(p[2]))
-
-
 def transform_points(frame: RigidFrame, points: np.ndarray) -> np.ndarray:
     """Express an (n, 3) array of points in ``frame``.
 
-    This is the single transform kernel used by both the disk engine and the
-    in-memory baseline so the two paths agree bit for bit.
+    The oracle's one-frame transform; ``transform_frames``, the engine's,
+    gives each frame the same values bit for bit.
     """
     return (np.asarray(points, dtype=np.float64) - frame.origin) @ frame.basis.T
 
@@ -296,9 +262,3 @@ def point_norms(points: np.ndarray) -> np.ndarray:
     """
     x, y, z = np.asarray(points, dtype=np.float64).T
     return np.sqrt(x * x + y * y + z * z)
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two points."""
-    d = _as_vec(p) - _as_vec(q)
-    return math.sqrt(float(d @ d))

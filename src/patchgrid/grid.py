@@ -39,8 +39,7 @@ and the query grid's streams, the chunks of one stream and the runs of one
 database, sorts and merges order them with one stable sort on z; other
 input takes a four-key sort. A failed write, the final flush
 included, removes the run's temp file. Quantization (``cells_of_points``)
-and Morton codes (``morton_codes``) work on whole coordinate arrays;
-``cell_of`` and ``morton_encode`` are their one-row calls.
+and Morton codes (``morton_encode``) work on whole coordinate arrays.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import itertools
 import os
 import struct
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -103,14 +102,6 @@ class GridParams:
     @property
     def half_extent_cells(self) -> int:
         return 1 << (self.bits_per_axis - 1)
-
-
-class CellIndex(NamedTuple):
-    """Signed integer cell coordinates."""
-
-    ix: int
-    iy: int
-    iz: int
 
 
 class RefId(NamedTuple):
@@ -166,15 +157,6 @@ def cells_of_points(points: np.ndarray, params: GridParams):
     return cells, in_extent
 
 
-def cell_of(p, params: GridParams) -> CellIndex:
-    """Quantize one point with cells_of_points; raises OutOfExtent when it
-    falls outside the addressable range."""
-    cells, in_extent = cells_of_points(p, params)
-    if not in_extent[0]:
-        raise OutOfExtent(f"point {tuple(p)} maps outside +-{params.half_extent_cells} cells")
-    return CellIndex(*(int(c) for c in cells[0]))
-
-
 # ---------------------------------------------------------------------------
 # Morton codes
 
@@ -193,12 +175,7 @@ def _spread_bits(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def morton_encode(c: CellIndex, params: GridParams) -> int:
-    """Morton code of one cell: ``morton_codes`` of a one-row array."""
-    return int(morton_codes([c], params)[0])
-
-
-def morton_codes(cells: np.ndarray, params: GridParams) -> np.ndarray:
+def morton_encode(cells: np.ndarray, params: GridParams) -> np.ndarray:
     """Morton codes of an (n, 3) integer cell array, as uint64.
 
     Each component is offset by half_extent_cells to make it non-negative,
@@ -610,9 +587,13 @@ class GridCursor:
     """
 
     def __init__(self, grid: DiskGrid):
-        self._readers = [
-            _RunReader(grid.run_path(info)) for info in grid.runs if info.n_cells > 0
-        ]
+        # A run that fails to open closes the ones opened before it.
+        with ExitStack() as opened:
+            self._readers = [
+                opened.enter_context(closing(_RunReader(grid.run_path(info))))
+                for info in grid.runs if info.n_cells > 0
+            ]
+            opened.pop_all()
         self.records = _merge_blocks([_run_records(r) for r in self._readers])
         self._cells = (
             self._readers[0] if len(self._readers) == 1 else _cells_of(self.records)
@@ -684,11 +665,6 @@ def _split_cells(records: np.ndarray) -> Iterator[Cell]:
         yield Cell(int(z[start]), entries[start:end])
 
 
-def scan(grid: DiskGrid) -> GridCursor:
-    """Open a cursor yielding each logical cell of the grid exactly once."""
-    return GridCursor(grid)
-
-
 def merge_runs(grid: DiskGrid) -> DiskGrid:
     """Write the grid's cells as one new run and return the grid made of it.
 
@@ -701,7 +677,7 @@ def merge_runs(grid: DiskGrid) -> DiskGrid:
         return grid
     writer = _RunWriter(grid.directory / grid.next_run_name())
     try:
-        with scan(grid) as cursor:
+        with GridCursor(grid) as cursor:
             for records in cursor.records:
                 writer.add(records)
         return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])

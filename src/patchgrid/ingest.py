@@ -21,7 +21,7 @@ Column layout of the fixed-width records (1-based, inclusive):
 
     ATOM: record name 1-6, serial 7-11, atom name 13-16, altLoc 17,
           residue name 18-20, chain id 22, residue seq 23-26,
-          x 31-38, y 39-46, z 47-54, element 77-78
+          insertion code 27, x 31-38, y 39-46, z 47-54, element 77-78
     SITE: site id 12-14, up to four residues per line at
           (residue name 19-21, chain id 23, residue seq 24-27) and
           +11 columns for each further slot
@@ -116,6 +116,7 @@ _ATOM_WIDTH = 78
 _ALTLOC = 16
 _SERIAL = (6, 11)
 _RESIDUE_SEQ = (22, 26)
+_ICODE = 26
 _XYZ = (30, 54)
 # The text fields, gathered into one key per atom: atom name 12-16,
 # residue name 17-20, chain id 21 and element 76-78.
@@ -128,10 +129,10 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
 
     The first HEADER record with a non-blank id names the structure when
     ``protein_id`` is not given. Residue ordinals are assigned in order of
-    first appearance of (chain id, residue sequence number), and a blank
-    element falls back to the first letter of the atom name. Raises
-    MalformedRecord with the offending line number, or EmptyStructure when
-    no ATOM records exist.
+    first appearance of (chain id, residue sequence number, insertion
+    code), and a blank element falls back to the first letter of the atom
+    name. Raises MalformedRecord with the offending line number, or
+    EmptyStructure when no ATOM records exist.
 
     The ATOM lines are cut by character into one table of ``_ATOM_WIDTH``
     columns, padded with blanks, and each numeric field is converted with
@@ -177,9 +178,12 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     chain_number = {chain: k for k, chain in enumerate(dict.fromkeys(chains))}
     chain_of_atom = np.array([chain_number[c] for c in chains], dtype=np.int64)[text_of_atom]
 
-    # Residue ordinals number the distinct (chain, residue number) keys.
+    # Residue ordinals number the distinct (chain, residue number,
+    # insertion code) keys.
+    _, icode_of_atom = np.unique(table[:, _ICODE], return_inverse=True)
     low = residue_seqs.min()
     residue_keys = chain_of_atom * (residue_seqs.max() - low + 1) + (residue_seqs - low)
+    residue_keys = residue_keys * (icode_of_atom.max() + 1) + icode_of_atom
 
     def text_column(values):
         return np.array(values, dtype=object)[text_of_atom]

@@ -68,11 +68,11 @@ from .grid import (
     DEFAULT_MEMORY_BUDGET,
     RUN_RECORD,
     DiskGrid,
+    GridCursor,
     GridParams,
     RefId,
     cells_of_points,
-    morton_codes,
-    scan,
+    morton_encode,
     sort_run,
 )
 from .ingest import OriginTag, Patch, Protein, _count
@@ -334,7 +334,7 @@ def build_query_grid(
                 _count(counters, "entries_out_of_extent", dropped)
             kept = kept[in_extent]
             block = np.empty(len(kept), dtype=RUN_RECORD)
-            block["z"] = morton_codes(cells[in_extent], params)
+            block["z"] = morton_encode(cells[in_extent], params)
             block["sk"] = 0
             block["ro"] = frames.residue_ordinals[frame_slice][kept // len(points)]
             block["ao"] = ordinals[kept % len(points)]
@@ -394,9 +394,7 @@ def merge_scan_match(
     """
     if gp.params != gq.params:
         raise ParamsMismatch(f"grid params differ: {gp.params} vs {gq.params}")
-    cur_p = scan(gp)
-    cur_q = scan(gq)
-    try:
+    with GridCursor(gp) as cur_p, GridCursor(gq) as cur_q:
         p_entries: list[np.ndarray] = []
         q_entries: list[np.ndarray] = []
         held = 0
@@ -428,9 +426,6 @@ def merge_scan_match(
             stats["gq_cells_read"] = cur_q.physical_cells_read
             stats["gp_cells_stored"] = gp.total_cells
             stats["gq_cells_stored"] = gq.total_cells
-    finally:
-        cur_p.close()
-        cur_q.close()
     return table
 
 

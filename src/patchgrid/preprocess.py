@@ -5,7 +5,7 @@ reference frame is generated and all patch atoms are expressed in it, so a
 patch with n atoms and m usable residues contributes exactly n*m grid
 entries. Atoms are read only as ``Atoms`` columns. Patches are indexed in
 groups whose entries fit the memory budget: a group's frames are built
-together (``residue_frames``: one anchor lookup, one ``frames_from_triples``
+together (``residue_frames``: one anchor lookup, one ``frame_from_triple``
 call), each patch's atoms are transformed into all of its frames in one
 call, and the group's entries are quantized and Morton-encoded in one pass,
 then streamed as ``(z, structure_key, residue_ordinal, atom_ordinal)``
@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CorruptDatabase, DuplicatePatchId, NoValidFrame, OutOfExtent
-from .geometry import Atoms, RigidFrame, frames_from_triples, point_norms, transform_frames
+from .geometry import Atoms, RigidFrame, frame_from_triple, point_norms, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
     DiskGrid,
@@ -49,7 +49,7 @@ from .grid import (
     build_sorted_run,
     cells_of_points,
     merge_runs,
-    morton_codes,
+    morton_encode,
 )
 from .ingest import Patch, _count
 
@@ -107,7 +107,7 @@ def residue_frames(
 
     ``atoms`` is one structure or a sequence of them, whose residues are told
     apart by structure. The anchors of every residue are looked up at once
-    and all frames come from one ``frames_from_triples`` call.
+    and all frames come from one ``frame_from_triple`` call.
     """
     parts = [atoms] if isinstance(atoms, Atoms) else list(atoms)
     sizes = [len(part) for part in parts]
@@ -130,7 +130,7 @@ def residue_frames(
     complete = (anchor < n).all(axis=1)
     anchor, first_atom = anchor[complete], first_atom[complete]
     positions = np.concatenate([part.positions for part in parts])
-    origins, bases, valid = frames_from_triples(*positions[anchor.T])
+    origins, bases, valid = frame_from_triple(*positions[anchor.T])
     for key, kept in (("residues_missing_anchor", complete), ("residues_collinear", valid)):
         if not kept.all():
             _count(counters, key, int(len(kept) - kept.sum()))
@@ -196,7 +196,7 @@ def _entry_columns(patches, frames, params, keys, stats):
         patch = patches[frames.structures[frame_of[bad]]]
         raise OutOfExtent(f"patch {patch.patch_id}: atom {atom_of[bad]} quantizes outside the grid extent")
     structure_keys = np.asarray(keys)[frames.structures][frame_of]
-    return morton_codes(cells, params), structure_keys, frames.residue_ordinals[frame_of], atom_of
+    return morton_encode(cells, params), structure_keys, frames.residue_ordinals[frame_of], atom_of
 
 
 @dataclass
@@ -239,8 +239,8 @@ class PatchDatabase:
         """Read a database from its manifest and check it against its runs.
 
         Raises CorruptDatabase when a manifest row is missing, malformed,
-        repeated or of unknown kind, when two patch rows share a patch id,
-        when the patches' sum of
+        repeated or of unknown kind, when a run name is not a bare file
+        name, when two patch rows share a patch id, when the patches' sum of
         n_atoms*n_frames differs from the runs' entry total, or when a
         listed run file is missing or its size disagrees with its cell and
         entry counts.
@@ -257,6 +257,8 @@ class PatchDatabase:
                     kind, *fields = line.rstrip("\n").split("\t")
                     if kind == "run":
                         name, n_cells, n_entries = fields
+                        if Path(name).name != name or name in ("", ".."):
+                            raise CorruptDatabase(f"{manifest}: run name {name!r} is not a file name")
                         runs.append(RunInfo(name, int(n_cells), int(n_entries)))
                     elif kind == "patch":
                         key, patch_id, source_id, n_atoms, n_frames = fields

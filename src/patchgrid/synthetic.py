@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Atoms, transform_points
+from .geometry import Atoms, point_norms, transform_points
 from .grid import BOUNDARY_SNAP, GridParams
 from .ingest import OriginTag, Patch, Protein, _first_appearance_ordinals
 from .preprocess import residue_frames
@@ -314,7 +314,7 @@ def margin_violations(
     clip_eps = 1e-6
     for _, frame in frames:
         coords = transform_points(frame, points)
-        radii = np.sqrt((coords * coords).sum(axis=1))
+        radii = point_norms(coords)
         violations += int(((np.abs(radii - mps) < clip_eps) & (radii > 0)).sum())
         surviving = coords[radii <= mps]
         if not len(surviving):

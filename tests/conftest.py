@@ -1,17 +1,19 @@
 """Shared helpers: fixed-width structure text writers, corpus builders, the
-reference run order and run bytes, the reference norms and the reference
-Morton coder."""
+reference run order and run bytes, a recorder of opened run readers, the
+reference norms, and cell indices with the reference Morton coder."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
+from patchgrid import grid as grid_module
 from patchgrid.geometry import AtomRecord
-from patchgrid.grid import CellIndex, GridParams, morton_codes
+from patchgrid.grid import GridParams, morton_encode
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.synthetic import random_protein
 
@@ -34,6 +36,7 @@ def atom_line(
     element: str = "",
     altloc: str = " ",
     record: str = "ATOM",
+    icode: str = " ",
 ) -> str:
     line = [" "] * 80
     _place(line, 1, f"{record:<6}")
@@ -43,6 +46,7 @@ def atom_line(
     _place(line, 18, f"{residue_name:>3}")
     _place(line, 22, chain_id)
     _place(line, 23, f"{residue_seq:>4}")
+    _place(line, 27, icode)
     _place(line, 31, f"{x:8.3f}")
     _place(line, 39, f"{y:8.3f}")
     _place(line, 47, f"{z:8.3f}")
@@ -135,7 +139,7 @@ def z_records(items, params):
     (z, structure key, residue ordinal, atom ordinal) records build_sorted_run takes."""
     items = iter(items)
     while chunk := list(itertools.islice(items, 4096)):
-        codes = morton_codes([cell for cell, _ in chunk], params).tolist()
+        codes = morton_encode([cell for cell, _ in chunk], params).tolist()
         for z, (_, entry) in zip(codes, chunk):
             yield (z, *entry)
 
@@ -158,6 +162,19 @@ def reference_run_bytes(records) -> bytes:
     return b"".join(out)
 
 
+def opened_readers(monkeypatch) -> list:
+    """Every run reader opened from now on, recorded once its file is open."""
+    opened = []
+
+    class Recorded(grid_module._RunReader):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(grid_module, "_RunReader", Recorded)
+    return opened
+
+
 def reference_norms(points) -> np.ndarray:
     """Euclidean norm per row of an (n, 3) array as a row sum of squares."""
     p = np.asarray(points, dtype=np.float64)
@@ -165,8 +182,17 @@ def reference_norms(points) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reference Morton coder: the scalar form of the bit spread that
-# patchgrid.grid.morton_codes applies to arrays, and its inverse.
+# Cell indices and the reference Morton coder: the scalar form of the bit
+# spread that patchgrid.grid.morton_encode applies to arrays, and its inverse.
+
+
+class CellIndex(NamedTuple):
+    """Signed integer cell coordinates: one row of a cell array."""
+
+    ix: int
+    iy: int
+    iz: int
+
 
 _MASK21 = 0x1FFFFF
 
@@ -199,6 +225,12 @@ def interleave_bits(ox: int, oy: int, oz: int) -> int:
 
 def deinterleave_bits(code: int) -> tuple[int, int, int]:
     return _compact_bits(code), _compact_bits(code >> 1), _compact_bits(code >> 2)
+
+
+def reference_morton(cell, params: GridParams) -> int:
+    """The Morton code of one in-extent cell, by the reference coder."""
+    h = params.half_extent_cells
+    return interleave_bits(*(c + h for c in cell))
 
 
 def morton_decode(z: int, params: GridParams) -> CellIndex:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from patchgrid.baseline import (
@@ -10,7 +11,7 @@ from patchgrid.baseline import (
     naive_match,
 )
 from patchgrid.errors import CapExceeded
-from patchgrid.geometry import AtomRecord, Atoms, Point3
+from patchgrid.geometry import AtomRecord, Atoms, Point3, frame_from_triple
 from patchgrid.grid import GridParams, RefId
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.matcher import match_query
@@ -46,6 +47,27 @@ def test_all_triples_twenty_atoms_enumeration():
 def test_all_triples_collinear_atoms_give_no_frames():
     atoms = point_atoms([(float(i), 0.0, 0.0) for i in range(4)])
     assert naive_frames(atoms, FrameMode.AllTriples) == []
+
+
+def test_all_triples_equal_one_kernel_call_per_triple():
+    # the one batched call gives the frames, the order and the skips of a
+    # (i, j, k) loop with a one-row call per triple
+    rng = random.Random(31)
+    points = [(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(6)]
+    points += [points[0], tuple(2 * b - a for a, b in zip(points[0], points[1]))]  # coincident, collinear
+    expected = []
+    for i in range(len(points)):
+        for j in range(len(points)):
+            for k in range(len(points)):
+                if len({i, j, k}) == 3:
+                    origins, bases, valid = frame_from_triple(points[i], points[j], points[k])
+                    if valid[0]:
+                        expected.append(((i, j, k), origins[0], bases[0]))
+    frames = naive_frames(point_atoms(points), FrameMode.AllTriples, structure_key=4)
+    assert [fid for fid, _ in frames] == [TripleFrameId(4, triple) for triple, _, _ in expected]
+    assert len(frames) < 8 * 7 * 6
+    for (_, frame), (_, origin, basis) in zip(frames, expected):
+        assert np.array_equal(frame.origin, origin) and np.array_equal(frame.basis, basis)
 
 
 def test_all_triples_cap():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -10,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CellIndex,
     deinterleave_bits,
     interleave_bits,
     lexsorted,
     morton_decode,
+    opened_readers,
+    reference_morton,
     reference_run_bytes,
     z_records,
 )
@@ -22,17 +26,14 @@ from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
     BOUNDARY_SNAP,
     Cell,
-    CellIndex,
     DiskGrid,
+    GridCursor,
     GridParams,
     RunInfo,
     build_sorted_run,
-    cell_of,
     cells_of_points,
     merge_runs,
-    morton_codes,
     morton_encode,
-    scan,
 )
 
 P1 = GridParams(delta=1.0)
@@ -71,8 +72,14 @@ def make_run(tmp_path, name, items, params=P1, budget=10**6):
 
 
 def read_cells(grid):
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         return list(cursor)
+
+
+def quantized(points, params=P1):
+    """The cell of each point, or None where it falls outside the extent."""
+    cells, in_extent = cells_of_points(np.array(points, dtype=np.float64), params)
+    return [CellIndex(*c) if ok else None for c, ok in zip(cells.tolist(), in_extent.tolist())]
 
 
 def entry_tuples(cell):
@@ -85,18 +92,17 @@ def entry_tuples(cell):
 
 
 def test_cell_of_origin():
-    assert cell_of((0.0, 0.0, 0.0), P1) == CellIndex(0, 0, 0)
+    assert quantized([(0.0, 0.0, 0.0)]) == [CellIndex(0, 0, 0)]
 
 
 def test_cell_of_floor_example():
     # floor arithmetic checked against the scalar oracle below
-    assert cell_of((2.5, -1.2, 0.0), P1) == CellIndex(2, -2, 0)
+    assert quantized([(2.5, -1.2, 0.0)]) == [CellIndex(2, -2, 0)]
     assert math.floor(2.5 / 1.0) == 2 and math.floor(-1.2 / 1.0) == -2
 
 
 def test_cell_of_out_of_extent():
-    with pytest.raises(OutOfExtent):
-        cell_of((1e12, 0.0, 0.0), P1)
+    assert quantized([(1e12, 0.0, 0.0), (1.0, 0.0, 0.0)]) == [None, CellIndex(1, 0, 0)]
 
 
 def test_cell_of_matches_floor_oracle_away_from_boundaries():
@@ -110,13 +116,14 @@ def test_cell_of_matches_floor_oracle_away_from_boundaries():
             if abs(x / delta - round(x / delta)) * delta < 1e-6:
                 x += 0.3 * delta
             p.append(x)
-        assert cell_of(p, params) == CellIndex(*(math.floor(x / delta) for x in p))
+        assert quantized([p], params) == [CellIndex(*(math.floor(x / delta) for x in p))]
 
 
 def test_boundary_snap_is_stable():
     # values a hair below a boundary land in the boundary's upper cell
-    assert cell_of((-1e-12, 1.0 - 1e-12, 2.0 + 1e-12), P1) == CellIndex(0, 1, 2)
-    assert cell_of((0.0, 1.0, -3.0), P1) == CellIndex(0, 1, -3)
+    assert quantized([(-1e-12, 1.0 - 1e-12, 2.0 + 1e-12), (0.0, 1.0, -3.0)]) == [
+        CellIndex(0, 1, 2), CellIndex(0, 1, -3)
+    ]
 
 
 def test_batch_quantization_matches_scalar():
@@ -157,53 +164,51 @@ def test_interleave_matches_bit_oracle():
 
 def test_morton_round_trip_exhaustive_small_offsets():
     h = P1.half_extent_cells
-    for ox in range(8):
-        for oy in range(8):
-            for oz in range(8):
-                c = CellIndex(ox - h, oy - h, oz - h)
-                code = morton_encode(c, P1)
-                assert code == interleave_oracle(ox, oy, oz)
-                assert morton_decode(code, P1) == c
+    offsets = list(itertools.product(range(8), repeat=3))
+    cells = [CellIndex(ox - h, oy - h, oz - h) for ox, oy, oz in offsets]
+    for (ox, oy, oz), c, code in zip(offsets, cells, morton_encode(cells, P1).tolist()):
+        assert code == interleave_oracle(ox, oy, oz)
+        assert morton_decode(code, P1) == c
 
 
 def test_morton_round_trip_random():
     rng = random.Random(8)
     h = P1.half_extent_cells
-    for _ in range(5000):
-        c = CellIndex(*(rng.randrange(-h, h) for _ in range(3)))
-        assert morton_decode(morton_encode(c, P1), P1) == c
+    cells = [CellIndex(*(rng.randrange(-h, h) for _ in range(3))) for _ in range(5000)]
+    for c, code in zip(cells, morton_encode(cells, P1).tolist()):
+        assert morton_decode(code, P1) == c
 
 
 def test_morton_code_fits_bit_budget():
     params = GridParams(delta=1.0, bits_per_axis=5)
     h = params.half_extent_cells
-    code = morton_encode(CellIndex(h - 1, h - 1, h - 1), params)
+    (code,) = morton_encode([CellIndex(h - 1, h - 1, h - 1)], params).tolist()
     assert code < (1 << (3 * params.bits_per_axis))
 
 
 @pytest.mark.parametrize("bits", [1, 5, 21])
-def test_morton_encode_is_one_row_of_morton_codes(bits):
+def test_morton_encode_extent_corners(bits):
     params = GridParams(delta=1.0, bits_per_axis=bits)
     h = params.half_extent_cells
-    for c in (CellIndex(-h, -h, -h), CellIndex(h - 1, h - 1, h - 1), CellIndex(-h, h - 1, 0)):
-        code = morton_encode(c, params)
-        assert code == int(morton_codes([c], params)[0])
-        assert morton_decode(code, params) == c
-    assert morton_encode(CellIndex(h - 1, h - 1, h - 1), params) == (1 << (3 * bits)) - 1
+    corners = [CellIndex(-h, -h, -h), CellIndex(h - 1, h - 1, h - 1), CellIndex(-h, h - 1, 0)]
+    codes = morton_encode(corners, params)
+    assert codes.dtype == np.uint64
+    assert codes.tolist() == [reference_morton(c, params) for c in corners]
+    assert [morton_decode(code, params) for code in codes.tolist()] == corners
+    assert codes[1] == (1 << (3 * bits)) - 1
+    # one cell past the extent fails the whole array
     for c in (CellIndex(h, 0, 0), CellIndex(0, -h - 1, 0), CellIndex(-1, -1, -h - 1)):
-        for encode in (morton_encode, lambda c, params: morton_codes([c], params)):
-            with pytest.raises(OutOfExtent, match=f"outside extent for {bits} bits"):
-                encode(c, params)
+        with pytest.raises(OutOfExtent, match=f"outside extent for {bits} bits"):
+            morton_encode([corners[0], c], params)
 
 
 def test_z_equality_iff_same_cell():
     rng = random.Random(6)
-    for _ in range(1000):
-        p = [rng.uniform(-20, 20) for _ in range(3)]
-        q = [rng.uniform(-20, 20) for _ in range(3)]
-        cp, cq = cell_of(p, P1), cell_of(q, P1)
-        same_code = morton_encode(cp, P1) == morton_encode(cq, P1)
-        assert same_code == (cp == cq)
+    points = [[rng.uniform(-20, 20) for _ in range(3)] for _ in range(2000)]
+    cells = quantized(points)
+    codes = morton_encode(cells, P1).tolist()
+    for cp, cq, zp, zq in zip(cells[::2], cells[1::2], codes[::2], codes[1::2]):
+        assert (zp == zq) == (cp == cq)
 
 
 def test_params_validation():
@@ -359,7 +364,7 @@ def union_oracle(grids):
 def test_scan_empty_grid(tmp_path):
     info = make_run(tmp_path, "empty.bin", [])
     grid = DiskGrid(P1, tmp_path, [info])
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         assert list(cursor) == []
         assert cursor.physical_cells_read == 0
 
@@ -367,7 +372,7 @@ def test_scan_empty_grid(tmp_path):
 def test_scan_counts_physical_reads(tmp_path):
     items = [(CellIndex(i, 0, 0), entry(0, 0, i)) for i in range(5)]
     grid = DiskGrid(P1, tmp_path, [make_run(tmp_path, "five.bin", items)])
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         cells = list(cursor)
         assert len(cells) == 5
         assert cursor.physical_cells_read == 5
@@ -385,7 +390,7 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
         (CellIndex(2, 0, 0), entry(1, 0, 1)),
     ])
     grid = DiskGrid(P1, tmp_path, [a, b])
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         cells = list(cursor)
         assert cursor.physical_cells_read == 4
     assert len(cells) == 3
@@ -407,7 +412,7 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
         (CellIndex(2, 0, 0), entry(0, 0, 0)),
     ])
     grid = DiskGrid(P1, tmp_path, [a, b, c])
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         cells = [(cell.z, entry_tuples(cell)) for cell in cursor]
         assert cursor.physical_cells_read == grid.total_cells == 6
     assert cells == sorted(union_oracle([DiskGrid(P1, tmp_path, [r]) for r in (a, b, c)]).items())
@@ -470,7 +475,7 @@ def test_property_run_is_sorted_dedup(tmp_path_factory, raw):
         assert entries == sorted(entries)
         assert len(set(entries)) == len(entries)
         seen.update((cell.z, e) for e in entries)
-    expected = {(morton_encode(ci, P1), e) for ci, e in items}
+    expected = {(reference_morton(ci, P1), e) for ci, e in items}
     assert seen == expected
 
 
@@ -500,7 +505,7 @@ def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path, monkeypatch):
         rounds = []
         monkeypatch.setattr(grid_module, "_merge_blocks", lambda streams: (
             rounds.append(set(block["z"].tolist())) or block for block in merge(streams)))
-        with scan(grid) as cursor:
+        with GridCursor(grid) as cursor:
             got = [(cell.z, entry_tuples(cell)) for cell in cursor]
             assert cursor.physical_cells_read == grid.total_cells == sum(len(c) for c in per_run)
         assert got == expected
@@ -563,7 +568,7 @@ def _run_bytes(cells):
 def _scan_bytes(tmp_path, blob):
     (tmp_path / "damaged.bin").write_bytes(blob)
     grid = DiskGrid(P1, tmp_path, [RunInfo("damaged.bin", 1, 0)])
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         return [(cell.z, entry_tuples(cell)) for cell in cursor]
 
 
@@ -630,11 +635,22 @@ def test_exhausted_reader_and_cursors_keep_stopping(tmp_path):
     a = make_run(tmp_path, "a.bin", [(CellIndex(0, 0, 0), entry(0, 0, 0)), (CellIndex(1, 0, 0), entry(0, 1, 0))])
     b = make_run(tmp_path, "b.bin", [(CellIndex(0, 0, 0), entry(1, 0, 0))])
     reader = grid_module._RunReader(tmp_path / "a.bin")
-    with scan(DiskGrid(P1, tmp_path, [a])) as single, scan(DiskGrid(P1, tmp_path, [a, b])) as multi:
+    with GridCursor(DiskGrid(P1, tmp_path, [a])) as single, GridCursor(DiskGrid(P1, tmp_path, [a, b])) as multi:
         for cells in (reader, single, multi):
             assert len(list(cells)) == 2
             assert next(cells, None) is None
             assert next(cells, None) is None
+
+
+@pytest.mark.parametrize("op", ["cursor", "merge_runs"])
+def test_missing_run_closes_the_runs_opened_before_it(tmp_path, monkeypatch, op):
+    runs = [make_run(tmp_path, f"r{i}.bin", [(CellIndex(i, 0, 0), entry(0, i, 0))]) for i in range(3)]
+    (tmp_path / "r2.bin").unlink()
+    grid = DiskGrid(P1, tmp_path, runs)
+    opened = opened_readers(monkeypatch)
+    with pytest.raises(FileNotFoundError, match="r2.bin"):
+        GridCursor(grid) if op == "cursor" else merge_runs(grid)
+    assert len(opened) == 2 and all(reader._fh.closed for reader in opened)
 
 
 @pytest.mark.parametrize("op", ["sort_run", "merge_runs"])

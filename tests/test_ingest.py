@@ -22,6 +22,7 @@ from patchgrid.ingest import (
     parse_structure_file,
     parse_template_file,
 )
+from patchgrid.preprocess import residue_frames
 from patchgrid.synthetic import random_protein
 
 
@@ -67,6 +68,22 @@ def test_residue_ordinals_by_first_appearance():
     )
     protein = parse_structure_file(lines(text))
     assert [a.residue_ordinal for a in protein.atoms] == [0, 1, 0, 2]
+
+
+def test_insertion_codes_number_residues_apart():
+    # GLY A 52 and ALA A 52A: one residue number, two residues with a frame each
+    text = "".join(
+        atom_line(serial, name, residue_name, "A", 52, float(serial), float(serial % 2), 0.0, icode=icode)
+        for serial, (name, residue_name, icode) in enumerate(
+            [(name, "GLY", " ") for name in ("N", "CA", "C")] + [(name, "ALA", "A") for name in ("N", "CA", "C")],
+            start=1,
+        )
+    )
+    protein = parse_structure_file(lines(text))
+    assert protein.atoms.residue_ordinals.tolist() == [0, 0, 0, 1, 1, 1]
+    assert protein.atoms.residue_seqs.tolist() == [52] * 6
+    assert protein == reference_parse_structure_file(lines(text))
+    assert [ordinal for ordinal, _ in residue_frames(protein.atoms)] == [0, 1]
 
 
 def test_altloc_and_models():
@@ -136,11 +153,12 @@ def reference_parse_structure_file(stream, protein_id=None):
             residue_name = line[17:20].strip()
             chain_id = line[21:22].strip()
             residue_seq = _parse_int(line[22:26], "residue number", line_number)
+            insertion_code = line[26:27].ljust(1)
             x = _parse_float(line[30:38], "x", line_number)
             y = _parse_float(line[38:46], "y", line_number)
             z = _parse_float(line[46:54], "z", line_number)
             element = line[76:78].strip() or (atom_name[:1] if atom_name else "")
-            key = (chain_id, residue_seq)
+            key = (chain_id, residue_seq, insertion_code)
             if key not in residue_index:
                 residue_index[key] = len(residue_index)
             atoms.append(AtomRecord(
@@ -182,8 +200,8 @@ def _atom_line_strategy(odd):
         8,
     )
     return st.builds(
-        lambda record, serial, name, altloc, residue, chain, seq, x, y, z, element, tail, cut: (
-            f"{record}{serial} {name}{altloc}{residue} {chain}{seq}    {x}{y}{z}  1.00  0.00          {element}"
+        lambda record, serial, name, altloc, residue, chain, seq, icode, x, y, z, element, tail, cut: (
+            f"{record}{serial} {name}{altloc}{residue} {chain}{seq}{icode}   {x}{y}{z}  1.00  0.00          {element}"
             + tail
         )[:cut],
         _fixed(["ATOM  ", " ATOM ", "ATOM\t", "HETATM"] if odd else ["ATOM  ", " ATOM "], 6),
@@ -193,6 +211,7 @@ def _atom_line_strategy(odd):
         _fixed(["ALA", "GLY", "SER", "", "\u00c5LA", "G\u00e9Y"] + (["\x1cAL"] if odd else []), 3),
         st.sampled_from([" ", "A", "B", "\u00e9"]),
         field(st.integers(-99, 12).map(lambda v: f"{v:4d}"), ["1a", "", "1_0", "+ 3", "\u0663", " 12\x00"], 4),
+        st.sampled_from([" ", " ", "A", "B", "\u00e9"]),
         coordinate,
         coordinate,
         coordinate,

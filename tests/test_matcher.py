@@ -9,22 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, morton_decode, reference_norms, reference_run_bytes, z_records
+from conftest import (
+    CellIndex,
+    corpus,
+    morton_decode,
+    opened_readers,
+    reference_morton,
+    reference_norms,
+    reference_run_bytes,
+    z_records,
+)
 from patchgrid import matcher
 from patchgrid.baseline import FrameMode, naive_match
 from patchgrid.errors import NoValidFrame, ParamsMismatch, UnknownRefId
 from patchgrid import grid as grid_module
 from patchgrid.geometry import transform_points
 from patchgrid.grid import (
-    CellIndex,
     DiskGrid,
+    GridCursor,
     GridParams,
     RefId,
     build_sorted_run,
-    cell_of,
     cells_of_points,
-    morton_encode,
-    scan,
 )
 from patchgrid.ingest import Protein
 from patchgrid.matcher import (
@@ -38,7 +44,7 @@ from patchgrid.matcher import (
     structural_identity,
     threshold_filter,
 )
-from patchgrid.preprocess import build_patch_database, residue_frames
+from patchgrid.preprocess import add_patches, build_patch_database, residue_frames
 from patchgrid.synthetic import (
     lattice_patch,
     move_atoms,
@@ -64,9 +70,9 @@ def run_from_z(tmp_path, name, z_to_entries, params=P1):
 
 def join_oracle(gp, gq):
     """Nested-loop cell join over all (cell_p, cell_q) pairs with equal z."""
-    with scan(gp) as cp:
+    with GridCursor(gp) as cp:
         p_cells = list(cp)
-    with scan(gq) as cq:
+    with GridCursor(gq) as cq:
         q_cells = list(cq)
     table: dict[tuple, int] = {}
     for cell_p in p_cells:
@@ -102,10 +108,10 @@ def test_query_grid_mps_zero_keeps_only_anchors(tmp_path):
     query = random_protein(rng, "Q", 4)
     grid = build_query_grid(query, P1, 0.0, tmp_path / "gq")
     assert grid.total_entries == 4  # one CA per frame, exactly at each origin
-    with scan(grid) as cursor:
+    with GridCursor(grid) as cursor:
         cells = list(cursor)
     assert len(cells) == 1
-    assert cells[0].z == morton_encode(CellIndex(0, 0, 0), P1)
+    assert cells[0].z == reference_morton(CellIndex(0, 0, 0), P1)
 
 
 def test_query_grid_no_clip_counts_n_times_m(tmp_path):
@@ -135,17 +141,17 @@ def test_query_grid_matches_patch_grid_cells(tmp_path):
 
     query = Protein(patch.source_protein_id, patch.atoms)
     gq = build_query_grid(query, P1, db.mps, tmp_path / "gq")
-    with scan(db.grid) as cursor:
+    with GridCursor(db.grid) as cursor:
         db_cells = {c.z for c in cursor}
-    with scan(gq) as cursor:
+    with GridCursor(gq) as cursor:
         q_cells = {c.z for c in cursor}
     assert db_cells == q_cells
-    # independent recomputation with the scalar quantizer
+    # independent recomputation, one frame at a time, with the reference Morton coder
     points = patch.atoms.positions
     expected = set()
     for _, frame in residue_frames(patch.atoms):
-        for row in transform_points(frame, points):
-            expected.add(morton_encode(cell_of(row, P1), P1))
+        cells, _ = cells_of_points(transform_points(frame, points), P1)
+        expected.update(reference_morton(cell, P1) for cell in cells.tolist())
     assert db_cells == expected
 
 
@@ -249,6 +255,26 @@ def test_merge_scan_counts_every_stored_cell(tmp_path):
     merge_scan_match(gp, gq, ScoreTable(), stats=stats)
     assert stats["gp_cells_read"] == stats["gp_cells_stored"] == 5
     assert stats["gq_cells_read"] == stats["gq_cells_stored"] == 2
+
+
+@pytest.mark.parametrize("missing", ["database run", "query run"])
+def test_missing_run_file_leaves_no_run_open(tmp_path, monkeypatch, missing):
+    # a run file deleted after the database was loaded: the scan fails
+    # without leaving the runs it had opened open
+    instance = planted_instance(seed=81, n_patches=6)
+    db = build_patch_database(instance.patches[:3], instance.params, tmp_path / "db")
+    db = add_patches(db, instance.patches[3:])
+    gq = build_query_grid(instance.query, instance.params, db.mps, tmp_path / "gq")
+    gone = db.grid.run_path(db.grid.runs[1]) if missing == "database run" else gq.run_path(gq.runs[0])
+    gone.unlink()
+    opened = opened_readers(monkeypatch)
+    with pytest.raises(FileNotFoundError, match=gone.name):
+        if missing == "database run":
+            match_query(instance.query, db, 0.5, tmp_dir=tmp_path)
+        else:
+            merge_scan_match(db.grid, gq, ScoreTable())
+    assert len(opened) == (1 if missing == "database run" else 2)
+    assert all(reader._fh.closed for reader in opened)
 
 
 def test_merge_scan_equals_join_oracle_random(tmp_path):

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, reference_norms, reference_run_bytes
+from conftest import CellIndex, corpus, reference_morton, reference_norms, reference_run_bytes
 from patchgrid import grid, preprocess
 from patchgrid.cli import main
-from patchgrid.errors import CollinearAtoms, CorruptDatabase, DuplicatePatchId, NoValidFrame
+from patchgrid.errors import CorruptDatabase, DuplicatePatchId, NoValidFrame
 from patchgrid.geometry import (
     AtomRecord,
     Atoms,
     Point3,
+    RigidFrame,
     frame_from_triple,
     transform_points,
 )
-from patchgrid.grid import CellIndex, GridParams, morton_encode, scan
+from patchgrid.grid import GridCursor, GridParams
 from patchgrid.ingest import OriginTag, Patch
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import (
@@ -79,7 +80,7 @@ def test_residue_frames_five_residues():
 
 
 def residue_frames_oracle(atoms, counters):
-    """Per-residue dictionaries and one frame_from_triple call per residue."""
+    """Per-residue dictionaries and one one-row frame_from_triple call per residue."""
     residues, order = {}, []
     for atom in atoms:
         slot = residues.get(atom.residue_ordinal)
@@ -94,12 +95,11 @@ def residue_frames_oracle(atoms, counters):
         if any(name not in slot for name in ("CA", "N", "C")):
             counters["residues_missing_anchor"] = counters.get("residues_missing_anchor", 0) + 1
             continue
-        try:
-            frame = frame_from_triple(slot["CA"].position, slot["N"].position, slot["C"].position)
-        except CollinearAtoms:
+        origins, bases, valid = frame_from_triple(slot["CA"].position, slot["N"].position, slot["C"].position)
+        if not valid[0]:
             counters["residues_collinear"] = counters.get("residues_collinear", 0) + 1
             continue
-        frames.append((residue_ordinal, frame))
+        frames.append((residue_ordinal, RigidFrame(origins[0], bases[0])))
     return frames
 
 
@@ -172,10 +172,10 @@ def test_built_patch_anchor_lands_in_origin_cell(tmp_path):
     # the second patch is indexed under structure key 1
     one = Patch("ONE_0", "ONE", tuple(residue(COMPLETE)), OriginTag.SiteRecord)
     db = build_patch_database([two_frame_patch(), one], P1, tmp_path / "db")
-    with scan(db.grid) as cursor:
+    with GridCursor(db.grid) as cursor:
         entries = [(cell.z, *row) for cell in cursor for row in cell.entries.tolist()]
     ca_cells = [z for z, sk, _, ao in entries if sk == 1 and ao == 0]
-    assert ca_cells == [morton_encode(CellIndex(0, 0, 0), P1)]
+    assert ca_cells == [reference_morton(CellIndex(0, 0, 0), P1)]
     assert sum(sk == 1 for _, sk, _, _ in entries) == len(one.atoms)
 
 
@@ -319,9 +319,9 @@ def test_out_of_extent_patch_rejected(tmp_path):
 
 
 def reference_index(patches, params, counters):
-    """Reference: index one patch at a time, with one frame_from_triple and
-    one transform_points call per residue, and give the run bytes of the
-    entries."""
+    """Reference: index one patch at a time, with one one-row
+    frame_from_triple and one transform_points call per residue, and give
+    the run bytes of the entries."""
     records = []
     key = 0
     for patch in patches:
@@ -333,7 +333,7 @@ def reference_index(patches, params, counters):
             cells, in_extent = grid.cells_of_points(transform_points(frame, patch.atoms.positions), params)
             assert in_extent.all()
             for cell, atom_ordinal in zip(cells.tolist(), patch.atoms.atom_ordinals.tolist()):
-                records.append((morton_encode(CellIndex(*cell), params), key, residue_ordinal, atom_ordinal))
+                records.append((reference_morton(cell, params), key, residue_ordinal, atom_ordinal))
         key += 1
     return reference_run_bytes(records)
 
@@ -607,6 +607,24 @@ def test_load_rejects_a_repeated_patch_id(tmp_path, capsys):
     assert main(["add", "--db", str(db_dir)]) == 1
     err = capsys.readouterr().err
     assert f"{manifest}: repeated patch id 'A_0'" in err
+
+
+@pytest.mark.parametrize("name", ["../x.bin", "sub/run_000000.bin"])
+def test_load_rejects_a_run_name_outside_the_grid_directory(tmp_path, capsys, name):
+    # the named file exists with the listed size, so only its name is wrong
+    _, patches = corpus(seed=8, n_proteins=6)
+    db_dir = tmp_path / "db"
+    db = build_patch_database(patches, P1, db_dir)
+    (run,) = db.grid.runs
+    target = db.grid.directory / name
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(db.grid.run_path(run).read_bytes())
+    manifest = db_dir / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace(f"run\t{run.file_name}\t", f"run\t{name}\t"))
+    with pytest.raises(CorruptDatabase, match="is not a file name"):
+        PatchDatabase.load(db_dir)
+    assert main(["add", "--db", str(db_dir)]) == 1
+    assert f"{manifest}: run name {name!r} is not a file name" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", [0, 1])

@@ -38,6 +38,24 @@ def test_tracer_finds_every_traced_binding():
     assert (preprocess._patch_entries, grid._chunk_records, grid.morton_encode) == originals
 
 
+def test_tracer_counts_frame_and_morton_kernel_calls(tmp_path):
+    # the engine builds frames and Morton codes through the very functions
+    # the bench's geometry.frame_from_triple and grid.morton_encode metrics wrap
+    instance = planted_instance(seed=82, n_patches=6)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+        built = {name: tracer.n_calls(name) for name in ("geometry.frame_from_triple", "grid.morton_encode")}
+        match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == {}
+    for name, calls in built.items():
+        assert 0 < calls < tracer.n_calls(name)
+
+
 def test_tracer_counts_score_table_reductions_like_the_program(tmp_path):
     instance = planted_instance(seed=78, n_patches=6)
     db = build_patch_database(instance.patches, instance.params, tmp_path / "db")

@@ -44,9 +44,9 @@ class AtomRecord(NamedTuple):
 
     ``atom_ordinal`` is the 0-based position within the parent structure and
     ``residue_ordinal`` the 0-based index of the residue the atom belongs to
-    (non-decreasing in file order). ``chain_id`` and ``residue_seq`` retain
-    the source-file residue identity so annotated residue references can be
-    resolved back to atoms.
+    (non-decreasing in file order). ``chain_id``, ``residue_seq`` and
+    ``insertion_code`` retain the source-file residue identity so annotated
+    residue references can be resolved back to atoms.
     """
 
     atom_ordinal: int
@@ -57,6 +57,7 @@ class AtomRecord(NamedTuple):
     position: Point3
     chain_id: str = "A"
     residue_seq: int = 0
+    insertion_code: str = ""
 
 
 class Atoms:
@@ -65,7 +66,8 @@ class Atoms:
     Row i of every column describes the same atom: ``positions`` is an
     (n, 3) float64 array; ``atom_ordinals``, ``residue_ordinals`` and
     ``residue_seqs`` are int64 arrays; ``atom_names``, ``residue_names``,
-    ``elements`` and ``chain_ids`` are object arrays of str. The columns
+    ``elements``, ``chain_ids`` and ``insertion_codes`` are object arrays
+    of str, and insertion codes default to blank (""). The columns
     are read-only. Indexing with an int gives that row as an ``AtomRecord``,
     iteration gives every row so, and a slice or an index array gives an
     ``Atoms``. Two ``Atoms`` are equal when all their columns are.
@@ -73,11 +75,11 @@ class Atoms:
 
     __slots__ = COLUMNS = (
         "positions", "atom_ordinals", "residue_ordinals", "residue_seqs",
-        "atom_names", "residue_names", "elements", "chain_ids",
+        "atom_names", "residue_names", "elements", "chain_ids", "insertion_codes",
     )
 
     def __init__(self, positions, atom_ordinals, residue_ordinals, residue_seqs,
-                 atom_names, residue_names, elements, chain_ids):
+                 atom_names, residue_names, elements, chain_ids, insertion_codes=None):
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         n = (len(positions),)
         self.positions = _read_only(positions, np.float64, positions.shape)
@@ -88,6 +90,7 @@ class Atoms:
         self.residue_names = _read_only(residue_names, object, n)
         self.elements = _read_only(elements, object, n)
         self.chain_ids = _read_only(chain_ids, object, n)
+        self.insertion_codes = _read_only([""] * n[0] if insertion_codes is None else insertion_codes, object, n)
 
     @classmethod
     def from_records(cls, records: Iterable[AtomRecord]) -> "Atoms":
@@ -102,6 +105,7 @@ class Atoms:
             residue_names=[a.residue_name for a in records],
             elements=[a.element for a in records],
             chain_ids=[a.chain_id for a in records],
+            insertion_codes=[a.insertion_code for a in records],
         )
 
     @classmethod
@@ -128,6 +132,7 @@ class Atoms:
                 position=Point3(*self.positions[index].tolist()),
                 chain_id=self.chain_ids[index],
                 residue_seq=int(self.residue_seqs[index]),
+                insertion_code=self.insertion_codes[index],
             )
         # Rows of valid columns stay valid; a slice of a read-only column is
         # read-only, an index array's copy is made so.
@@ -150,6 +155,7 @@ class Atoms:
             map(Point3._make, self.positions.tolist()),
             self.chain_ids.tolist(),
             self.residue_seqs.tolist(),
+            self.insertion_codes.tolist(),
         )
 
     def __eq__(self, other):

@@ -306,14 +306,17 @@ class _RunReader:
     Reads the file in blocks of ``_READ_BLOCK_BYTES``. A cell header is as
     wide as an entry (12 bytes), so the block is viewed as rows of three
     uint32 words and each cell's entries are a slice of those rows. Raises
-    CorruptDatabase for a cut cell header or body and for a z that does not
-    strictly increase. The file closes after the last cell, and a closed
-    reader raises StopIteration on every further call.
+    CorruptDatabase for a cut cell header, for a z that does not strictly
+    increase, and for a cell body longer than the bytes left in the file,
+    which is checked before the body is read. The file closes after the
+    last cell, and a closed reader raises StopIteration on every further
+    call.
     """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._fh = open(self.path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
         self._buf = b""
         self._rows = np.empty((0, 3), dtype="<u4")
         self._pos = 0  # always the start of a cell header, so a row boundary
@@ -355,8 +358,12 @@ class _RunReader:
                 f"does not increase past {self._last_z}"
             )
         size = _CELL_HEADER.size + count * _ENTRY.size
-        if not self._buffered(size):
-            raise CorruptDatabase(f"{self.path}: cut body of the {count}-entry cell z {z}")
+        at = self._offset + self._pos
+        if at + size > self._size or not self._buffered(size):
+            raise CorruptDatabase(
+                f"{self.path}: cut body of the {count}-entry cell z {z} at byte {at}: "
+                f"{self._size - at - _CELL_HEADER.size} bytes follow its header"
+            )
         row = self._pos // _ENTRY.size + 1
         self._pos += size
         self._last_z = z

@@ -23,8 +23,8 @@ Column layout of the fixed-width records (1-based, inclusive):
           residue name 18-20, chain id 22, residue seq 23-26,
           insertion code 27, x 31-38, y 39-46, z 47-54, element 77-78
     SITE: site id 12-14, up to four residues per line at
-          (residue name 19-21, chain id 23, residue seq 24-27) and
-          +11 columns for each further slot
+          (residue name 19-21, chain id 23, residue seq 24-27,
+          insertion code 28) and +11 columns for each further slot
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
 
     # Residue ordinals number the distinct (chain, residue number,
     # insertion code) keys.
-    _, icode_of_atom = np.unique(table[:, _ICODE], return_inverse=True)
+    icodes, icode_of_atom = np.unique(table[:, _ICODE], return_inverse=True)
     low = residue_seqs.min()
     residue_keys = chain_of_atom * (residue_seqs.max() - low + 1) + (residue_seqs - low)
     residue_keys = residue_keys * (icode_of_atom.max() + 1) + icode_of_atom
@@ -197,6 +197,7 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
         residue_names=text_column([t[4:7].strip() for t in texts]),
         elements=text_column([t[8:10].strip() or name[:1] for t, name in zip(texts, atom_names)]),
         chain_ids=text_column(chains),
+        insertion_codes=np.array([chr(c).strip() for c in icodes.tolist()], dtype=object)[icode_of_atom],
     )
     return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=atoms)
 
@@ -254,14 +255,15 @@ def extract_site_patches(
 ) -> list[Patch]:
     """Group SITE records by site identifier and cut one patch per site.
 
-    Residue references are matched against the protein on (chain id,
-    residue sequence number, residue name); unresolvable references are
+    Residue references are matched against the protein on (residue name,
+    chain id, residue sequence number, insertion code), so a reference to
+    52 takes neither 52A nor 52B; unresolvable references are
     counted under ``counters['site_residues_unresolved']`` and sites that
     resolve no residue at all are dropped and counted under
     ``counters['sites_dropped']``. Patch ids are ``<protein_id>_<k>`` with
     k running in order of first appearance of the site identifier.
     """
-    sites: dict[str, list[tuple[str, str, int]]] = {}
+    sites: dict[str, list[tuple[str, str, int, str]]] = {}
     for line in [raw.rstrip("\n") for raw in stream if raw[0:6].strip() == "SITE"]:
         site_id = line[11:14].strip()
         if not site_id:
@@ -278,17 +280,19 @@ def extract_site_patches(
             except ValueError:
                 _count(counters, "site_residues_unresolved")
                 continue
-            slots.append((residue_name, chain_id, residue_seq))
+            slots.append((residue_name, chain_id, residue_seq, line[off + 9 : off + 10].strip()))
 
-    # The atom rows of each (residue name, chain id, residue number), as
-    # (start, stop) runs of consecutive rows with equal keys.
+    # The atom rows of each (residue name, chain id, residue number,
+    # insertion code), as (start, stop) runs of consecutive rows with equal keys.
     atoms = protein.atoms
-    names, chains, seqs = atoms.residue_names, atoms.chain_ids, atoms.residue_seqs
-    change = (names[1:] != names[:-1]) | (chains[1:] != chains[:-1]) | (seqs[1:] != seqs[:-1])
+    columns = (atoms.residue_names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
+    change = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
     bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(atoms)] if len(atoms) else []
-    by_residue: dict[tuple[str, str, int], list[tuple[int, int]]] = {}
+    names, chains, seqs, icodes = columns
+    by_residue: dict[tuple[str, str, int, str], list[tuple[int, int]]] = {}
     for start, stop in zip(bounds, bounds[1:]):
-        by_residue.setdefault((names[start], chains[start], int(seqs[start])), []).append((start, stop))
+        key = (names[start], chains[start], int(seqs[start]), icodes[start])
+        by_residue.setdefault(key, []).append((start, stop))
 
     site_runs: list[list[tuple[int, int]]] = []
     for site_id, refs in sites.items():

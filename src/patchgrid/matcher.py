@@ -16,13 +16,17 @@ collected and scored in batches of about the score table's ``budget``
 entries (``DEFAULT_SCORE_BUDGET`` in ``match_query``): a cell's distinct
 frames and their entry counts are the runs of equal packed (structure key,
 residue ordinal) keys in its sorted entries, and a cold cell's cross product
-becomes increment rows built with ``np.repeat``, ``budget`` rows at a time.
-A row is keyed by one integer, the dense database index times the number of
-query frames plus the dense query index over the batch's sorted distinct
-keys, so the rows reduce with one ``np.bincount``, or one sort of the key
-when the key space is sparse. Beyond ``budget`` buffered rows the buffer is
-reduced in memory to one block of distinct pairs; the final merge reduces
-those blocks with the buffer once. The scored pairs stay that one block
+becomes increment rows built with ``np.repeat``. A row is keyed by one
+integer, the dense database index times the number of query frames plus the
+dense query index over the batch's sorted distinct keys. When that key space
+holds at most four keys per row, as on the benchmark's queries, the batch is
+dense: its rows are summed straight into one count per key, at most
+``min(budget, _GROUP_ENTRIES)`` rows at a time, and the batch is kept as one
+reduced block of its nonzero pairs, so no row outlives its chunk. A sparse
+batch buffers its rows, ``budget`` at a time; beyond ``budget`` buffered rows
+the buffer is reduced in memory, by one sort of the key, to one block of
+distinct pairs. The final merge reduces the blocks with the buffer once, or
+takes a lone reduced block as it is. The scored pairs stay that one block
 (``_Block``) through the hot-cell recount to the threshold, which is applied
 to the raw counts, so a ``MatchResult`` is built only for a pair that is
 kept.
@@ -47,9 +51,11 @@ count 0 are dropped. A candidate visits only the hot cells holding f and
 looks q up in a boolean membership row of each, so the recount costs the
 candidates' hot-cell memberships, not hot cells times candidates. The
 bound uses the threshold's own float64 ``count / n_atoms >= tau_pp`` test,
-which is monotone in the count, so no pair that reaches the threshold is
-pruned and the results equal the unpruned ones for any choice of hot
-cells; the cutoff only trades table rows against recount work.
+which is monotone in the count: each frame gets the smallest integer count
+that passes it, and a cold pair stays when its count reaches that count
+less ``hot_max[f]``. So no pair that reaches the threshold is pruned, and
+the results equal the unpruned ones for any choice of hot cells; the cutoff
+only trades table rows against recount work.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .grid import (
     sort_run,
 )
 from .ingest import OriginTag, Patch, Protein, _count
-from .preprocess import PatchDatabase, PatchMeta, build_patch_database, residue_frames
+from .preprocess import _GROUP_ENTRIES, PatchDatabase, PatchMeta, build_patch_database, residue_frames
 
 DEFAULT_SCORE_BUDGET = 1_000_000
 
@@ -128,7 +134,7 @@ def _reduce(block: _Block) -> _Block:
         order = np.argsort(pair, kind="stable")
         pair, count = pair[order], count[order]
         starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-        pair, count = pair[starts], np.add.reduceat(count, starts).astype(np.uint64)
+        pair, count = pair[starts], np.add.reduceat(count, starts, dtype=np.uint64)
     return _Block(block.db, block.q, pair, count)
 
 
@@ -164,21 +170,30 @@ def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.
         base = ends[first] - width[first]
         last = max(int(np.searchsorted(ends, base + limit, "right")), first + 1)
         item = np.repeat(np.arange(first, last), width[first:last])
-        yield item, lo[item] + np.arange(len(item)) - (ends[item] - width[item] - base)
+        # lo[i] + (row - start of i), built in place: one chunk-length temporary at a time
+        index = np.arange(base, base + len(item))
+        index -= ends[item]
+        index += width[item]
+        index += lo[item]
+        yield item, index
         first = last
 
 
 class ScoreTable:
     """In-memory aggregation of (db ref, query ref) -> matched count.
 
-    ``add`` takes matched cells as numpy columns and expands each cell's
-    cross product into increment rows keyed by one integer (dense database
-    index times dense query index, see ``_Block``), ``budget`` rows at a
-    time. Once more than ``budget`` rows are buffered, ``_spill`` reduces
-    them to one block of distinct pairs, kept in memory; ``spills`` counts
-    those reductions. ``reduced()`` merges the reduced blocks with the
-    buffer and reduces them once, so every block's distinct pairs are held
-    until then.
+    ``add`` takes one batch of matched cells as numpy columns. Each cell's
+    cross product is a set of increment rows keyed by one integer (dense
+    database index times dense query index, see ``_Block``). A dense batch,
+    whose key space holds at most four keys per row, is summed into one
+    count per key, at most ``min(budget, _GROUP_ENTRIES)`` rows at a time,
+    and kept as one reduced block. A sparse batch's rows are buffered,
+    ``budget`` at a time; once more than ``budget`` rows are buffered,
+    ``_spill`` reduces them to one block of distinct pairs, kept in memory,
+    and ``spills`` counts those reductions of buffered sparse rows.
+    ``reduced()`` merges the reduced blocks with the buffer and reduces them
+    once, or returns a lone reduced block as it is, so each block's
+    distinct pairs are held until then.
 
     The table owns the query's hot cells as ``hot``, a ``HotCells``: the
     merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
@@ -215,8 +230,27 @@ class ScoreTable:
         db, db_index = np.unique(db_keys, return_inverse=True)
         q, q_index = np.unique(q_keys, return_inverse=True)
         lo = np.searchsorted(q_cells, db_cells, "left")
-        width = np.searchsorted(q_cells, db_cells, "right") - lo
-        self.rows += int(width.sum())
+        width = np.searchsorted(q_cells, db_cells, "right")
+        width -= lo
+        rows = int(width.sum())
+        self.rows += rows
+        size = len(db) * len(q)
+        if size <= 4 * rows:
+            # Dense, by _reduce's rule: sum the rows straight into one count
+            # per pair. No pair sum exceeds rows times the largest count, so
+            # most batches sum in uint32.
+            fits = rows * int(np.max(counts, initial=0)) <= _LOW32
+            sums = np.zeros(size, dtype=np.uint32 if fits else np.uint64)
+            counts = np.asarray(counts, dtype=sums.dtype)
+            for item, q_item in _expand(lo, width, min(self.budget, _GROUP_ENTRIES)):
+                pair = db_index[item]
+                pair *= len(q)
+                pair += q_index[q_item]
+                np.add.at(sums, pair, counts[item])
+            del db_index, q_index, lo, width  # freed before the pair keys are listed
+            pair = np.flatnonzero(sums)
+            self._reduced.append(_Block(db, q, pair, sums[pair]))
+            return
         counts = np.asarray(counts, dtype=np.uint64)
         for item, q_item in _expand(lo, width, self.budget):
             self._blocks.append(_Block(db, q, db_index[item] * len(q) + q_index[q_item], counts[item]))
@@ -236,6 +270,8 @@ class ScoreTable:
         if not blocks:
             empty = np.empty(0, dtype=np.uint64)
             return _Block(empty, empty, empty.astype(np.int64), empty)
+        if len(self._reduced) == 1 and not self._blocks:
+            return self._reduced[0]
         return _reduce(_merge(blocks))
 
     def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
@@ -307,10 +343,11 @@ def build_query_grid(
     Query atoms can legitimately sit far from a frame, so out-of-extent
     entries are dropped and counted under
     ``counters['entries_out_of_extent']`` instead of failing. The frames
-    are taken in groups of at most ``memory_budget_entries`` (frame, atom)
-    pairs; each group is transformed in one call, then clipped, quantized
+    are taken in groups of at most ``min(memory_budget_entries,
+    _GROUP_ENTRIES)`` (frame, atom) pairs, the bound of the indexer's patch
+    groups; each group is transformed in one call, then clipped, quantized
     and Morton-encoded as columns, and ``sort_run`` sorts the records into
-    the run, spilling sorted chunks when they exceed that budget.
+    the run, spilling sorted chunks when they exceed the memory budget.
     Raises NoValidFrame when the query has no usable residue.
     """
     if mps < 0:
@@ -320,7 +357,7 @@ def build_query_grid(
         raise NoValidFrame(f"query {query.protein_id}: no residue yields a frame")
     points = query.atoms.positions
     ordinals = query.atoms.atom_ordinals.astype(np.uint32)
-    group = max(1, memory_budget_entries // len(points))
+    group = max(1, min(memory_budget_entries, _GROUP_ENTRIES) // len(points))
 
     def blocks() -> Iterator[np.ndarray]:
         for g in range(0, len(frames), group):
@@ -351,29 +388,40 @@ def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
 
     Entries are sorted within a cell, so each distinct frame is one run of rows.
     """
-    lengths = np.array([len(c) for c in cells])
+    ends = np.cumsum([len(c) for c in cells])
     entries = np.concatenate(cells)
-    keys = entries[:, 0].astype(np.uint64) << 32 | entries[:, 1]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    bounds = np.cumsum(lengths)[:-1]
-    first[bounds[bounds < len(keys)]] = True
+    keys = entries[:, 0].astype(np.uint64)
+    keys <<= 32
+    keys |= entries[:, 1]
+    del entries
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first[ends[ends < len(keys)]] = True
     starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(keys)))
-    return keys[starts], counts, np.repeat(np.arange(len(cells)), lengths)[starts]
+    del first
+    return keys[starts], np.diff(starts, append=len(keys)), np.searchsorted(ends, starts, "right")
 
 
 def _join_cells(p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable) -> None:
     """Score matched cells, given as their database and query entry arrays:
     cells with fan-in over ``table.hot.fanin`` go to ``table.hot``, the rest
-    to ``table``."""
+    to ``table``. Both lists are emptied once their frames are taken, which
+    frees the read buffers they view before the table expands its rows."""
+    n = len(p_entries)
     db_keys, counts, db_cells = _distinct_frames(p_entries)
     q_keys, _, q_cells = _distinct_frames(q_entries)
-    n = len(p_entries)
+    p_entries.clear()
+    q_entries.clear()
     is_hot = np.bincount(db_cells, minlength=n) * np.bincount(q_cells, minlength=n) > table.hot.fanin
-    for target, chosen in ((table, ~is_hot), (table.hot, is_hot)):
-        if chosen.any():
-            d, q = chosen[db_cells], chosen[q_cells]
-            target.add(db_keys[d], counts[d], db_cells[d], q_keys[q], q_cells[q])
+    if is_hot.any():
+        d, q = is_hot[db_cells], is_hot[q_cells]
+        table.hot.add(db_keys[d], counts[d], db_cells[d], q_keys[q], q_cells[q])
+        # Rebinding releases the full columns before the table expands the rest.
+        d, q = ~d, ~q
+        db_keys, counts, db_cells, q_keys, q_cells = db_keys[d], counts[d], db_cells[d], q_keys[q], q_cells[q]
+    if not is_hot.all():
+        table.add(db_keys, counts, db_cells, q_keys, q_cells)
 
 
 def merge_scan_match(
@@ -411,7 +459,7 @@ def merge_scan_match(
                 held += len(cell_p.entries) + len(cell_q.entries)
                 if held >= table.budget:
                     _join_cells(p_entries, q_entries, table)
-                    p_entries, q_entries, held = [], [], 0
+                    held = 0
                 cell_p = next(cur_p, None)
                 cell_q = next(cur_q, None)
         if p_entries:
@@ -444,6 +492,19 @@ def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
     return np.array(n_atoms, dtype=np.uint64)[row_key]
 
 
+def _passing_count(n_atoms: np.ndarray, tau_pp: float) -> np.ndarray:
+    """Per atom count n, the smallest integer c whose float64 ``c / n >= tau_pp``.
+
+    The test is the threshold's own and is monotone in c. The float64
+    ``ceil(n * tau_pp)`` lies at most one away from that c, so one step up
+    or down settles it.
+    """
+    c = np.ceil(n_atoms * tau_pp).astype(np.int64)
+    c += c / n_atoms < tau_pp
+    c -= (c - 1) / n_atoms >= tau_pp
+    return c
+
+
 def _hot_candidates(
     cold: _Block, hot: HotCells, db: PatchDatabase, tau_pp: float, chunk_rows: int
 ) -> _Block:
@@ -455,21 +516,25 @@ def _hot_candidates(
     """
     h_db, h_counts, h_cells, h_q, h_q_cells = hot.columns()
     frames, h_frame = np.unique(h_db, return_inverse=True)
-    hot_max = np.bincount(h_frame, weights=h_counts).astype(np.uint64)
-    # Cold pairs: count plus the frame's own hot-cell entries.
+    hot_max = np.bincount(h_frame, weights=h_counts).astype(np.int64)
+    # A cold pair is kept when its count reaches its frame's smallest passing
+    # count less the frame's own hot-cell entries. Pairs ascend by frame, so
+    # each frame's need covers one run of rows.
     i = np.minimum(np.searchsorted(frames, cold.db), len(frames) - 1)
     own = np.where(frames[i] == cold.db, hot_max[i], 0)
-    db_index = cold.pair // max(len(cold.q), 1)
-    bound = cold.count + own[db_index]
-    kept = np.flatnonzero(bound / _atom_counts(cold.db, db)[db_index] >= tau_pp)
+    need = np.maximum(_passing_count(_atom_counts(cold.db, db), tau_pp) - own, 0)
+    n_q = max(len(cold.q), 1)
+    frame_rows = np.diff(np.searchsorted(cold.pair, np.arange(len(cold.db) + 1) * n_q))
+    kept = np.flatnonzero(cold.count >= np.repeat(need.astype(cold.count.dtype), frame_rows))
+    pair = cold.pair[kept]
     # Frames whose hot-cell entries alone pass meet every query frame of the hot cells.
-    crossed = frames[hot_max / _atom_counts(frames, db) >= tau_pp]
+    crossed = frames[hot_max >= _passing_count(_atom_counts(frames, db), tau_pp)]
     hot_q = np.unique(h_q)
     # Candidates as dense keys over the union of the frames and query frames.
     f_keys, q_keys = np.union1d(cold.db, frames), np.union1d(cold.q, hot_q)
     cold_key = (
-        np.searchsorted(f_keys, cold.db)[db_index[kept]] * len(q_keys)
-        + np.searchsorted(q_keys, cold.q)[cold.pair[kept] % max(len(cold.q), 1)]
+        np.searchsorted(f_keys, cold.db)[pair // n_q] * len(q_keys)
+        + np.searchsorted(q_keys, cold.q)[pair % n_q]
     )
     crossed_key = (
         np.searchsorted(f_keys, crossed)[:, None] * len(q_keys) + np.searchsorted(q_keys, hot_q)

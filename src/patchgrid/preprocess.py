@@ -61,6 +61,8 @@ MANIFEST_FILE = "manifest.tsv"
 _SETTING_ROWS = ("delta", "bits_per_axis", "mps")
 # Most entries a group of patches may bound (see _groups): the group's
 # coordinate, cell and code columns stay a few MB beside the sort's buffer.
+# The matcher takes the same bound for the (frame, atom) pairs of a query-grid
+# group and for the rows a dense score-table batch sums at a time.
 _GROUP_ENTRIES = 1 << 16
 # Entries turned into tuples at a time (see _patch_entries).
 _TUPLE_SLICE = 1 << 12
@@ -239,11 +241,11 @@ class PatchDatabase:
         """Read a database from its manifest and check it against its runs.
 
         Raises CorruptDatabase when a manifest row is missing, malformed,
-        repeated or of unknown kind, when a run name is not a bare file
-        name, when two patch rows share a patch id, when the patches' sum of
-        n_atoms*n_frames differs from the runs' entry total, or when a
-        listed run file is missing or its size disagrees with its cell and
-        entry counts.
+        repeated or of unknown kind, when mps is negative or NaN, when a run
+        name is not a bare file name, when two patch rows share a patch id,
+        when the patches' sum of n_atoms*n_frames differs from the runs'
+        entry total, or when a listed run file is missing or its size
+        disagrees with its cell and entry counts.
         """
         directory = Path(directory)
         values: dict[str, str] = {}
@@ -276,6 +278,8 @@ class PatchDatabase:
                         raise CorruptDatabase(f"{manifest}: unknown row kind {kind!r}")
             params = GridParams(delta=float(values["delta"]), bits_per_axis=int(values["bits_per_axis"]))
             mps = float(values["mps"])
+            if not mps >= 0:
+                raise ValueError(f"mps {mps} is not a non-negative number")
         except KeyError as exc:
             raise CorruptDatabase(f"{manifest}: no {exc.args[0]} row") from exc
         except ValueError as exc:

@@ -1,6 +1,7 @@
 """Shared helpers: fixed-width structure text writers, corpus builders, the
 reference run order and run bytes, a recorder of opened run readers, the
-reference norms, and cell indices with the reference Morton coder."""
+reference norms, cell indices with the reference Morton coder, and
+score-table batches of matched cells."""
 
 from __future__ import annotations
 
@@ -55,8 +56,9 @@ def atom_line(
     return "".join(line).rstrip() + "\n"
 
 
-def site_lines(site_id: str, residues: list[tuple[str, str, int]]) -> list[str]:
-    """One or more SITE records naming (residue_name, chain_id, residue_seq)."""
+def site_lines(site_id: str, residues: list[tuple]) -> list[str]:
+    """One or more SITE records naming (residue_name, chain_id, residue_seq)
+    or (residue_name, chain_id, residue_seq, insertion_code)."""
     lines = []
     for block_start in range(0, len(residues), 4):
         block = residues[block_start : block_start + 4]
@@ -66,10 +68,11 @@ def site_lines(site_id: str, residues: list[tuple[str, str, int]]) -> list[str]:
         _place(line, 12, f"{site_id:<3}")
         _place(line, 16, f"{len(residues):>2}")
         col = 19
-        for residue_name, chain_id, residue_seq in block:
+        for residue_name, chain_id, residue_seq, *icode in block:
             _place(line, col, f"{residue_name:>3}")
             _place(line, col + 4, chain_id)
             _place(line, col + 5, f"{residue_seq:>4}")
+            _place(line, col + 9, "".join(icode))
             col += 11
         lines.append("".join(line).rstrip() + "\n")
     return lines
@@ -83,7 +86,7 @@ def structure_text(protein: Protein, sites: dict[str, list[AtomRecord]] | None =
         residues = []
         seen = set()
         for atom in atoms:
-            key = (atom.residue_name, atom.chain_id, atom.residue_seq)
+            key = (atom.residue_name, atom.chain_id, atom.residue_seq, atom.insertion_code)
             if key not in seen:
                 seen.add(key)
                 residues.append(key)
@@ -100,6 +103,7 @@ def structure_text(protein: Protein, sites: dict[str, list[AtomRecord]] | None =
                 y=atom.position.y,
                 z=atom.position.z,
                 element=atom.element,
+                icode=atom.insertion_code or " ",
             )
         )
     return "".join(lines)
@@ -238,3 +242,32 @@ def morton_decode(z: int, params: GridParams) -> CellIndex:
     ox, oy, oz = deinterleave_bits(z)
     h = params.half_extent_cells
     return CellIndex(ox - h, oy - h, oz - h)
+
+
+def add_cells(target, cells) -> None:
+    """Add matched cells to a ``ScoreTable`` or its hot cells as one batch.
+
+    Each cell is ``(db_refs, query_refs, counts)``: counts[i] goes to the
+    pair (db_refs[i], q) for every q in query_refs. Refs are (structure key,
+    residue ordinal) pairs, packed as the matcher packs them.
+    """
+    def packed(refs):
+        return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
+
+    def column(k):
+        return [item for cell in cells for item in cell[k]]
+
+    def cell_numbers(k):
+        return np.repeat(np.arange(len(cells)), [len(cell[k]) for cell in cells])
+
+    target.add(packed(column(0)), np.array(column(2), dtype=np.uint64), cell_numbers(0),
+               packed(column(1)), cell_numbers(1))
+
+
+def sparse_cells(rng: random.Random, n_cells: int = 8) -> list[tuple[list, list, list]]:
+    """``n_cells`` cells, each crossing one database frame with one query
+    frame, all distinct: the batch's n_cells rows are spread over n_cells**2
+    pair keys, so a ``ScoreTable`` takes it as sparse rows when n_cells > 4."""
+    db_refs = rng.sample([(sk, ro) for sk in range(4) for ro in range(6)], n_cells)
+    query_refs = rng.sample([(sk, ro) for sk in range(2) for ro in range(6)], n_cells)
+    return [([d], [q], [rng.randint(1, 3)]) for d, q in zip(db_refs, query_refs)]

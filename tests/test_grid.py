@@ -604,6 +604,20 @@ def test_damaged_run_raises_corrupt_database(tmp_path, monkeypatch, block, damag
         _scan_bytes(tmp_path, blob)
 
 
+def test_entry_count_past_the_file_raises_before_reading(tmp_path, monkeypatch):
+    # a 40-byte run whose second cell header claims 0xFFFFFFF0 entries, a
+    # body of about 51 GB: the reader compares it with the 4 bytes left and
+    # never asks the file for it
+    blob = _run_bytes(WIDE_CELLS[1:2]) + struct.pack("<QI", 10, 0xFFFFFFF0) + bytes(4)
+    assert len(blob) == 40
+    asked = []
+    buffered = grid_module._RunReader._buffered
+    monkeypatch.setattr(grid_module._RunReader, "_buffered", lambda self, n: asked.append(n) or buffered(self, n))
+    with pytest.raises(CorruptDatabase, match=r"damaged\.bin: cut body of the 4294967280-entry cell z 10 at byte 24: 4 bytes"):
+        _scan_bytes(tmp_path, blob)
+    assert max(asked) < len(blob)
+
+
 @pytest.mark.parametrize("held", [1, 2, 3, 1 << 16])
 def test_run_writer_blocks_match_one_block(tmp_path, monkeypatch, held):
     # cells and duplicates that cross the writer's block and hold boundaries

@@ -153,12 +153,12 @@ def reference_parse_structure_file(stream, protein_id=None):
             residue_name = line[17:20].strip()
             chain_id = line[21:22].strip()
             residue_seq = _parse_int(line[22:26], "residue number", line_number)
-            insertion_code = line[26:27].ljust(1)
+            insertion_code = line[26:27]
             x = _parse_float(line[30:38], "x", line_number)
             y = _parse_float(line[38:46], "y", line_number)
             z = _parse_float(line[46:54], "z", line_number)
             element = line[76:78].strip() or (atom_name[:1] if atom_name else "")
-            key = (chain_id, residue_seq, insertion_code)
+            key = (chain_id, residue_seq, insertion_code.ljust(1))
             if key not in residue_index:
                 residue_index[key] = len(residue_index)
             atoms.append(AtomRecord(
@@ -170,6 +170,7 @@ def reference_parse_structure_file(stream, protein_id=None):
                 position=Point3(x, y, z),
                 chain_id=chain_id,
                 residue_seq=residue_seq,
+                insertion_code=insertion_code.strip(),
             ))
     if not atoms:
         raise EmptyStructure("no ATOM records found")
@@ -235,16 +236,26 @@ _OTHER_LINE = st.sampled_from([
 ])
 
 
+_LINE = st.one_of(*[_atom_line_strategy(odd=False)] * 4, _atom_line_strategy(odd=True), _OTHER_LINE)
+# An ATOM line and a copy with another insertion code (column 27): one chain
+# and residue number, and two residues unless the codes are equal.
+_INSERTION_PAIR = st.tuples(_atom_line_strategy(odd=False), st.sampled_from([" ", "A", "B"])).map(
+    lambda drawn: [drawn[0], drawn[0][:26] + drawn[1] + drawn[0][27:]]
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    st.lists(st.one_of(*[_atom_line_strategy(odd=False)] * 4, _atom_line_strategy(odd=True), _OTHER_LINE),
-             max_size=25),
+    st.lists(st.one_of(_LINE.map(lambda line: [line]), _INSERTION_PAIR), max_size=20).map(
+        lambda groups: [line for group in groups for line in group]
+    ),
     st.booleans(),
 )
 def test_parser_equals_line_by_line_reference(lines, newlines):
     # ATOM lines with altloc blank, A or B, short and long lines, blank
     # elements, non-ASCII and control characters and bad, non-finite or
-    # unusual numeric fields, among HEADER, MODEL and ENDMDL records
+    # unusual numeric fields, and pairs that differ only in insertion code,
+    # among HEADER, MODEL and ENDMDL records
     text = [line + "\n" if newlines else line for line in lines]
     expected = _outcome(reference_parse_structure_file, text)
     assert _outcome(parse_structure_file, text) == expected
@@ -299,6 +310,26 @@ def test_extract_single_site():
     expected = [a.atom_ordinal for a in protein.atoms if a.residue_ordinal in (0, 1, 2)]
     assert [a.atom_ordinal for a in patch.atoms] == expected
     assert counters.get("site_residues_unresolved", 0) == 0
+
+
+def test_site_residues_match_insertion_codes():
+    # GLY A 52 and GLY A 52A: a SITE slot names one of them by its insertion
+    # code (column 28, then every 11 columns), never both
+    text = "".join(
+        atom_line(serial, name, "GLY", "A", 52, float(serial), float(serial % 2), 0.0, icode=icode)
+        for serial, (name, icode) in enumerate(
+            [(name, " ") for name in ("N", "CA", "C")] + [(name, "A") for name in ("N", "CA", "C")], start=1
+        )
+    )
+    protein = parse_structure_file(lines(text))
+    assert protein.atoms.insertion_codes.tolist() == [""] * 3 + ["A"] * 3
+    stream = (site_lines("AC1", [("GLY", "A", 52)]) + site_lines("AC2", [("GLY", "A", 52, "A")])
+              + site_lines("AC3", [("ALA", "A", 1), ("GLY", "A", 52, "A")]))
+    counters: dict = {}
+    patches = extract_site_patches(stream, protein, counters=counters)
+    assert [p.atoms.atom_ordinals.tolist() for p in patches] == [[0, 1, 2], [3, 4, 5], [3, 4, 5]]
+    assert [p.atoms.residue_ordinals.tolist() for p in patches] == [[0, 0, 0], [1, 1, 1], [1, 1, 1]]
+    assert counters == {"site_residues_unresolved": 1}
 
 
 def test_extract_site_with_missing_residue():

@@ -1,22 +1,25 @@
 import random
 import tempfile
+import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     CellIndex,
+    add_cells,
     corpus,
     morton_decode,
     opened_readers,
     reference_morton,
     reference_norms,
     reference_run_bytes,
+    sparse_cells,
     z_records,
 )
 from patchgrid import matcher
@@ -92,11 +95,18 @@ def join_oracle(gp, gq):
 def add_cell(target, db_refs, query_refs, counts):
     """Add one matched cell to a ScoreTable or its hot cells: counts[i] to the
     pair (db_refs[i], q) for every q in query_refs."""
-    def packed(refs):
-        return np.array([sk << 32 | ro for sk, ro in refs], dtype=np.uint64)
+    add_cells(target, [(db_refs, query_refs, counts)])
 
-    target.add(packed(db_refs), np.array(counts, dtype=np.uint64), np.zeros(len(db_refs), dtype=np.int64),
-               packed(query_refs), np.zeros(len(query_refs), dtype=np.int64))
+
+def joined(cells) -> dict:
+    """The dict oracle of matched cells given as ``add_cells`` takes them."""
+    expected: dict = {}
+    for db_refs, query_refs, counts in cells:
+        for query_ref in query_refs:
+            for db_ref, count in zip(db_refs, counts):
+                key = (*db_ref, *query_ref)
+                expected[key] = expected.get(key, 0) + count
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +362,61 @@ def test_finalize_unknown_ref(tmp_path):
 
 
 def test_score_table_spilled_items_sorted_and_summed():
+    # sparse batches: each spreads 8 rows over 64 pair keys, so the rows are
+    # buffered and reduced in budget-sized spills
     rng = random.Random(41)
     for budget in (1, 2, 3):
         table = ScoreTable(budget=budget)
-        expected: dict = {}
-        for _ in range(300):
-            db_ref = RefId(rng.randrange(4), rng.randrange(6))
-            query_ref = RefId(rng.randrange(2), rng.randrange(6))
-            count = rng.randint(1, 3)
-            add_cell(table, [db_ref], [query_ref], [count])
-            key = (*db_ref, *query_ref)
-            expected[key] = expected.get(key, 0) + count
-        assert list(table.items()) == sorted(expected.items())
+        cells = []
+        for _ in range(40):
+            batch = sparse_cells(rng)
+            add_cells(table, batch)
+            cells += batch
+        assert list(table.items()) == sorted(joined(cells).items())
         assert table.spills > 0
+
+
+def test_score_table_dense_batch_holds_its_pairs_once():
+    # 2,500 cells crossing 20 of 200 database frames with 10 of 100 query
+    # frames: 500,000 increment rows over 20,000 pair keys. Row blocks would
+    # retain a pair key and a count, 16 bytes, per row; the dense sum holds
+    # one count per pair key instead.
+    rng = np.random.default_rng(7)
+    n_cells, db_per_cell, q_per_cell = 2500, 20, 10
+    db = np.sort(rng.random((n_cells, 200)).argsort(axis=1)[:, :db_per_cell], axis=1).ravel()
+    q = np.sort(rng.random((n_cells, 100)).argsort(axis=1)[:, :q_per_cell], axis=1).ravel()
+    counts = rng.integers(1, 4, n_cells * db_per_cell).astype(np.uint64)
+    rows = n_cells * db_per_cell * q_per_cell
+    args = (db.astype(np.uint64), counts, np.repeat(np.arange(n_cells), db_per_cell),
+            (q.astype(np.uint64) | 1 << 32), np.repeat(np.arange(n_cells), q_per_cell))
+    table = ScoreTable()
+    tracemalloc.start()
+    try:
+        table.add(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.rows == rows == 500_000
+    assert peak < 16 * rows
+    expected = np.zeros((200, 100), dtype=np.uint64)
+    np.add.at(expected, (np.repeat(db, q_per_cell).reshape(n_cells, -1),
+                         np.tile(q.reshape(n_cells, q_per_cell), db_per_cell)),
+              np.repeat(counts, q_per_cell).reshape(n_cells, -1))
+    db_keys, q_keys, sums = matcher._decode(table.reduced())
+    assert np.array_equal(sums, expected[db_keys.astype(np.int64), (q_keys & 0xFFFFFFFF).astype(np.int64)])
+    assert len(sums) == np.count_nonzero(expected) and table.spills == 0
+
+
+def test_join_cells_takes_cells_without_database_entries():
+    # a damaged run can hold a cell of 0 entries; matched, it scores nothing
+    q = np.array([[0, 5, 1]], dtype=np.uint32)
+    empty = np.empty((0, 3), dtype=np.uint32)
+    table = ScoreTable()
+    matcher._join_cells([np.array([[0, 1, 0]], dtype=np.uint32), empty], [q, q], table)
+    assert dict(table.items()) == {(0, 1, 0, 5): 1}
+    table = ScoreTable()
+    matcher._join_cells([empty], [q], table)
+    assert dict(table.items()) == {} and table.rows == 0
 
 
 _FIELD = st.one_of(st.integers(0, 3), st.just(2**32 - 1))
@@ -372,28 +424,39 @@ _REF = st.builds(RefId, _FIELD, _FIELD)
 _CELL = st.tuples(
     st.dictionaries(_REF, st.integers(1, 5), min_size=1, max_size=4),
     st.lists(_REF, min_size=1, max_size=3, unique=True),
-)
+).map(lambda cell: (list(cell[0]), cell[1], list(cell[0].values())))
+# Eight cells crossing eight distinct database frames with eight distinct
+# query frames: 8 rows over 64 pair keys, a sparse batch.
+_SPARSE = [([RefId(k // 4, k)], [RefId(1, 2**32 - 1 - k)], [k + 1]) for k in range(8)]
+# Three cells crossing the same two database frames with the same three
+# query frames: 18 rows over 6 pair keys, a dense batch.
+_DENSE = [([RefId(0, 1), RefId(3, 2)], [RefId(0, 0), RefId(2, 1), RefId(2**32 - 1, 0)], [k + 1, 2]) for k in range(3)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(cells=st.lists(_CELL, max_size=12),
+@given(batches=st.lists(st.lists(_CELL, min_size=1, max_size=6), max_size=6),
        budget=st.sampled_from([1, 2, 3, 4, 5, DEFAULT_SCORE_BUDGET]))
-def test_score_table_equals_dict_oracle(cells, budget):
-    # per-cell batches, as merge_scan_match adds them, against a plain dict
-    expected: dict = {}
+@example(batches=[_SPARSE, _DENSE], budget=3)
+@example(batches=[_DENSE, _SPARSE, _DENSE], budget=8)
+@example(batches=[_DENSE, _DENSE], budget=1)
+def test_score_table_equals_dict_oracle(batches, budget):
+    # batches of matched cells, as merge_scan_match adds them, against a
+    # plain dict; a batch over at most 4 pair keys per row is summed densely
+    # and never spills, the rows of a sparser one spill past the budget
     table = ScoreTable(budget=budget)
-    for db_counts, query_refs in cells:
-        add_cell(table, list(db_counts), query_refs, list(db_counts.values()))
-        for query_ref in query_refs:
-            for db_ref, count in db_counts.items():
-                key = (*db_ref, *query_ref)
-                expected[key] = expected.get(key, 0) + count
+    sparse_rows = 0
+    for cells in batches:
+        add_cells(table, cells)
+        rows = sum(len(db_refs) * len(query_refs) for db_refs, query_refs, _ in cells)
+        keys = len({r for c in cells for r in c[0]}) * len({r for c in cells for r in c[1]})
+        if keys > 4 * rows:
+            sparse_rows += rows
+    expected = joined([cell for cells in batches for cell in cells])
     first = list(table.items())
     assert first == sorted(expected.items())
     assert list(table.items()) == first  # items() does not consume the table
     assert len(table.reduced().pair) == len(expected)
-    if budget == DEFAULT_SCORE_BUDGET:
-        assert table.spills == 0
+    assert (table.spills > 0) == (sparse_rows > budget)
 
 
 def test_threshold_filter_bounds(tmp_path):
@@ -519,6 +582,17 @@ def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
     assert _pair_rows(finalize_scores(table, db, 0.0)) == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
     # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not
     assert _pair_rows(finalize_scores(table, db, 0.3)) == [(1, 7, 3), (1, 8, 1)]
+
+
+def test_passing_count_is_the_smallest_count_the_threshold_keeps():
+    # the threshold's own float64 test, count by count, against the one-step fix
+    rng = random.Random(9)
+    taus = [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.7, 0.7000000000000001, 2 / 3, 0.9, 1.0]
+    taus += [rng.random() for _ in range(40)]
+    n_atoms = np.arange(1, 400, dtype=np.uint64)
+    for tau in taus:
+        expected = [next(c for c in range(n + 1) if c / n >= tau) for n in n_atoms.tolist()]
+        assert matcher._passing_count(n_atoms, tau).tolist() == expected
 
 
 @pytest.mark.parametrize("cutoff", CUTOFFS)

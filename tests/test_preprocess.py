@@ -1,5 +1,7 @@
 import os
 import random
+import shutil
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import CellIndex, corpus, reference_morton, reference_norms, reference_run_bytes
 from patchgrid import grid, preprocess
 from patchgrid.cli import main
-from patchgrid.errors import CorruptDatabase, DuplicatePatchId, NoValidFrame
+from patchgrid.errors import CorruptDatabase, DuplicatePatchId, NoValidFrame, PatchGridError
 from patchgrid.geometry import (
     AtomRecord,
     Atoms,
@@ -30,7 +32,7 @@ from patchgrid.preprocess import (
     compact,
     residue_frames,
 )
-from patchgrid.synthetic import lattice_patch, random_protein
+from patchgrid.synthetic import lattice_patch, planted_instance, random_protein
 
 P1 = GridParams(delta=1.0)
 
@@ -560,7 +562,7 @@ EXTRA_ROWS = {
 
 @pytest.mark.parametrize("damage", [
     "drop run row", "truncate run file", "drop mps row", "run row missing field",
-    "non-integer count", *EXTRA_ROWS,
+    "non-integer count", "negative mps", *EXTRA_ROWS,
 ])
 def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     _, patches = corpus(seed=8, n_proteins=6)
@@ -582,6 +584,8 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
             if row.startswith("patch\t") else row
             for row in rows
         ))
+    elif damage == "negative mps":  # one byte: the first digit becomes a minus sign
+        manifest.write_text("".join("mps\t-" + row[5:] if row.startswith("mps\t") else row for row in rows))
     elif damage in EXTRA_ROWS:
         manifest.write_text("".join(rows) + (EXTRA_ROWS[damage] or rows[-1]))
     else:
@@ -625,6 +629,36 @@ def test_load_rejects_a_run_name_outside_the_grid_directory(tmp_path, capsys, na
         PatchDatabase.load(db_dir)
     assert main(["add", "--db", str(db_dir)]) == 1
     assert f"{manifest}: run name {name!r} is not a file name" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_database(tmp_path_factory):
+    """A small database of one run, and a query planted from its patches."""
+    instance = planted_instance(seed=5, n_patches=6)
+    directory = tmp_path_factory.mktemp("damaged") / "db"
+    build_patch_database(instance.patches, instance.params, directory)
+    return directory, instance.query
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=st.sampled_from(["grid/run_000000.bin", "manifest.tsv"]), data=st.data())
+def test_damaged_bytes_load_and_query_or_raise_a_patchgrid_error(small_database, target, data):
+    # 1-4 bytes of the run file or the manifest changed: the load and a query
+    # either run to the end or raise a named error, never another exception
+    source, query = small_database
+    with tempfile.TemporaryDirectory() as work:
+        db_dir = Path(work) / "db"
+        shutil.copytree(source, db_dir)
+        path = db_dir / target
+        blob = bytearray(path.read_bytes())
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for at, bits in data.draw(st.lists(flips, min_size=1, max_size=4, unique_by=lambda f: f[0])):
+            blob[at] ^= bits
+        path.write_bytes(bytes(blob))
+        try:
+            match_query(query, PatchDatabase.load(db_dir), 0.5, tmp_dir=Path(work))
+        except PatchGridError:
+            pass
 
 
 @pytest.mark.parametrize("budget", [0, 1])

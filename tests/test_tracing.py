@@ -7,9 +7,11 @@ line, so the library itself must print nothing.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 from unittest import mock
 
+from conftest import add_cells, sparse_cells
 from patchgrid import grid, matcher, preprocess
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import add_patches, build_patch_database, compact
@@ -56,19 +58,21 @@ def test_tracer_counts_frame_and_morton_kernel_calls(tmp_path):
         assert 0 < calls < tracer.n_calls(name)
 
 
-def test_tracer_counts_score_table_reductions_like_the_program(tmp_path):
-    instance = planted_instance(seed=78, n_patches=6)
-    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+def test_tracer_counts_score_table_reductions_like_the_program():
+    # sparse batches, whose rows the table buffers and reduces in spills;
+    # the table sums a dense batch directly and never spills it
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install(tracing.TARGETS)
     try:
-        stats: dict = {}
-        with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", 3):
-            match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
+        table = matcher.ScoreTable(budget=3)
+        rng = random.Random(78)
+        for _ in range(10):
+            add_cells(table, sparse_cells(rng))
     finally:
         tracer.uninstall()
-    assert tracer.n_calls("matcher.score_spills") == stats["score_spills"] > 0
+    assert tracer.n_calls("matcher.score_spills") == table.spills > 0
+    assert tracer.n_calls("matcher.score_adds") == 10
 
 
 def test_tracer_counts_each_stored_cell_read_once(tmp_path):
@@ -103,8 +107,10 @@ def test_library_writes_nothing_to_stdout(tmp_path, capsys):
     db = add_patches(db, instance.patches[half:], memory_budget_entries=7, tmp_dir=tmp_path)
     assert len(db.grid.runs) == 2
     db = compact(db)
-    stats: dict = {}
     with mock.patch.object(matcher, "DEFAULT_SCORE_BUDGET", 3):
-        results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
-    assert results and stats["score_spills"] > 0
+        results = match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
+    # the score table's spills, which the query's dense batches do not take
+    table = matcher.ScoreTable(budget=3)
+    add_cells(table, sparse_cells(random.Random(79)))
+    assert results and table.spills > 0 and list(table.items())
     assert capsys.readouterr().out == ""

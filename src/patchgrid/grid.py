@@ -21,11 +21,15 @@ atom_ordinal) and deduplicated. A ``DiskGrid`` is the in-memory list of a
 grid's runs; which runs make up a database is recorded by the database's
 manifest (see ``preprocess.PatchDatabase``), never by the grid itself.
 
-The read path is columnar. A run is read in bounded byte blocks, and each
-cell comes back as its z plus a ``(count, 3)`` uint32 view of its entries
-(structure key, residue ordinal, atom ordinal), so no object is built per
-entry. A damaged run (a cut cell header or body, or a z that does not
-strictly increase) raises ``CorruptDatabase``.
+The read path is columnar. A run is read in bounded byte blocks, and its
+cell headers are decoded in steps of at most ``_HEADER_STEP`` cells: one
+walk over the entry counts, then one test of the step's z values. Each
+cell comes back from one reader call as its z plus a ``(count, 3)``
+uint32 view of its entries (structure key, residue ordinal, atom
+ordinal), so no object is built per entry. A damaged run (a cut cell
+header or body, or a z that does not strictly increase) raises
+``CorruptDatabase`` when the reader reaches the damaged cell, after it has
+returned the cells before it.
 
 Sorted record blocks (``RUN_RECORD`` arrays) have one merge,
 ``_merge_blocks``, and one cell writer, which drops duplicates. The
@@ -79,8 +83,10 @@ RUN_RECORD = np.dtype([("z", "<u8"), ("sk", "<u4"), ("ro", "<u4"), ("ao", "<u4")
 # form, and gathered with ``take``.
 _RAW_RECORD = np.dtype((np.void, RUN_RECORD.itemsize))
 
-# Bytes a run reader asks the file for at a time.
+# Bytes a run reader asks the file for at a time, and the most cell headers
+# it decodes at a time.
 _READ_BLOCK_BYTES = 1 << 20
+_HEADER_STEP = 1 << 10
 # Records per block handed to the run writer and to the merge. Small blocks
 # keep the build's peak memory below that of a tuple list sort.
 _WRITE_BLOCK_RECORDS = 1 << 12
@@ -241,7 +247,7 @@ def _append_distinct(held: np.ndarray, records: np.ndarray) -> tuple[np.ndarray,
 def _cell_starts(z: np.ndarray) -> np.ndarray:
     """The row where each cell of a sorted z column starts."""
     # ~z[0] differs from z[0], so row 0 starts a cell; an empty column has none.
-    return np.flatnonzero(np.diff(z, prepend=~z[:1]))
+    return np.flatnonzero(np.diff(z, prepend=~z[:1]) != 0)
 
 
 class _RunWriter:
@@ -303,14 +309,21 @@ class _RunWriter:
 class _RunReader:
     """Sequential cell iterator over one run file, counting physical reads.
 
-    Reads the file in blocks of ``_READ_BLOCK_BYTES``. A cell header is as
-    wide as an entry (12 bytes), so the block is viewed as rows of three
-    uint32 words and each cell's entries are a slice of those rows. Raises
-    CorruptDatabase for a cut cell header, for a z that does not strictly
-    increase, and for a cell body longer than the bytes left in the file,
-    which is checked before the body is read. The file closes after the
-    last cell, and a closed reader raises StopIteration on every further
-    call.
+    Reads the file in blocks of ``_READ_BLOCK_BYTES``, never asking for more
+    bytes than the file has left. A cell header is as wide as an entry (12
+    bytes), so the block is viewed as rows of three uint32 words and each
+    cell's entries are a slice of those rows. The headers are decoded a step
+    of at most ``_HEADER_STEP`` cells at a time: one walk over the count
+    words finds the cells whose header and body are buffered, and the step's
+    z values are tested at once. The step's ``Cell`` tuples and entry views
+    are built as ``__next__`` returns them, one cell per call.
+
+    A damaged cell raises CorruptDatabase when the reader reaches it, after
+    the cells before it have been returned: a cut cell header, a z that
+    does not strictly increase, and a cell body longer than the bytes left
+    in the file, which is checked before the body is read. The file closes
+    after the last cell, and a closed reader raises StopIteration on every
+    further call.
     """
 
     def __init__(self, path: Path):
@@ -319,59 +332,118 @@ class _RunReader:
         self._size = os.fstat(self._fh.fileno()).st_size
         self._buf = b""
         self._rows = np.empty((0, 3), dtype="<u4")
-        self._pos = 0  # always the start of a cell header, so a row boundary
+        self._counts = memoryview(np.empty(0, dtype=np.uint32))  # the rows' third words
+        self._pos = 0  # row of the next cell header to decode
         self._offset = 0  # file offset of self._buf[0]
         self._last_z = -1
+        self._cells: Iterator[Cell] = iter(())  # the decoded step's cells not yet returned
+        self._damage: str | None = None  # raised once the decoded cells are returned
         self.cells_read = 0
 
     def __iter__(self):
         return self
 
+    def __next__(self) -> Cell:
+        cell = next(self._cells, None)
+        if cell is None:
+            self._cells = self._step()
+            cell = next(self._cells)
+        self.cells_read += 1
+        return cell
+
     def _buffered(self, n: int) -> bool:
-        """Hold at least ``n`` unread bytes; False when the file ends first."""
-        while len(self._buf) - self._pos < n:
-            more = self._fh.read(max(_READ_BLOCK_BYTES, n))
+        """Hold at least ``n`` bytes from the next cell header on; False
+        when the file ends first."""
+        start = self._pos * _ENTRY.size
+        while len(self._buf) - start < n:
+            left = self._size - self._offset - len(self._buf)
+            more = self._fh.read(min(max(_READ_BLOCK_BYTES, n), left))
             if not more:
                 return False
-            self._offset += self._pos
-            self._buf = self._buf[self._pos:] + more
-            self._pos = 0
+            self._offset += start
+            self._buf = self._buf[start:] + more
+            self._pos = start = 0
             self._rows = np.frombuffer(
                 self._buf, dtype="<u4", count=len(self._buf) // _ENTRY.size * 3
             ).reshape(-1, 3)
+            # Native words to walk; on a little-endian machine a view, not a copy.
+            self._counts = memoryview(self._rows[:, 2].astype(np.uint32, copy=False))
         return True
 
-    def __next__(self) -> Cell:
+    def _walk(self) -> list[int]:
+        """The header row of each next buffered cell, at most
+        ``_HEADER_STEP`` of them, then the row after the last one. The last
+        cell's body may reach past the buffered rows."""
+        counts, end = self._counts, len(self._counts)
+        at = self._pos
+        rows = [at]
+        for _ in range(_HEADER_STEP):
+            if at >= end:
+                break
+            at += 1 + counts[at]
+            rows.append(at)
+            if at > end:
+                break
+        return rows
+
+    def _step(self) -> Iterator[Cell]:
+        """The next step's cells, at least one; raises StopIteration at the
+        end of the run and CorruptDatabase at a damaged first cell. A later
+        damaged cell ends the step and is raised at the next step."""
         if self._fh.closed:
             raise StopIteration
-        if not self._buffered(_CELL_HEADER.size):
-            if self._pos < len(self._buf):
-                raise CorruptDatabase(
-                    f"{self.path}: cut cell header at byte {self._offset + self._pos}"
+        if self._damage is not None:
+            raise CorruptDatabase(self._damage)
+        rows = self._walk()
+        if len(rows) == 1:  # the next header is not buffered
+            if not self._buffered(_CELL_HEADER.size):
+                if self._pos * _ENTRY.size < len(self._buf):
+                    raise CorruptDatabase(
+                        f"{self.path}: cut cell header at byte {self._offset + self._pos * _ENTRY.size}"
+                    )
+                self.close()
+                raise StopIteration
+            rows = self._walk()
+        heads = np.array(rows[:-1])
+        z = self._rows[heads, 1].astype(np.uint64)
+        z <<= np.uint64(32)
+        z |= self._rows[heads, 0]
+        rising = np.empty(len(z), dtype=bool)
+        rising[0] = int(z[0]) > self._last_z
+        np.greater(z[1:], z[:-1], out=rising[1:])
+        z = z.tolist()
+        n = len(z) if rising.all() else int(rising.argmin())
+        whole = len(z) - (rows[-1] > len(self._counts))
+        if n < len(z):
+            at = self._offset + rows[n] * _ENTRY.size
+            self._damage = (
+                f"{self.path}: cell z {z[n]} at byte {at} "
+                f"does not increase past {z[n - 1] if n else self._last_z}"
+            )
+        elif whole < n:  # the last cell's body is not buffered
+            at = self._offset + rows[-2] * _ENTRY.size
+            count = self._counts[rows[-2]]
+            size = _CELL_HEADER.size + count * _ENTRY.size
+            if at + size <= self._size and whole:
+                n = whole  # the next step buffers it
+            elif at + size <= self._size and self._buffered(size):
+                return self._step()
+            else:
+                self._damage = (
+                    f"{self.path}: cut body of the {count}-entry cell z {z[-1]} at byte {at}: "
+                    f"{self._size - at - _CELL_HEADER.size} bytes follow its header"
                 )
-            self.close()
-            raise StopIteration
-        z, count = _CELL_HEADER.unpack_from(self._buf, self._pos)
-        if z <= self._last_z:
-            raise CorruptDatabase(
-                f"{self.path}: cell z {z} at byte {self._offset + self._pos} "
-                f"does not increase past {self._last_z}"
-            )
-        size = _CELL_HEADER.size + count * _ENTRY.size
-        at = self._offset + self._pos
-        if at + size > self._size or not self._buffered(size):
-            raise CorruptDatabase(
-                f"{self.path}: cut body of the {count}-entry cell z {z} at byte {at}: "
-                f"{self._size - at - _CELL_HEADER.size} bytes follow its header"
-            )
-        row = self._pos // _ENTRY.size + 1
-        self._pos += size
-        self._last_z = z
-        self.cells_read += 1
-        return Cell(z, self._rows[row : row + count])
+                n = whole
+        if not n:
+            raise CorruptDatabase(self._damage)
+        self._pos = rows[n]
+        self._last_z = z[n - 1]
+        views = map(self._rows.__getitem__, map(slice, (heads[:n] + 1).tolist(), rows[1 : n + 1]))
+        return map(tuple.__new__, itertools.repeat(Cell), zip(z[:n], views))
 
     def close(self) -> None:
         self._fh.close()
+        self._cells = iter(())
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The query structure gets one frame per complete residue, exactly like a
 database patch, but only atoms within ``mps`` of the frame origin produce
-entries. The query grid and database grid are then walked in lockstep by
-z-value: each stored cell of either grid is read exactly once, and whenever
-the two sides hold the same z, every database frame with c entries in the
-cell adds c to its pair score with every query frame present in the cell.
+entries. The query grid and database grid are then read in batches of
+cells, and the batches matched by z: each stored cell of either grid is
+read exactly once, and whenever the two sides hold the same z, every
+database frame with c entries in the cell adds c to its pair score with
+every query frame present in the cell.
 The final score of a (database frame, query frame) pair is its matched-atom
 count divided by the atom count of the patch owning the database frame,
 which keeps scores in [0, 1].
@@ -60,7 +61,10 @@ only trades table rows against recount work.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import operator
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -73,6 +77,7 @@ from .geometry import point_norms, transform_frames
 from .grid import (
     DEFAULT_MEMORY_BUDGET,
     RUN_RECORD,
+    Cell,
     DiskGrid,
     GridCursor,
     GridParams,
@@ -91,6 +96,9 @@ DEFAULT_SCORE_BUDGET = 1_000_000
 # trades score-table rows against hot-cell recount work. On the benchmark's
 # M database 3,000 to 30,000 ran at equal speed and 1,000 was slower.
 _HOT_FANIN = 10_000
+
+# Cells a merge scan takes from each cursor at a time.
+_SCAN_BATCH = 1 << 10
 
 # A ref packs as structure_key << 32 | residue_ordinal, both u32 as in run
 # files, so ascending packed keys are ascending (db ref, query ref) tuples.
@@ -118,6 +126,24 @@ class _Block(NamedTuple):
     count: np.ndarray
 
 
+def _nonzero(values: np.ndarray) -> np.ndarray:
+    """The indices of the nonzero values, ascending.
+
+    numpy finds the nonzero items of an integer or float array several
+    times slower than those of a bool mask, so each chunk of at most
+    ``_GROUP_ENTRIES`` values is compared with 0 first. A mask of every
+    value at once would be one more temporary as long as the values.
+    """
+    found = np.empty(np.count_nonzero(values), dtype=np.intp)
+    at = 0
+    for start in range(0, len(values), _GROUP_ENTRIES):
+        chunk = np.flatnonzero(values[start:start + _GROUP_ENTRIES] != 0)
+        chunk += start
+        found[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return found
+
+
 def _reduce(block: _Block) -> _Block:
     """Sum the counts of equal pair keys; the keys come out ascending.
 
@@ -128,7 +154,7 @@ def _reduce(block: _Block) -> _Block:
     size = len(block.db) * len(block.q)
     if size <= 4 * len(pair):
         sums = np.bincount(pair, weights=count, minlength=size)
-        pair = np.flatnonzero(sums)
+        pair = _nonzero(sums)
         count = sums[pair].astype(np.uint64)
     elif len(pair):
         order = np.argsort(pair, kind="stable")
@@ -169,12 +195,11 @@ def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.
     while first < len(width):
         base = ends[first] - width[first]
         last = max(int(np.searchsorted(ends, base + limit, "right")), first + 1)
-        item = np.repeat(np.arange(first, last), width[first:last])
-        # lo[i] + (row - start of i), built in place: one chunk-length temporary at a time
-        index = np.arange(base, base + len(item))
-        index -= ends[item]
-        index += width[item]
-        index += lo[item]
+        items = slice(first, last)
+        item = np.repeat(np.arange(first, last), width[items])
+        # lo[i] + (row - start of i): the row plus its item's shift
+        index = np.repeat(lo[items] - (ends[items] - width[items]), width[items])
+        index += np.arange(base, base + len(item))
         yield item, index
         first = last
 
@@ -225,13 +250,18 @@ class ScoreTable:
         """Add ``counts[i]`` to the pair (db_keys[i], q_keys[j]) for every j
         with ``q_cells[j] == db_cells[i]``.
 
-        Keys are packed refs; ``q_cells`` is ascending and counts are positive.
+        Keys are packed refs; cell numbers are non-negative integers and
+        ``q_cells`` ascends; counts are positive.
         """
         db, db_index = np.unique(db_keys, return_inverse=True)
         q, q_index = np.unique(q_keys, return_inverse=True)
-        lo = np.searchsorted(q_cells, db_cells, "left")
-        width = np.searchsorted(q_cells, db_cells, "right")
-        width -= lo
+        # Each database row meets its cell's run of query rows.
+        per_cell = np.bincount(q_cells, minlength=int(np.max(db_cells, initial=-1)) + 1)
+        width = per_cell[db_cells]
+        lo = np.cumsum(per_cell)
+        lo -= per_cell
+        lo = lo[db_cells]
+        del per_cell
         rows = int(width.sum())
         self.rows += rows
         size = len(db) * len(q)
@@ -248,7 +278,7 @@ class ScoreTable:
                 pair += q_index[q_item]
                 np.add.at(sums, pair, counts[item])
             del db_index, q_index, lo, width  # freed before the pair keys are listed
-            pair = np.flatnonzero(sums)
+            pair = _nonzero(sums)
             self._reduced.append(_Block(db, q, pair, sums[pair]))
             return
         counts = np.asarray(counts, dtype=np.uint64)
@@ -388,7 +418,7 @@ def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
 
     Entries are sorted within a cell, so each distinct frame is one run of rows.
     """
-    ends = np.cumsum([len(c) for c in cells])
+    ends = np.cumsum(np.fromiter(map(len, cells), np.int64, len(cells)))
     entries = np.concatenate(cells)
     keys = entries[:, 0].astype(np.uint64)
     keys <<= 32
@@ -400,7 +430,10 @@ def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
     first[ends[ends < len(keys)]] = True
     starts = np.flatnonzero(first)
     del first
-    return keys[starts], np.diff(starts, append=len(keys)), np.searchsorted(ends, starts, "right")
+    # A frame's cell number is the count of cell ends at or before its first row.
+    cell = np.bincount(np.searchsorted(starts, ends[:-1]), minlength=len(starts) + 1)
+    np.cumsum(cell, out=cell)
+    return keys[starts], np.diff(starts, append=len(keys)), cell[: len(starts)]
 
 
 def _join_cells(p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable) -> None:
@@ -424,6 +457,12 @@ def _join_cells(p_entries: list[np.ndarray], q_entries: list[np.ndarray], table:
         table.add(db_keys, counts, db_cells, q_keys, q_cells)
 
 
+def _next_cells(cursor: GridCursor) -> tuple[np.ndarray, list[Cell]]:
+    """The cursor's next cells, at most ``_SCAN_BATCH``, and their z as uint64."""
+    cells = list(itertools.islice(cursor, _SCAN_BATCH))
+    return np.fromiter(map(operator.itemgetter(0), cells), np.uint64, len(cells)), cells
+
+
 def merge_scan_match(
     gp: DiskGrid,
     gq: DiskGrid,
@@ -432,13 +471,17 @@ def merge_scan_match(
 ) -> ScoreTable:
     """Join two z-sorted grids in a single pass, updating the score table.
 
-    When the two cursors sit on equal z, every distinct query ref in the
-    query cell receives the per-ref entry counts of the database cell. The
-    matched cells' entry arrays are collected and scored in batches of
-    about ``table.budget`` entries; a matched cell whose fan-in exceeds
-    ``table.hot.fanin`` goes to ``table.hot`` instead of the table. Both
-    cursors are driven to exhaustion so each stored cell of either grid is
-    physically read exactly once (asserted via the cursors' read counters).
+    Each cursor's cells are taken in batches of at most ``_SCAN_BATCH``, and
+    the two batches are matched by z up to the smaller of their last z; the
+    side that reaches further keeps its other cells for the next round. In
+    every matched cell, every distinct query ref in the query cell receives
+    the per-ref entry counts of the database cell. The matched cells' entry
+    arrays are collected and scored in batches of about ``table.budget``
+    entries, each closed by the cell that brings it to the budget; a
+    matched cell whose fan-in exceeds ``table.hot.fanin`` goes to
+    ``table.hot`` instead of the table. Both cursors are driven to
+    exhaustion so each stored cell of either grid is physically read
+    exactly once (asserted via the cursors' read counters).
     """
     if gp.params != gq.params:
         raise ParamsMismatch(f"grid params differ: {gp.params} vs {gq.params}")
@@ -446,29 +489,41 @@ def merge_scan_match(
         p_entries: list[np.ndarray] = []
         q_entries: list[np.ndarray] = []
         held = 0
-        cell_p = next(cur_p, None)
-        cell_q = next(cur_q, None)
-        while cell_p is not None and cell_q is not None:
-            if cell_p.z < cell_q.z:
-                cell_p = next(cur_p, None)
-            elif cell_p.z > cell_q.z:
-                cell_q = next(cur_q, None)
-            else:
-                p_entries.append(cell_p.entries)
-                q_entries.append(cell_q.entries)
-                held += len(cell_p.entries) + len(cell_q.entries)
-                if held >= table.budget:
+        p_z, p_cells = _next_cells(cur_p)
+        q_z, q_cells = _next_cells(cur_q)
+        while len(p_z) and len(q_z):
+            cut = min(p_z[-1], q_z[-1])
+            n_p, n_q = int(np.searchsorted(p_z, cut, "right")), int(np.searchsorted(q_z, cut, "right"))
+            _, at_p, at_q = np.intersect1d(p_z[:n_p], q_z[:n_q], assume_unique=True, return_indices=True)
+            if len(at_p):
+                p_new = [p_cells[i].entries for i in at_p.tolist()]
+                q_new = [q_cells[i].entries for i in at_q.tolist()]
+                # Entries held after each new cell; a batch is scored after
+                # the cell that brings it to the budget.
+                sizes = np.fromiter(map(len, p_new), np.int64, len(p_new))
+                sizes += np.fromiter(map(len, q_new), np.int64, len(q_new))
+                held_after = np.cumsum(sizes) + held
+                while len(held_after) and held_after[-1] >= table.budget:
+                    k = int(np.searchsorted(held_after, table.budget)) + 1
+                    p_entries += p_new[:k]
+                    q_entries += q_new[:k]
                     _join_cells(p_entries, q_entries, table)
-                    held = 0
-                cell_p = next(cur_p, None)
-                cell_q = next(cur_q, None)
+                    p_new, q_new = p_new[k:], q_new[k:]
+                    held_after = held_after[k:] - held_after[k - 1]
+                p_entries += p_new
+                q_entries += q_new
+                held = int(held_after[-1]) if len(held_after) else 0
+            p_z, p_cells = p_z[n_p:], p_cells[n_p:]
+            q_z, q_cells = q_z[n_q:], q_cells[n_q:]
+            if not len(p_z):
+                p_z, p_cells = _next_cells(cur_p)
+            if not len(q_z):
+                q_z, q_cells = _next_cells(cur_q)
         if p_entries:
             _join_cells(p_entries, q_entries, table)
         # Drain both sides: a full scan reads every stored cell once.
-        while cell_p is not None:
-            cell_p = next(cur_p, None)
-        while cell_q is not None:
-            cell_q = next(cur_q, None)
+        collections.deque(cur_p, maxlen=0)
+        collections.deque(cur_q, maxlen=0)
         if stats is not None:
             stats["gp_cells_read"] = cur_p.physical_cells_read
             stats["gq_cells_read"] = cur_q.physical_cells_read
@@ -554,7 +609,7 @@ def _hot_candidates(
     width = np.searchsorted(h_f, f_of, "right") - lo
     for item, t in _expand(lo, width, chunk_rows):
         hit = member[h_cells[t], q_of[item]]
-        count += np.bincount(item[hit], weights=h_counts[t[hit]], minlength=len(key)).astype(np.uint64)
+        np.add.at(count, item[hit], h_counts[t[hit]])
     nonzero = count > 0
     return _Block(f_keys, q_keys, key[nonzero], count[nonzero])
 
@@ -570,7 +625,7 @@ def finalize_scores(table: ScoreTable, db: PatchDatabase, tau_pp: float = 0.0) -
     """
     pairs = table.reduced()
     if table.hot.n_cells:
-        pairs = _hot_candidates(pairs, table.hot, db, tau_pp, table.budget)
+        pairs = _hot_candidates(pairs, table.hot, db, tau_pp, min(table.budget, _GROUP_ENTRIES))
     db_keys, _, counts = _decode(pairs)
     n_atoms = _atom_counts(db_keys, db)
     over = np.flatnonzero(counts > n_atoms)

@@ -1,20 +1,23 @@
 """Shared helpers: fixed-width structure text writers, corpus builders, the
-reference run order and run bytes, a recorder of opened run readers, the
-reference norms, cell indices with the reference Morton coder, and
-score-table batches of matched cells."""
+reference run order and run bytes, a per-cell reference run reader, a
+recorder of opened run readers, the reference norms, cell indices with the
+reference Morton coder, and score-table batches of matched cells."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import struct
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from patchgrid import grid as grid_module
+from patchgrid.errors import CorruptDatabase
 from patchgrid.geometry import AtomRecord
-from patchgrid.grid import GridParams, morton_encode
+from patchgrid.grid import Cell, GridParams, morton_encode
 from patchgrid.ingest import OriginTag, Patch, Protein
 from patchgrid.synthetic import random_protein
 
@@ -164,6 +167,78 @@ def reference_run_bytes(records) -> bytes:
         out.append(struct.pack("<QI", z, len(rows)))
         out.extend(struct.pack("<III", *row[1:]) for row in rows)
     return b"".join(out)
+
+
+class ReferenceRunReader:
+    """A run file's cells decoded one header at a time: the reference for
+    ``grid._RunReader``, which decodes them in steps.
+
+    Reads the file in 1 MiB blocks and returns each cell as its z plus a
+    ``(count, 3)`` uint32 view of its entries. Raises CorruptDatabase with
+    the run reader's messages for a cut cell header, for a z that does not
+    strictly increase, and for a cell body longer than the bytes left in
+    the file, which is checked before the body is read. The file closes
+    after the last cell.
+    """
+
+    HEADER = struct.Struct("<QI")
+    BLOCK = 1 << 20
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
+        self._buf = b""
+        self._rows = np.empty((0, 3), dtype="<u4")
+        self._pos = 0  # always the start of a cell header, so a row boundary
+        self._offset = 0  # file offset of self._buf[0]
+        self._last_z = -1
+        self.cells_read = 0
+
+    def __iter__(self):
+        return self
+
+    def _buffered(self, n: int) -> bool:
+        """Hold at least ``n`` unread bytes; False when the file ends first."""
+        while len(self._buf) - self._pos < n:
+            more = self._fh.read(max(self.BLOCK, n))
+            if not more:
+                return False
+            self._offset += self._pos
+            self._buf = self._buf[self._pos:] + more
+            self._pos = 0
+            self._rows = np.frombuffer(self._buf, dtype="<u4", count=len(self._buf) // 12 * 3).reshape(-1, 3)
+        return True
+
+    def __next__(self) -> Cell:
+        if self._fh.closed:
+            raise StopIteration
+        if not self._buffered(self.HEADER.size):
+            if self._pos < len(self._buf):
+                raise CorruptDatabase(f"{self.path}: cut cell header at byte {self._offset + self._pos}")
+            self.close()
+            raise StopIteration
+        z, count = self.HEADER.unpack_from(self._buf, self._pos)
+        if z <= self._last_z:
+            raise CorruptDatabase(
+                f"{self.path}: cell z {z} at byte {self._offset + self._pos} "
+                f"does not increase past {self._last_z}"
+            )
+        size = self.HEADER.size + count * 12
+        at = self._offset + self._pos
+        if at + size > self._size or not self._buffered(size):
+            raise CorruptDatabase(
+                f"{self.path}: cut body of the {count}-entry cell z {z} at byte {at}: "
+                f"{self._size - at - self.HEADER.size} bytes follow its header"
+            )
+        row = self._pos // 12 + 1
+        self._pos += size
+        self._last_z = z
+        self.cells_read += 1
+        return Cell(z, self._rows[row : row + count])
+
+    def close(self) -> None:
+        self._fh.close()
 
 
 def opened_readers(monkeypatch) -> list:

@@ -1,8 +1,13 @@
 import hashlib
+import io
 import itertools
 import math
 import random
+import re
 import struct
+import tempfile
+from contextlib import closing
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CellIndex,
+    ReferenceRunReader,
     deinterleave_bits,
     interleave_bits,
     lexsorted,
@@ -607,15 +613,84 @@ def test_damaged_run_raises_corrupt_database(tmp_path, monkeypatch, block, damag
 def test_entry_count_past_the_file_raises_before_reading(tmp_path, monkeypatch):
     # a 40-byte run whose second cell header claims 0xFFFFFFF0 entries, a
     # body of about 51 GB: the reader compares it with the 4 bytes left and
-    # never asks the file for it
+    # never asks the file for more bytes than remain
     blob = _run_bytes(WIDE_CELLS[1:2]) + struct.pack("<QI", 10, 0xFFFFFFF0) + bytes(4)
     assert len(blob) == 40
     asked = []
-    buffered = grid_module._RunReader._buffered
-    monkeypatch.setattr(grid_module._RunReader, "_buffered", lambda self, n: asked.append(n) or buffered(self, n))
+
+    class Spied(io.BufferedReader):
+        def read(self, size=-1):
+            asked.append((self.tell(), size))
+            return super().read(size)
+
+    monkeypatch.setattr(grid_module, "open", lambda path, mode: Spied(io.FileIO(path, "r")), raising=False)
     with pytest.raises(CorruptDatabase, match=r"damaged\.bin: cut body of the 4294967280-entry cell z 10 at byte 24: 4 bytes"):
         _scan_bytes(tmp_path, blob)
-    assert max(asked) < len(blob)
+    assert asked and all(0 <= size <= len(blob) - at for at, size in asked)
+
+
+def _read_all(reader) -> tuple[list, str | None]:
+    """A reader's cells as (z, entry tuples, shape), then the message of the
+    CorruptDatabase that ended it, or None."""
+    cells = []
+    try:
+        for cell in reader:
+            assert cell.entries.dtype == np.dtype("<u4") and not cell.entries.flags.writeable
+            cells.append((cell.z, entry_tuples(cell), cell.entries.shape))
+    except CorruptDatabase as error:
+        return cells, str(error)
+    return cells, None
+
+
+DAMAGES = [None, "cut header", "cut body", "repeated z", "falling z", "count past the file"]
+
+
+@st.composite
+def runs(draw):
+    """Cells of a run (z up to 2**62, keys up to 2**32 - 1, empty cells
+    included), possibly damaged in one of the ways DAMAGES names."""
+    key = st.integers(0, 2**32 - 1)
+    zs = sorted(draw(st.sets(st.integers(0, 2**62), max_size=10)))
+    cells = [(z, draw(st.lists(st.tuples(key, key, key), max_size=4))) for z in zs]
+    damage = draw(st.sampled_from(DAMAGES))
+    if damage in ("repeated z", "falling z") and cells:
+        i = draw(st.integers(0, len(cells) - 1))
+        if damage == "repeated z":
+            cells.insert(i + 1, (cells[i][0], draw(st.lists(st.tuples(key, key, key), max_size=2))))
+        elif i + 1 < len(cells):
+            cells[i], cells[i + 1] = cells[i + 1], cells[i]
+    blob = _run_bytes(cells)
+    if damage == "cut header":
+        blob += struct.pack("<QI", 2**62 + 1, 1)[:draw(st.integers(1, 11))]
+    elif damage == "cut body" and cells and cells[-1][1]:
+        blob = blob[:-draw(st.integers(1, 12 * len(cells[-1][1])))]
+    elif damage == "count past the file":
+        blob += struct.pack("<QI", 2**62 + 1, draw(st.sampled_from([2, 0xFFFFFFF0]))) + bytes(draw(st.integers(0, 20)))
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=runs(), block=st.sampled_from([1, 5, 12, 13, 16, 1 << 20]),
+       step=st.sampled_from([1, grid_module._HEADER_STEP]))
+def test_run_reader_equals_per_cell_reference(blob, block, step):
+    # The same cells as the reader that decodes one header per call, then
+    # the same CorruptDatabase message, whatever the block and step sizes.
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "run.bin"
+        path.write_bytes(blob)
+        with closing(ReferenceRunReader(path)) as reference:
+            expected = _read_all(reference)
+        with mock.patch.object(grid_module, "_READ_BLOCK_BYTES", block), \
+                mock.patch.object(grid_module, "_HEADER_STEP", step), \
+                closing(grid_module._RunReader(path)) as reader:
+            assert _read_all(reader) == expected
+            assert reader.cells_read == len(expected[0])
+            # an ended reader keeps ending the same way
+            if expected[1] is None:
+                assert next(reader, None) is None
+            else:
+                with pytest.raises(CorruptDatabase, match="^" + re.escape(expected[1]) + "$"):
+                    next(reader)
 
 
 @pytest.mark.parametrize("held", [1, 2, 3, 1 << 16])

@@ -305,6 +305,36 @@ def test_merge_scan_equals_join_oracle_random(tmp_path):
         assert dict(merge_scan_match(gp, gq, ScoreTable()).items()) == join_oracle(gp, gq)
 
 
+@pytest.mark.parametrize("scan_batch", [1, 3, 1024])
+@pytest.mark.parametrize("budget", [1, 7, 50, 10**6])
+def test_merge_scan_closes_batches_where_the_budget_is_reached(tmp_path, monkeypatch, scan_batch, budget):
+    # Matched in batches of cells, the scan still scores the matched cells
+    # in the batches a walk over them one by one makes: each batch ends
+    # with the cell that brings its entries to the budget.
+    instance = planted_instance(seed=86, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    gq = build_query_grid(instance.query, db.params, db.mps, tmp_path / "gq")
+    with GridCursor(db.grid) as cursor:
+        p_sizes = {cell.z: len(cell.entries) for cell in cursor}
+    with GridCursor(gq) as cursor:
+        q_sizes = {cell.z: len(cell.entries) for cell in cursor}
+    expected, held, cells = [], 0, 0
+    for z in sorted(p_sizes.keys() & q_sizes.keys()):
+        cells += 1
+        held += p_sizes[z] + q_sizes[z]
+        if held >= budget:
+            expected.append(cells)
+            held = cells = 0
+    expected += [cells] if cells else []
+    batches = []
+    join = matcher._join_cells
+    monkeypatch.setattr(matcher, "_join_cells", lambda p, q, table: batches.append(len(p)) or join(p, q, table))
+    monkeypatch.setattr(matcher, "_SCAN_BATCH", scan_batch)
+    table = merge_scan_match(db.grid, gq, ScoreTable(budget=budget))
+    assert batches == expected and len(expected) > (budget < 10**6)
+    assert dict(table.items()) == join_oracle(db.grid, gq)
+
+
 def test_merge_scan_params_mismatch(tmp_path):
     gp = run_from_z(tmp_path, "gp.bin", {1: [(0, 0, 0)]})
     gq = run_from_z(tmp_path, "gq.bin", {1: [(0, 0, 0)]}, params=GridParams(delta=2.0))
@@ -582,6 +612,28 @@ def test_finalize_hot_candidates_exact_and_nonzero(tmp_path):
     assert _pair_rows(finalize_scores(table, db, 0.0)) == [(1, 7, 3), (1, 8, 1), (2, 8, 2)]
     # tau 0.3: frame 1's bound 3/10 passes exactly, frame 2's 2/10 does not
     assert _pair_rows(finalize_scores(table, db, 0.3)) == [(1, 7, 3), (1, 8, 1)]
+
+
+def test_hot_candidates_equal_for_any_recount_chunk(tmp_path):
+    # every matched cell hot: the recount sums each chunk into the
+    # candidates' counts, so the chunk size changes nothing, and at tau 0
+    # the candidates are the full join, many of them met in several cells
+    instance = planted_instance(seed=85, n_patches=6)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    gq = build_query_grid(instance.query, db.params, db.mps, tmp_path / "gq")
+    table = merge_scan_match(db.grid, gq, ScoreTable(fanin=0))
+    assert table.hot.n_cells > 1 and not len(table.reduced().pair)
+    for tau in (0.0, 0.3):
+        blocks = [matcher._hot_candidates(table.reduced(), table.hot, db, tau, chunk)
+                  for chunk in (1, 7, 10**6)]
+        assert len(blocks[0].pair) > 0
+        if tau == 0.0:
+            joined = {(d >> 32, d & 0xFFFFFFFF, q >> 32, q & 0xFFFFFFFF): c
+                      for d, q, c in zip(*(column.tolist() for column in matcher._decode(blocks[0])))}
+            assert joined == join_oracle(db.grid, gq) and max(joined.values()) > 2
+        for block in blocks[1:]:
+            for column, expected in zip(block, blocks[0]):
+                assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
 
 
 def test_passing_count_is_the_smallest_count_the_threshold_keeps():

@@ -98,6 +98,14 @@ def test_tracer_counts_each_stored_cell_read_once(tmp_path):
     assert counts["grid.cells_read"] == counts["grid.cells_stored_scanned"] > 2 * db.grid.total_cells
 
 
+def test_tracer_counts_each_stored_cell_read_once_over_small_blocks(tmp_path, monkeypatch):
+    # With 40-byte read blocks every run spans many blocks and header
+    # steps, so a reader that reached its next step by calling its own
+    # traced __next__ would count cells twice.
+    monkeypatch.setattr(grid, "_READ_BLOCK_BYTES", 40)
+    test_tracer_counts_each_stored_cell_read_once(tmp_path)
+
+
 def test_library_writes_nothing_to_stdout(tmp_path, capsys):
     instance = planted_instance(seed=79, n_patches=8)
     half = len(instance.patches) // 2

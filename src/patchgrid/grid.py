@@ -19,11 +19,15 @@ test):
 Entries within a cell are sorted by (structure_key, residue_ordinal,
 atom_ordinal) and deduplicated. A ``DiskGrid`` is the in-memory list of a
 grid's runs; which runs make up a database is recorded by the database's
-manifest (see ``preprocess.PatchDatabase``), never by the grid itself.
+manifest (see ``preprocess.PatchDatabase``), never by the grid itself. A
+``MemoryGrid`` holds one run's bytes in memory instead of a file:
+``sort_grid`` makes one while its records fit the memory budget, as a
+query grid's do, and spills to a run file past it.
 
-The read path is columnar. A run is read in bounded byte blocks, and its
-cell headers are decoded in steps of at most ``_HEADER_STEP`` cells: one
-walk over the entry counts, then one test of the step's z values. Each
+The read path is columnar, and one reader reads a run file, in bounded
+byte blocks, or a run's bytes in memory, in place. Its cell headers are
+decoded in steps of at most ``_HEADER_STEP`` cells: one walk over the
+entry counts, then one test of the step's z values. Each
 cell comes back from one reader call as its z plus a ``(count, 3)``
 uint32 view of its entries (structure key, residue ordinal, atom
 ordinal), so no object is built per entry. A damaged run (a cut cell
@@ -32,7 +36,8 @@ header or body, or a z that does not strictly increase) raises
 returned the cells before it.
 
 Sorted record blocks (``RUN_RECORD`` arrays) have one merge,
-``_merge_blocks``, and one cell writer, which drops duplicates. The
+``_merge_blocks``, and one cell encoder, ``_cell_words``, behind the run
+writer, which drops duplicates, and behind ``MemoryGrid``. The
 external sort (``sort_run``) spills sorted chunks past the memory budget
 into one temporary directory, made at the first spill and removed when the
 sort ends, and merges them; ``merge_runs`` merges a grid's runs; and a
@@ -56,7 +61,7 @@ import tempfile
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -213,8 +218,10 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _concatenate(blocks: list[np.ndarray]) -> np.ndarray:
-    """``RUN_RECORD`` blocks joined into one, copied as whole items."""
-    return np.concatenate([block.view(_RAW_RECORD) for block in blocks]).view(RUN_RECORD)
+    """``RUN_RECORD`` blocks joined into one, copied as whole items; no
+    blocks join into an empty one."""
+    raw = [block.view(_RAW_RECORD) for block in blocks]
+    return (np.concatenate(raw) if raw else np.empty(0, _RAW_RECORD)).view(RUN_RECORD)
 
 
 def _steps(records: np.ndarray, z: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +237,24 @@ def _steps(records: np.ndarray, z: bool = True) -> tuple[np.ndarray, np.ndarray]
     return later, same
 
 
+def _distinct(records: np.ndarray) -> np.ndarray:
+    """Sorted records without exact duplicates. A record below its
+    predecessor raises ValueError."""
+    if not len(records):
+        return records
+    later, same = _steps(records)
+    if not (later | same).all():
+        raise ValueError("run writer received out-of-order record")
+    return records.compress(np.concatenate(([True], ~same)))
+
+
 def _append_distinct(held: np.ndarray, records: np.ndarray) -> tuple[np.ndarray, int]:
     """Sorted ``held`` then ``records`` without exact duplicates, plus the row
     where their last cell, which may continue in the next block, starts.
     A record below its predecessor raises ValueError."""
-    records = _concatenate([held, records])
+    records = _distinct(_concatenate([held, records]))
     if not len(records):
         return records, 0
-    later, same = _steps(records)
-    if not (later | same).all():
-        raise ValueError("run writer received out-of-order record")
-    records = records.compress(np.concatenate(([True], ~same)))
     return records, int(np.searchsorted(records["z"], records["z"][-1]))
 
 
@@ -248,6 +262,27 @@ def _cell_starts(z: np.ndarray) -> np.ndarray:
     """The row where each cell of a sorted z column starts."""
     # ~z[0] differs from z[0], so row 0 starts a cell; an empty column has none.
     return np.flatnonzero(np.diff(z, prepend=~z[:1]) != 0)
+
+
+def _cell_words(records: np.ndarray) -> np.ndarray:
+    """Sorted, distinct records as the run bytes of one cell record per
+    distinct z, viewed as ``(rows, 3)`` little-endian uint32 words: the one
+    cell encoder of run files and of in-memory runs.
+
+    A cell header (z u64, count u32) is three words, the same width as an
+    entry, so a cell is its header row followed by its entry rows.
+    """
+    z = records["z"]
+    starts = _cell_starts(z)
+    header_rows = starts + np.arange(len(starts))
+    words = np.empty((len(records) + len(starts), 3), dtype="<u4")
+    words[header_rows, 0] = (z[starts] & 0xFFFFFFFF).astype(np.uint32)
+    words[header_rows, 1] = (z[starts] >> 32).astype(np.uint32)
+    words[header_rows, 2] = np.diff(np.append(starts, len(records)))
+    is_entry = np.ones(len(words), dtype=bool)
+    is_entry[header_rows] = False
+    words[is_entry] = np.column_stack((records["sk"], records["ro"], records["ao"]))
+    return words
 
 
 class _RunWriter:
@@ -276,20 +311,9 @@ class _RunWriter:
 
     def _write_cells(self, records: np.ndarray) -> None:
         """Write sorted, distinct records as one cell record per distinct z."""
-        z = records["z"]
-        starts = _cell_starts(z)
-        # Each cell header (z u64, count u32) is three little-endian u32 words,
-        # the same width as an entry, so the cells are one (rows, 3) u32 block.
-        header_rows = starts + np.arange(len(starts))
-        words = np.empty((len(records) + len(starts), 3), dtype="<u4")
-        words[header_rows, 0] = (z[starts] & 0xFFFFFFFF).astype(np.uint32)
-        words[header_rows, 1] = (z[starts] >> 32).astype(np.uint32)
-        words[header_rows, 2] = np.diff(np.append(starts, len(records)))
-        is_entry = np.ones(len(words), dtype=bool)
-        is_entry[header_rows] = False
-        words[is_entry] = np.column_stack((records["sk"], records["ro"], records["ao"]))
-        self._fh.write(words.tobytes())
-        self.n_cells += len(starts)
+        words = _cell_words(records)
+        self._fh.write(words)
+        self.n_cells += len(words) - len(records)
         self.n_entries += len(records)
 
     def close(self) -> RunInfo:
@@ -307,37 +331,45 @@ class _RunWriter:
 
 
 class _RunReader:
-    """Sequential cell iterator over one run file, counting physical reads.
+    """Sequential cell iterator over one run, counting physical reads.
 
-    Reads the file in blocks of ``_READ_BLOCK_BYTES``, never asking for more
-    bytes than the file has left. A cell header is as wide as an entry (12
-    bytes), so the block is viewed as rows of three uint32 words and each
-    cell's entries are a slice of those rows. The headers are decoded a step
-    of at most ``_HEADER_STEP`` cells at a time: one walk over the count
-    words finds the cells whose header and body are buffered, and the step's
-    z values are tested at once. The step's ``Cell`` tuples and entry views
-    are built as ``__next__`` returns them, one cell per call.
+    The run is a file, read in blocks of ``_READ_BLOCK_BYTES`` and never
+    asked for more bytes than it has left, or a run's bytes already in
+    memory, read in place as one buffer. A cell header is as wide as an
+    entry (12 bytes), so the buffer is viewed as rows of three uint32 words
+    and each cell's entries are a slice of those rows. The headers are
+    decoded a step of at most ``_HEADER_STEP`` cells at a time: one walk
+    over the count words finds the cells whose header and body are
+    buffered, and the step's z values are tested at once. The step's
+    ``Cell`` tuples and entry views are built as ``__next__`` returns them,
+    one cell per call.
 
-    A damaged cell raises CorruptDatabase when the reader reaches it, after
-    the cells before it have been returned: a cut cell header, a z that
-    does not strictly increase, and a cell body longer than the bytes left
-    in the file, which is checked before the body is read. The file closes
-    after the last cell, and a closed reader raises StopIteration on every
-    further call.
+    A damaged cell raises CorruptDatabase, its message led by the file's
+    path or by "in-memory run", when the reader reaches it,
+    after the cells before it have been returned: a cut cell header, a z
+    that does not strictly increase, and a cell body longer than the bytes
+    left in the run, which is checked before the body is read. A file
+    closes after the last cell, and a closed reader raises StopIteration on
+    every further call.
     """
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "rb")
-        self._size = os.fstat(self._fh.fileno()).st_size
-        self._buf = b""
-        self._rows = np.empty((0, 3), dtype="<u4")
-        self._counts = memoryview(np.empty(0, dtype=np.uint32))  # the rows' third words
+    def __init__(self, source: Path | np.ndarray):
+        self._fh = None
+        if isinstance(source, os.PathLike):
+            self.label = str(source)
+            self._fh = open(source, "rb")
+            self._size = os.fstat(self._fh.fileno()).st_size
+            self._load(b"")
+        else:
+            self.label = "in-memory run"
+            self._load(np.frombuffer(source, dtype=np.uint8))
+            self._size = len(self._buf)
         self._pos = 0  # row of the next cell header to decode
-        self._offset = 0  # file offset of self._buf[0]
+        self._offset = 0  # run offset of self._buf[0]
         self._last_z = -1
         self._cells: Iterator[Cell] = iter(())  # the decoded step's cells not yet returned
         self._damage: str | None = None  # raised once the decoded cells are returned
+        self.closed = False
         self.cells_read = 0
 
     def __iter__(self):
@@ -351,23 +383,25 @@ class _RunReader:
         self.cells_read += 1
         return cell
 
+    def _load(self, buf) -> None:
+        """Make ``buf`` the buffer, viewed as rows of words."""
+        self._buf = buf
+        self._rows = np.frombuffer(buf, dtype="<u4", count=len(buf) // _ENTRY.size * 3).reshape(-1, 3)
+        # Native words to walk; on a little-endian machine a view, not a copy.
+        self._counts = memoryview(self._rows[:, 2].astype(np.uint32, copy=False))
+
     def _buffered(self, n: int) -> bool:
         """Hold at least ``n`` bytes from the next cell header on; False
-        when the file ends first."""
+        when the run ends first."""
         start = self._pos * _ENTRY.size
         while len(self._buf) - start < n:
             left = self._size - self._offset - len(self._buf)
-            more = self._fh.read(min(max(_READ_BLOCK_BYTES, n), left))
+            more = self._fh.read(min(max(_READ_BLOCK_BYTES, n), left)) if left else b""
             if not more:
                 return False
             self._offset += start
-            self._buf = self._buf[start:] + more
+            self._load(self._buf[start:] + more)
             self._pos = start = 0
-            self._rows = np.frombuffer(
-                self._buf, dtype="<u4", count=len(self._buf) // _ENTRY.size * 3
-            ).reshape(-1, 3)
-            # Native words to walk; on a little-endian machine a view, not a copy.
-            self._counts = memoryview(self._rows[:, 2].astype(np.uint32, copy=False))
         return True
 
     def _walk(self) -> list[int]:
@@ -390,7 +424,7 @@ class _RunReader:
         """The next step's cells, at least one; raises StopIteration at the
         end of the run and CorruptDatabase at a damaged first cell. A later
         damaged cell ends the step and is raised at the next step."""
-        if self._fh.closed:
+        if self.closed:
             raise StopIteration
         if self._damage is not None:
             raise CorruptDatabase(self._damage)
@@ -399,7 +433,7 @@ class _RunReader:
             if not self._buffered(_CELL_HEADER.size):
                 if self._pos * _ENTRY.size < len(self._buf):
                     raise CorruptDatabase(
-                        f"{self.path}: cut cell header at byte {self._offset + self._pos * _ENTRY.size}"
+                        f"{self.label}: cut cell header at byte {self._offset + self._pos * _ENTRY.size}"
                     )
                 self.close()
                 raise StopIteration
@@ -417,7 +451,7 @@ class _RunReader:
         if n < len(z):
             at = self._offset + rows[n] * _ENTRY.size
             self._damage = (
-                f"{self.path}: cell z {z[n]} at byte {at} "
+                f"{self.label}: cell z {z[n]} at byte {at} "
                 f"does not increase past {z[n - 1] if n else self._last_z}"
             )
         elif whole < n:  # the last cell's body is not buffered
@@ -430,7 +464,7 @@ class _RunReader:
                 return self._step()
             else:
                 self._damage = (
-                    f"{self.path}: cut body of the {count}-entry cell z {z[-1]} at byte {at}: "
+                    f"{self.label}: cut body of the {count}-entry cell z {z[-1]} at byte {at}: "
                     f"{self._size - at - _CELL_HEADER.size} bytes follow its header"
                 )
                 n = whole
@@ -442,7 +476,9 @@ class _RunReader:
         return map(tuple.__new__, itertools.repeat(Cell), zip(z[:n], views))
 
     def close(self) -> None:
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
+        self.closed = True
         self._cells = iter(())
 
 
@@ -542,6 +578,12 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
         yield _merged([taken[i] for i in sorted(taken)])
 
 
+def _check_budget(memory_budget_entries: int) -> None:
+    """Raise ValueError for a budget too small to sort in."""
+    if memory_budget_entries < 2:
+        raise ValueError("memory budget must allow at least 2 entries")
+
+
 def sort_run(
     blocks: Iterable[np.ndarray],
     out_path: Path,
@@ -561,8 +603,7 @@ def sort_run(
     spill and removed with its chunks when the sort ends, however it ends. Identical records collapse to one.
     Output is byte-identical to an in-memory sort of the same records.
     """
-    if memory_budget_entries < 2:
-        raise ValueError("memory budget must allow at least 2 entries")
+    _check_budget(memory_budget_entries)
     chunk_paths: list[Path] = []
     held: list[np.ndarray] = []
     n_held = 0
@@ -584,7 +625,7 @@ def sort_run(
                 _sorted(records[start:start + memory_budget_entries]).tofile(path)
                 chunk_paths.append(path)
             held = [records[len(records) - n_held:]]
-        tail = _sorted(_concatenate(held)) if held else np.empty(0, dtype=RUN_RECORD)
+        tail = _sorted(_concatenate(held))
         writer = _RunWriter(out_path)
         try:
             if not chunk_paths:
@@ -620,8 +661,50 @@ def build_sorted_run(
     return sort_run(blocks(), Path(out_path), memory_budget_entries, tmp_dir)
 
 
+def sort_grid(
+    blocks: Iterable[np.ndarray],
+    params: GridParams,
+    out_dir: Path | Callable[[], Path],
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
+    tmp_dir: Path | None = None,
+) -> MemoryGrid | DiskGrid:
+    """Sort ``RUN_RECORD`` blocks into a one-run grid, in memory while they fit.
+
+    While the blocks total at most ``memory_budget_entries`` records they
+    are held, and the grid is a ``MemoryGrid`` whose run holds the bytes
+    ``sort_run`` would write for them; nothing touches the disk. Past the
+    budget, the held blocks and the rest go to ``sort_run``, which spills
+    sorted chunks under ``tmp_dir`` and writes the run into ``out_dir``: a
+    directory, or a function that makes one, called only then.
+    """
+    _check_budget(memory_budget_entries)
+    blocks = iter(blocks)
+    held: list[np.ndarray] = []
+    n_held = 0
+    for block in blocks:
+        held.append(block)
+        n_held += len(block)
+        if n_held > memory_budget_entries:
+            break
+    else:
+        return MemoryGrid.of_blocks(params, held)
+    del block  # so that only ``held`` refers to the held blocks
+
+    def spilled() -> Iterator[np.ndarray]:
+        # Each held block is let go once sort_run has taken it.
+        held.reverse()
+        while held:
+            yield held.pop()
+        yield from blocks
+
+    out_dir = Path(out_dir() if callable(out_dir) else out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    info = sort_run(spilled(), out_dir / "run_000000.bin", memory_budget_entries, tmp_dir)
+    return DiskGrid(params=params, directory=out_dir, runs=[info])
+
+
 # ---------------------------------------------------------------------------
-# DiskGrid
+# Grids
 
 
 @dataclass
@@ -646,12 +729,43 @@ class DiskGrid:
     def run_path(self, info: RunInfo) -> Path:
         return self.directory / info.file_name
 
+    def run_sources(self) -> list[Path]:
+        """What a run reader opens for each run that holds cells."""
+        return [self.run_path(info) for info in self.runs if info.n_cells > 0]
+
     def next_run_name(self) -> str:
         used = {r.file_name for r in self.runs}
         i = len(self.runs)
         while f"run_{i:06d}.bin" in used:
             i += 1
         return f"run_{i:06d}.bin"
+
+
+@dataclass(eq=False)
+class MemoryGrid:
+    """Grid parameters plus one run held in memory: ``run`` is the read-only
+    uint8 array of the bytes a run file of the same cells holds."""
+
+    params: GridParams
+    run: np.ndarray
+    total_cells: int
+    total_entries: int
+
+    @classmethod
+    def of_blocks(cls, params: GridParams, blocks: list[np.ndarray]) -> MemoryGrid:
+        """The grid of ``RUN_RECORD`` blocks, which the call empties: the
+        records are sorted as ``sort_run`` sorts them, exact duplicates
+        dropped, and encoded as the run writer encodes them."""
+        records = _concatenate(blocks)
+        blocks.clear()
+        records = _distinct(_sorted(records))
+        words = _cell_words(records)
+        run = words.reshape(-1).view(np.uint8)
+        run.flags.writeable = False
+        return cls(params, run, len(words) - len(records), len(records))
+
+    def run_sources(self) -> list[np.ndarray]:
+        return [self.run] if self.total_cells else []
 
 
 class GridCursor:
@@ -661,16 +775,15 @@ class GridCursor:
     ``_merge_blocks``. A multi-run cursor cuts its cells from that stream:
     equal-z cells of several runs become one cell with the sorted, distinct
     union of their entries. A single run's cells are read directly.
-    ``physical_cells_read`` counts stored cell records read from disk:
-    exactly one read per stored cell over a full scan.
+    ``physical_cells_read`` counts stored cell records read from the
+    runs: exactly one read per stored cell over a full scan.
     """
 
-    def __init__(self, grid: DiskGrid):
+    def __init__(self, grid: DiskGrid | MemoryGrid):
         # A run that fails to open closes the ones opened before it.
         with ExitStack() as opened:
             self._readers = [
-                opened.enter_context(closing(_RunReader(grid.run_path(info))))
-                for info in grid.runs if info.n_cells > 0
+                opened.enter_context(closing(_RunReader(source))) for source in grid.run_sources()
             ]
             opened.pop_all()
         self.records = _merge_blocks([_run_records(r) for r in self._readers])

@@ -11,7 +11,13 @@ The final score of a (database frame, query frame) pair is its matched-atom
 count divided by the atom count of the patch owning the database frame,
 which keeps scores in [0, 1].
 
-The read path is columnar from the run file to the threshold. Each cell
+The query grid stays in memory while its entries fit the memory budget:
+it is then the bytes of its run, encoded as a run file is but never
+written, and the run reader reads them in place, so such a query makes no
+directory and writes no file. Only a query grid past the budget is sorted
+into a run file, in a temporary directory that lives as long as the query.
+
+The read path is columnar from the run to the threshold. Each cell
 arrives as a ``(count, 3)`` uint32 array, and the matched cells' arrays are
 collected and scored in batches of about the score table's ``budget``
 entries (``DEFAULT_SCORE_BUDGET`` in ``match_query``): a cell's distinct
@@ -66,9 +72,10 @@ import itertools
 import math
 import operator
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -81,10 +88,11 @@ from .grid import (
     DiskGrid,
     GridCursor,
     GridParams,
+    MemoryGrid,
     RefId,
     cells_of_points,
     morton_encode,
-    sort_run,
+    sort_grid,
 )
 from .ingest import OriginTag, Patch, Protein, _count
 from .preprocess import _GROUP_ENTRIES, PatchDatabase, PatchMeta, build_patch_database, residue_frames
@@ -361,11 +369,11 @@ def build_query_grid(
     query: Protein,
     params: GridParams,
     mps: float,
-    out_dir: Path,
+    out_dir: Path | Callable[[], Path],
     memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
-) -> DiskGrid:
+) -> MemoryGrid | DiskGrid:
     """Build the z-sorted grid of the query, clipped to the mps radius.
 
     One frame per complete residue, all under structure key 0; per frame
@@ -376,9 +384,16 @@ def build_query_grid(
     are taken in groups of at most ``min(memory_budget_entries,
     _GROUP_ENTRIES)`` (frame, atom) pairs, the bound of the indexer's patch
     groups; each group is transformed in one call, then clipped, quantized
-    and Morton-encoded as columns, and ``sort_run`` sorts the records into
-    the run, spilling sorted chunks when they exceed the memory budget.
-    Raises NoValidFrame when the query has no usable residue.
+    and Morton-encoded as columns.
+
+    ``sort_grid`` sorts the groups' records. While they total at most
+    ``memory_budget_entries`` the grid is a ``MemoryGrid``, whose run is
+    byte for byte the run file of the same records, and nothing is
+    written. Past the budget, ``sort_run`` spills sorted chunks under
+    ``tmp_dir`` and writes the run into ``out_dir``, a directory or a
+    function returning one that is called only then, and the grid is a
+    one-run ``DiskGrid``. Raises NoValidFrame when the query has no usable
+    residue, and ValueError for a budget below 2 entries.
     """
     if mps < 0:
         raise ValueError("mps must be non-negative")
@@ -407,10 +422,7 @@ def build_query_grid(
             block["ao"] = ordinals[kept % len(points)]
             yield block
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    info = sort_run(blocks(), out_dir / "run_000000.bin", memory_budget_entries, tmp_dir)
-    return DiskGrid(params=params, directory=out_dir, runs=[info])
+    return sort_grid(blocks(), params, out_dir, memory_budget_entries, tmp_dir)
 
 
 def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,7 +477,7 @@ def _next_cells(cursor: GridCursor) -> tuple[np.ndarray, list[Cell]]:
 
 def merge_scan_match(
     gp: DiskGrid,
-    gq: DiskGrid,
+    gq: DiskGrid | MemoryGrid,
     table: ScoreTable,
     stats: dict | None = None,
 ) -> ScoreTable:
@@ -679,27 +691,33 @@ def match_query(
 ) -> list[MatchResult]:
     """Full pipeline: query grid, merge scan, normalization, threshold.
 
-    The score table buffers ``DEFAULT_SCORE_BUDGET`` rows and marks a cell
-    hot above the fan-in ``_HOT_FANIN``; both are module constants, read
-    when the query runs, and neither changes the results.
+    A query grid within ``memory_budget_entries`` is held in memory and
+    nothing is made under ``tmp_dir``. Past it, the grid's sorted chunks
+    and run go to a temporary directory under ``tmp_dir``, made at the
+    spill and removed when the scan ends, however it ends. The score table
+    buffers ``DEFAULT_SCORE_BUDGET`` rows and marks a cell hot above the
+    fan-in ``_HOT_FANIN``; both are module constants, read when the query
+    runs, and neither changes the results.
     """
     if not (0.0 <= tau_pp <= 1.0):
         raise ValueError("tau_pp must be in [0, 1]")
-    with tempfile.TemporaryDirectory(
-        prefix="query-", dir=str(tmp_dir) if tmp_dir else None
-    ) as work:
-        gq = build_query_grid(
-            query,
-            db.params,
-            db.mps,
-            Path(work) / "gq",
-            memory_budget_entries=memory_budget_entries,
-            tmp_dir=tmp_dir,
-            counters=stats,
+    table = ScoreTable(DEFAULT_SCORE_BUDGET, _HOT_FANIN)
+    with ExitStack() as spill:
+
+        def spill_dir() -> Path:
+            return Path(spill.enter_context(tempfile.TemporaryDirectory(prefix="query-", dir=tmp_dir))) / "gq"
+
+        # The grid is an argument only, so it is freed when the scan returns.
+        merge_scan_match(
+            db.grid,
+            build_query_grid(
+                query, db.params, db.mps, spill_dir,
+                memory_budget_entries=memory_budget_entries, tmp_dir=tmp_dir, counters=stats,
+            ),
+            table,
+            stats=stats,
         )
-        table = ScoreTable(DEFAULT_SCORE_BUDGET, _HOT_FANIN)
-        merge_scan_match(db.grid, gq, table, stats=stats)
-        scored = finalize_scores(table, db, tau_pp)
+    scored = finalize_scores(table, db, tau_pp)
     if stats is not None:
         stats["pairs_scored"] = len(scored)
         stats["score_spills"] = table.spills

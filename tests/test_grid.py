@@ -31,15 +31,19 @@ from patchgrid import grid as grid_module
 from patchgrid.errors import CorruptDatabase, OutOfExtent
 from patchgrid.grid import (
     BOUNDARY_SNAP,
+    DEFAULT_MEMORY_BUDGET,
+    RUN_RECORD,
     Cell,
     DiskGrid,
     GridCursor,
     GridParams,
+    MemoryGrid,
     RunInfo,
     build_sorted_run,
     cells_of_points,
     merge_runs,
     morton_encode,
+    sort_grid,
 )
 
 P1 = GridParams(delta=1.0)
@@ -674,23 +678,77 @@ def runs(draw):
        step=st.sampled_from([1, grid_module._HEADER_STEP]))
 def test_run_reader_equals_per_cell_reference(blob, block, step):
     # The same cells as the reader that decodes one header per call, then
-    # the same CorruptDatabase message, whatever the block and step sizes.
+    # the same CorruptDatabase message, whatever the block and step sizes,
+    # from the run's file and from its bytes in memory; the message of the
+    # bytes in memory is led by their label in place of the path.
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "run.bin"
         path.write_bytes(blob)
         with closing(ReferenceRunReader(path)) as reference:
-            expected = _read_all(reference)
-        with mock.patch.object(grid_module, "_READ_BLOCK_BYTES", block), \
-                mock.patch.object(grid_module, "_HEADER_STEP", step), \
-                closing(grid_module._RunReader(path)) as reader:
-            assert _read_all(reader) == expected
-            assert reader.cells_read == len(expected[0])
-            # an ended reader keeps ending the same way
-            if expected[1] is None:
-                assert next(reader, None) is None
-            else:
-                with pytest.raises(CorruptDatabase, match="^" + re.escape(expected[1]) + "$"):
-                    next(reader)
+            cells, message = _read_all(reference)
+        held = np.frombuffer(blob, dtype=np.uint8)
+        for source, label in ((path, str(path)), (held, "in-memory run")):
+            expected = (cells, message and label + message.removeprefix(str(path)))
+            with mock.patch.object(grid_module, "_READ_BLOCK_BYTES", block), \
+                    mock.patch.object(grid_module, "_HEADER_STEP", step), \
+                    closing(grid_module._RunReader(source)) as reader:
+                assert reader.label == label
+                assert _read_all(reader) == expected
+                assert reader.cells_read == len(cells)
+                # an ended reader keeps ending the same way
+                if message is None:
+                    assert next(reader, None) is None
+                else:
+                    with pytest.raises(CorruptDatabase, match="^" + re.escape(expected[1]) + "$"):
+                        next(reader)
+
+
+@st.composite
+def query_blocks(draw):
+    """Query-like record blocks: structure key 0, small and wide z, exact
+    duplicates included, and (residue, atom) ordinals that either ascend
+    along the stream, as a query grid's do, or come in any order."""
+    small = st.integers(0, 2**32 - 1) if draw(st.booleans()) else st.integers(0, 5)
+    z = st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1))
+    blocks = draw(st.lists(st.lists(st.tuples(z, st.just(0), small, small), max_size=20), max_size=6))
+    if draw(st.booleans()):
+        flat = iter(sorted((r for block in blocks for r in block), key=lambda r: r[1:]))
+        blocks = [[next(flat) for _ in block] for block in blocks]
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=query_blocks(), budget=st.sampled_from([2, 25, DEFAULT_MEMORY_BUDGET]))
+def test_grid_in_memory_holds_the_run_file_bytes(blocks, budget):
+    # Within the budget the grid's run is held in memory, byte for byte the
+    # run file of the same records, and nothing is made on disk; past it the
+    # run is that file, and the spilled chunks are gone.
+    records = [record for block in blocks for record in block]
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        spill = work / "spill"
+        spill.mkdir()
+        info = build_sorted_run(records, work / "expected.bin")
+        expected = (work / "expected.bin").read_bytes()
+        assert expected == reference_run_bytes(records)
+        with pytest.raises(ValueError, match="memory budget"):
+            sort_grid([], P1, work / "rejected", 1)
+        made = []
+        grid = sort_grid(
+            (np.array(block, dtype=RUN_RECORD) for block in blocks), P1,
+            lambda: made.append(work / "gq") or made[-1], budget, spill,
+        )
+        assert isinstance(grid, MemoryGrid) == (len(records) <= budget)
+        assert made == ([] if len(records) <= budget else [work / "gq"])
+        if isinstance(grid, MemoryGrid):
+            assert bytes(grid.run) == expected and not grid.run.flags.writeable
+        else:
+            assert grid.run_path(grid.runs[0]).read_bytes() == expected
+        assert (grid.total_cells, grid.total_entries) == (info.n_cells, info.n_entries)
+        with closing(ReferenceRunReader(work / "expected.bin")) as reference, GridCursor(grid) as cursor:
+            assert _read_all(cursor) == _read_all(reference)
+        assert list(spill.iterdir()) == []
+        assert sorted(p.name for p in work.iterdir()) == sorted(["expected.bin", "spill", *(p.name for p in made)])
 
 
 @pytest.mark.parametrize("held", [1, 2, 3, 1 << 16])

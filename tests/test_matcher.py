@@ -31,6 +31,7 @@ from patchgrid.grid import (
     DiskGrid,
     GridCursor,
     GridParams,
+    MemoryGrid,
     RefId,
     build_sorted_run,
     cells_of_points,
@@ -218,8 +219,15 @@ def test_query_grid_bytes_equal_build_sorted_run(tmp_path, monkeypatch, budget, 
         gq = build_query_grid(query, P1, mps, tmp_path / "gq", tmp_dir=spill, **budget_option)
     if rows == "file-order" or budget is None:
         assert lexsorts.call_count == (rows != "file-order")
-    assert gq.run_path(gq.runs[0]).read_bytes() == (tmp_path / "expected.bin").read_bytes()
-    assert gq.runs == [type(expected)("run_000000.bin", expected.n_cells, expected.n_entries)]
+    # a query within the default budget is held in memory, past 2 or 37 entries it spills
+    assert isinstance(gq, MemoryGrid) == (budget is None)
+    if budget is None:
+        assert bytes(gq.run) == (tmp_path / "expected.bin").read_bytes()
+        assert (gq.total_cells, gq.total_entries) == (expected.n_cells, expected.n_entries)
+        assert not (tmp_path / "gq").exists()
+    else:
+        assert gq.run_path(gq.runs[0]).read_bytes() == (tmp_path / "expected.bin").read_bytes()
+        assert gq.runs == [type(expected)("run_000000.bin", expected.n_cells, expected.n_entries)]
     assert (len(chunks_read) > 0) == (budget is not None)
     assert list(spill.iterdir()) == []
 
@@ -274,7 +282,8 @@ def test_missing_run_file_leaves_no_run_open(tmp_path, monkeypatch, missing):
     instance = planted_instance(seed=81, n_patches=6)
     db = build_patch_database(instance.patches[:3], instance.params, tmp_path / "db")
     db = add_patches(db, instance.patches[3:])
-    gq = build_query_grid(instance.query, instance.params, db.mps, tmp_path / "gq")
+    # a budget of 10 entries spills the query grid to a run file
+    gq = build_query_grid(instance.query, instance.params, db.mps, tmp_path / "gq", memory_budget_entries=10)
     gone = db.grid.run_path(db.grid.runs[1]) if missing == "database run" else gq.run_path(gq.runs[0])
     gone.unlink()
     opened = opened_readers(monkeypatch)
@@ -781,6 +790,63 @@ def test_match_query_spill_equals_in_memory(tmp_path):
         spilled = match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
     in_memory = match_query(instance.query, db, 0.0, tmp_dir=tmp_path)
     assert spilled == in_memory
+
+
+def spy_mkdtemp(monkeypatch) -> list[Path]:
+    """Every directory tempfile makes from now on, TemporaryDirectory's included."""
+    made = []
+    mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda *args, **kwargs: made.append(Path(mkdtemp(*args, **kwargs))) or str(made[-1]))
+    return made
+
+
+def test_fitting_query_makes_nothing_under_tmp_dir(tmp_path, monkeypatch):
+    # a query grid within the budget is held in memory: no directory, no run file
+    instance = planted_instance(seed=79, n_patches=5)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    work = tmp_path / "work"
+    work.mkdir()
+    made = spy_mkdtemp(monkeypatch)
+    writers = []
+
+    class Recorded(grid_module._RunWriter):
+        def __init__(self, path):
+            writers.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(grid_module, "_RunWriter", Recorded)
+    stats: dict = {}
+    results = match_query(instance.query, db, 0.0, tmp_dir=work, stats=stats)
+    assert results and stats["gq_cells_read"] == stats["gq_cells_stored"] > 0
+    assert made == [] and writers == [] and list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("ending", ["returns", "scan raises"])
+def test_spilled_query_leaves_tmp_dir_empty(tmp_path, monkeypatch, ending):
+    # past a budget of 10 entries the query grid's sorted chunks and run are
+    # written under tmp_dir, and removed however the query ends
+    instance = planted_instance(seed=79, n_patches=5)
+    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    work = tmp_path / "work"
+    work.mkdir()
+    fitting = match_query(instance.query, db, 0.0, tmp_dir=work)
+    made = spy_mkdtemp(monkeypatch)
+    if ending == "returns":
+        assert match_query(instance.query, db, 0.0, tmp_dir=work, memory_budget_entries=10) == fitting
+    else:
+        scanned = []
+
+        def fail(*args):
+            scanned.append(sorted(p.name for p in (made[0] / "gq").iterdir()))
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(matcher, "_join_cells", fail)
+        with pytest.raises(RuntimeError, match="scan failed"):
+            match_query(instance.query, db, 0.0, tmp_dir=work, memory_budget_entries=10)
+        assert scanned == [["run_000000.bin"]]
+    assert sorted(p.name.split("-")[0] for p in made) == ["query", "rgsort"]
+    assert all(p.parent == work for p in made)
+    assert list(work.iterdir()) == []
 
 
 def test_structural_identity_self_is_one(tmp_path):

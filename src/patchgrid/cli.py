@@ -389,7 +389,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(prefix="oracle-", dir=config["tmp"]) as work:
             started = time.monotonic()
             db = preprocess.build_patch_database(
-                instance.patches, instance.params, Path(work) / "db"
+                instance.patches, instance.params, Path(work) / "db", tmp_dir=Path(work)
             )
             engine_results = matcher.match_query(
                 instance.query, db, args.tau, tmp_dir=Path(work)

@@ -36,19 +36,21 @@ header or body, or a z that does not strictly increase) raises
 returned the cells before it.
 
 Sorted record blocks (``RUN_RECORD`` arrays) have one merge,
-``_merge_blocks``, and one cell encoder, ``_cell_words``, behind the run
-writer, which drops duplicates, and behind ``MemoryGrid``. The
-external sort (``sort_run``) spills sorted chunks past the memory budget
-into one temporary directory, made at the first spill and removed when the
-sort ends, and merges them; ``merge_runs`` merges a grid's runs; and a
-multi-run ``GridCursor`` cuts its cells from the merged runs, so equal-z
-cells of several runs become one cell. Where the records' (structure
-key, residue ordinal, atom ordinal) already ascend, as in the indexer's
-and the query grid's streams, the chunks of one stream and the runs of one
-database, sorts and merges order them with one stable sort on z; other
-input takes a four-key sort. A failed write, the final flush
-included, removes the run's temp file. Quantization (``cells_of_points``)
-and Morton codes (``morton_encode``) work on whole coordinate arrays.
+``_merge_blocks``, one cell encoder, ``_cell_words``, and one run write,
+``_write_run``, through the run writer, which drops duplicates. One
+external sort, ``_sort``, serves ``sort_run`` and ``sort_grid``: only
+records past the memory budget spill, as sorted chunks in one temporary
+directory that is removed when the sort ends, and the chunks are merged.
+``sort_run`` writes a run file; ``sort_grid`` keeps records that fit as a
+``MemoryGrid``. ``merge_runs`` merges a grid's runs, and a multi-run
+``GridCursor`` cuts its cells from the merged runs, so equal-z cells of
+several runs become one cell. Where the records' (structure key, residue
+ordinal, atom ordinal) already ascend, as in the indexer's and the query
+grid's streams, the chunks of one stream and the runs of one database,
+sorts and merges order them with one stable sort on z; other input takes
+a four-key sort. A failed write, the final flush included, removes the
+run's temp file. Quantization (``cells_of_points``) and Morton codes
+(``morton_encode``) work on whole coordinate arrays.
 """
 
 from __future__ import annotations
@@ -238,21 +240,21 @@ def _steps(records: np.ndarray, z: bool = True) -> tuple[np.ndarray, np.ndarray]
 
 
 def _distinct(records: np.ndarray) -> np.ndarray:
-    """Sorted records without exact duplicates. A record below its
-    predecessor raises ValueError."""
+    """Sorted records without exact duplicates: ``records`` itself when
+    it has none. A record below its predecessor raises ValueError."""
     if not len(records):
         return records
     later, same = _steps(records)
     if not (later | same).all():
         raise ValueError("run writer received out-of-order record")
-    return records.compress(np.concatenate(([True], ~same)))
+    return records.compress(np.concatenate(([True], ~same))) if same.any() else records
 
 
 def _append_distinct(held: np.ndarray, records: np.ndarray) -> tuple[np.ndarray, int]:
     """Sorted ``held`` then ``records`` without exact duplicates, plus the row
     where their last cell, which may continue in the next block, starts.
     A record below its predecessor raises ValueError."""
-    records = _distinct(_concatenate([held, records]))
+    records = _distinct(_concatenate([held, records]) if len(held) else records)
     if not len(records):
         return records, 0
     return records, int(np.searchsorted(records["z"], records["z"][-1]))
@@ -578,10 +580,62 @@ def _merge_blocks(streams: list[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
         yield _merged([taken[i] for i in sorted(taken)])
 
 
-def _check_budget(memory_budget_entries: int) -> None:
-    """Raise ValueError for a budget too small to sort in."""
+def _sort(
+    blocks: Iterable[np.ndarray], memory_budget_entries: int, tmp_dir: Path | None, stack: ExitStack
+) -> tuple[bool, Iterator[np.ndarray]]:
+    """External-sort ``RUN_RECORD`` blocks: whether the records fit the
+    budget, and their sorted blocks. The one sort of run files and grids.
+
+    Blocks are held while they total at most ``memory_budget_entries``
+    records. Past the budget, the held records are spilled as sorted chunks
+    of exactly the budget, keeping at most the budget held, so a stream of
+    n records spills ceil(n / budget) - 1 chunks however it is cut into
+    blocks. The chunks live in one ``tempfile.TemporaryDirectory`` under
+    ``tmp_dir``, made at the first spill and entered on ``stack``, and
+    ``_merge_blocks`` merges them with the sorted held records as the
+    blocks are taken, holding one block per chunk. Records that fit come
+    back as one sorted block. Duplicates are kept. Raises ValueError for a
+    budget below 2.
+    """
     if memory_budget_entries < 2:
         raise ValueError("memory budget must allow at least 2 entries")
+    chunk_paths: list[Path] = []
+    held: list[np.ndarray] = []
+    n_held = 0
+    for block in blocks:
+        held.append(block)
+        n_held += len(block)
+        if n_held <= memory_budget_entries:
+            continue
+        if not chunk_paths:
+            spill_dir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)))
+        records = _concatenate(held)
+        held.clear()
+        n_held = (len(records) - 1) % memory_budget_entries + 1
+        for start in range(0, len(records) - n_held, memory_budget_entries):
+            path = spill_dir / f"chunk_{len(chunk_paths):06d}.bin"
+            _sorted(records[start:start + memory_budget_entries]).tofile(path)
+            chunk_paths.append(path)
+        held.append(records[len(records) - n_held:])
+    records = _concatenate(held)
+    held.clear()  # so that only the sorted copy outlives the sort
+    tail = iter([_sorted(records)])
+    if not chunk_paths:
+        return True, tail
+    return False, _merge_blocks([_chunk_records(p) for p in chunk_paths] + [tail])
+
+
+def _write_run(path: Path, sorted_blocks: Iterable[np.ndarray]) -> RunInfo:
+    """Write sorted ``RUN_RECORD`` blocks as the run file ``path``; a failed
+    write, the final flush included, removes the run's temp file."""
+    writer = _RunWriter(path)
+    try:
+        for records in sorted_blocks:
+            writer.add(records)
+        return writer.close()
+    except BaseException:
+        writer.abort()
+        raise
 
 
 def sort_run(
@@ -592,52 +646,16 @@ def sort_run(
 ) -> RunInfo:
     """External-sort ``RUN_RECORD`` blocks into a single run file.
 
-    Sorts by (z, structure_key, residue_ordinal, atom_ordinal), holding at
-    most ``memory_budget_entries`` records plus one block; each full
-    budget is spilled as one sorted chunk, and the chunks and the sorted
-    remainder are merged by ``_merge_blocks`` on write, holding one block per
-    chunk. Records whose last three keys ascend in stream order, as the
-    indexer's and the query grid's do, are sorted and merged on z alone
-    (see ``_sorted`` and ``_merged``). The chunks live in one
-    ``tempfile.TemporaryDirectory`` under ``tmp_dir``, made at the first
-    spill and removed with its chunks when the sort ends, however it ends. Identical records collapse to one.
-    Output is byte-identical to an in-memory sort of the same records.
+    Sorts by (z, structure_key, residue_ordinal, atom_ordinal) with
+    ``_sort``: only records past ``memory_budget_entries`` spill, as
+    sorted chunks under ``tmp_dir`` that are removed when the sort ends,
+    however it ends. Records whose last three keys ascend in stream order,
+    as the indexer's and the query grid's do, are sorted and merged on z
+    alone (see ``_sorted`` and ``_merged``). Identical records collapse to
+    one. Output is byte-identical to an in-memory sort of the same records.
     """
-    _check_budget(memory_budget_entries)
-    chunk_paths: list[Path] = []
-    held: list[np.ndarray] = []
-    n_held = 0
     with ExitStack() as stack:
-        for block in blocks:
-            held.append(block)
-            n_held += len(block)
-            if n_held < memory_budget_entries:
-                continue
-            if not chunk_paths:
-                spill_dir = Path(stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)
-                ))
-            records = _concatenate(held)
-            held.clear()
-            n_held = len(records) % memory_budget_entries
-            for start in range(0, len(records) - n_held, memory_budget_entries):
-                path = spill_dir / f"chunk_{len(chunk_paths):06d}.bin"
-                _sorted(records[start:start + memory_budget_entries]).tofile(path)
-                chunk_paths.append(path)
-            held = [records[len(records) - n_held:]]
-        tail = _sorted(_concatenate(held))
-        writer = _RunWriter(out_path)
-        try:
-            if not chunk_paths:
-                writer.add(tail)
-            else:
-                streams = [_chunk_records(p) for p in chunk_paths] + [iter([tail])]
-                for records in _merge_blocks(streams):
-                    writer.add(records)
-            return writer.close()
-        except BaseException:
-            writer.abort()
-            raise
+        return _write_run(out_path, _sort(blocks, memory_budget_entries, tmp_dir, stack)[1])
 
 
 def build_sorted_run(
@@ -670,36 +688,21 @@ def sort_grid(
 ) -> MemoryGrid | DiskGrid:
     """Sort ``RUN_RECORD`` blocks into a one-run grid, in memory while they fit.
 
-    While the blocks total at most ``memory_budget_entries`` records they
-    are held, and the grid is a ``MemoryGrid`` whose run holds the bytes
-    ``sort_run`` would write for them; nothing touches the disk. Past the
-    budget, the held blocks and the rest go to ``sort_run``, which spills
-    sorted chunks under ``tmp_dir`` and writes the run into ``out_dir``: a
-    directory, or a function that makes one, called only then.
+    The blocks are sorted by ``_sort``, the sort of ``sort_run``. While
+    they total at most ``memory_budget_entries`` records, the grid is a
+    ``MemoryGrid`` whose run holds the bytes ``sort_run`` would write for
+    them; nothing touches the disk. Only records past the budget spill, as
+    sorted chunks under ``tmp_dir``, and the run is then written into
+    ``out_dir``: a directory, or a function that makes one, called only
+    then.
     """
-    _check_budget(memory_budget_entries)
-    blocks = iter(blocks)
-    held: list[np.ndarray] = []
-    n_held = 0
-    for block in blocks:
-        held.append(block)
-        n_held += len(block)
-        if n_held > memory_budget_entries:
-            break
-    else:
-        return MemoryGrid.of_blocks(params, held)
-    del block  # so that only ``held`` refers to the held blocks
-
-    def spilled() -> Iterator[np.ndarray]:
-        # Each held block is let go once sort_run has taken it.
-        held.reverse()
-        while held:
-            yield held.pop()
-        yield from blocks
-
-    out_dir = Path(out_dir() if callable(out_dir) else out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    info = sort_run(spilled(), out_dir / "run_000000.bin", memory_budget_entries, tmp_dir)
+    with ExitStack() as stack:
+        fits, records = _sort(blocks, memory_budget_entries, tmp_dir, stack)
+        if fits:
+            return MemoryGrid.of_records(params, next(records))
+        out_dir = Path(out_dir() if callable(out_dir) else out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        info = _write_run(out_dir / "run_000000.bin", records)
     return DiskGrid(params=params, directory=out_dir, runs=[info])
 
 
@@ -752,13 +755,10 @@ class MemoryGrid:
     total_entries: int
 
     @classmethod
-    def of_blocks(cls, params: GridParams, blocks: list[np.ndarray]) -> MemoryGrid:
-        """The grid of ``RUN_RECORD`` blocks, which the call empties: the
-        records are sorted as ``sort_run`` sorts them, exact duplicates
-        dropped, and encoded as the run writer encodes them."""
-        records = _concatenate(blocks)
-        blocks.clear()
-        records = _distinct(_sorted(records))
+    def of_records(cls, params: GridParams, records: np.ndarray) -> MemoryGrid:
+        """The grid of sorted ``RUN_RECORD`` records: exact duplicates
+        dropped and encoded as the run writer encodes them."""
+        records = _distinct(records)
         words = _cell_words(records)
         run = words.reshape(-1).view(np.uint8)
         run.flags.writeable = False
@@ -867,12 +867,6 @@ def merge_runs(grid: DiskGrid) -> DiskGrid:
     """
     if len(grid.runs) <= 1:
         return grid
-    writer = _RunWriter(grid.directory / grid.next_run_name())
-    try:
-        with GridCursor(grid) as cursor:
-            for records in cursor.records:
-                writer.add(records)
-        return DiskGrid(params=grid.params, directory=grid.directory, runs=[writer.close()])
-    except BaseException:
-        writer.abort()
-        raise
+    with GridCursor(grid) as cursor:
+        info = _write_run(grid.directory / grid.next_run_name(), cursor.records)
+    return DiskGrid(params=grid.params, directory=grid.directory, runs=[info])

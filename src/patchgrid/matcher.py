@@ -386,14 +386,15 @@ def build_query_grid(
     groups; each group is transformed in one call, then clipped, quantized
     and Morton-encoded as columns.
 
-    ``sort_grid`` sorts the groups' records. While they total at most
-    ``memory_budget_entries`` the grid is a ``MemoryGrid``, whose run is
-    byte for byte the run file of the same records, and nothing is
-    written. Past the budget, ``sort_run`` spills sorted chunks under
-    ``tmp_dir`` and writes the run into ``out_dir``, a directory or a
-    function returning one that is called only then, and the grid is a
-    one-run ``DiskGrid``. Raises NoValidFrame when the query has no usable
-    residue, and ValueError for a budget below 2 entries.
+    ``sort_grid`` sorts the groups' records with the external sort of
+    ``sort_run``. While they total at most ``memory_budget_entries`` the
+    grid is a ``MemoryGrid``, whose run is byte for byte the run file of
+    the same records, and nothing is written. Only records past the budget
+    spill, as sorted chunks under ``tmp_dir``; the run is then written
+    into ``out_dir``, a directory or a function returning one that is
+    called only then, and the grid is a one-run ``DiskGrid``. Raises
+    NoValidFrame when the query has no usable residue, and ValueError for
+    a budget below 2 entries.
     """
     if mps < 0:
         raise ValueError("mps must be non-negative")
@@ -692,9 +693,10 @@ def match_query(
     """Full pipeline: query grid, merge scan, normalization, threshold.
 
     A query grid within ``memory_budget_entries`` is held in memory and
-    nothing is made under ``tmp_dir``. Past it, the grid's sorted chunks
-    and run go to a temporary directory under ``tmp_dir``, made at the
-    spill and removed when the scan ends, however it ends. The score table
+    nothing is made under ``tmp_dir``. Past it, the sort's chunks go to a
+    temporary directory under ``tmp_dir`` that is removed when the sort
+    ends, and the grid's run to another, made at the spill and removed
+    when the scan ends, however it ends. The score table
     buffers ``DEFAULT_SCORE_BUDGET`` rows and marks a cell hot above the
     fan-in ``_HOT_FANIN``; both are module constants, read when the query
     runs, and neither changes the results.

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import structure_text
+from patchgrid import preprocess
 from patchgrid.cli import db_write_lock, main, resolve_config
 from patchgrid.preprocess import PatchDatabase
 from patchgrid.synthetic import random_protein
@@ -257,6 +258,20 @@ def test_oracle_compare_per_residue(capsys, tmp_path):
     assert rc == 0
     assert "PASS" in out
     assert "failures=0" in out
+
+
+def test_oracle_compare_keeps_temp_files_under_tmp(capsys, tmp_path, monkeypatch):
+    # a build whose sort spills puts its chunks under --tmp, as the query does
+    build = preprocess.build_patch_database
+    builds = []
+    monkeypatch.setattr(preprocess, "build_patch_database",
+                        lambda *args, **kwargs: builds.append(kwargs) or build(*args, **kwargs))
+    rc = main(["oracle-compare", "--seed", "5", "--instances", "2", "--n-patches", "4", "--tmp", str(tmp_path)])
+    assert rc == 0 and "PASS" in capsys.readouterr().out
+    assert len(builds) == 2
+    assert all(kwargs["tmp_dir"].parent == tmp_path and kwargs["tmp_dir"].name.startswith("oracle-")
+               for kwargs in builds)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_compare_all_triples(capsys, tmp_path):

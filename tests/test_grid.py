@@ -6,6 +6,7 @@ import random
 import re
 import struct
 import tempfile
+import tracemalloc
 from contextlib import closing
 from pathlib import Path
 from unittest import mock
@@ -326,6 +327,71 @@ def test_sort_run_merges_many_chunks_with_straddling_duplicates(tmp_path, monkey
     assert (tmp_path / "small.bin").read_bytes() == (tmp_path / "big.bin").read_bytes()
     assert (small.n_cells, small.n_entries) == (big.n_cells, big.n_entries)
     assert list(spill.iterdir()) == []
+
+
+@pytest.mark.parametrize("block_records", [1, 2, 1 << 12])
+@pytest.mark.parametrize("n", [5, 6, 15, 16])
+def test_sort_run_and_sort_grid_spill_only_past_the_budget(tmp_path, monkeypatch, n, block_records):
+    # One fit rule: n records spill ceil(n / budget) - 1 chunks through
+    # either sort however the stream is cut, so exactly the budget spills
+    # none and one record more spills one chunk.
+    budget = 5
+    rng = np.random.default_rng(n)
+    records = np.empty(n, dtype=RUN_RECORD)
+    records["z"] = rng.integers(0, 4, n)
+    for name in ("sk", "ro", "ao"):
+        records[name] = rng.integers(0, 2, n)
+    expected_info = grid_module.sort_run(iter([records]), tmp_path / "expected.bin", 10**7)
+    expected = (tmp_path / "expected.bin").read_bytes()
+    assert expected == reference_run_bytes(records.tolist())
+    chunks = []
+    reader = grid_module._chunk_records
+    monkeypatch.setattr(grid_module, "_chunk_records", lambda path: chunks.append(path) or reader(path))
+
+    def blocks():
+        return (records[i:i + block_records] for i in range(0, n, block_records))
+
+    info = grid_module.sort_run(blocks(), tmp_path / "run.bin", budget, tmp_path)
+    assert (len(chunks), (tmp_path / "run.bin").read_bytes(), info) == (
+        math.ceil(n / budget) - 1, expected, RunInfo("run.bin", expected_info.n_cells, expected_info.n_entries))
+    chunks.clear()
+    grid = sort_grid(blocks(), P1, tmp_path / "gq", budget, tmp_path)
+    assert len(chunks) == math.ceil(n / budget) - 1
+    assert isinstance(grid, MemoryGrid) == (n <= budget)
+    run = bytes(grid.run) if n <= budget else grid.run_path(grid.runs[0]).read_bytes()
+    assert run == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["expected.bin", "run.bin", *(["gq"] if n > budget else [])])
+
+
+@pytest.mark.parametrize("sort", ["sort_run", "sort_grid"])
+def test_fitting_sort_holds_few_copies_of_its_records(tmp_path, sort):
+    # 300,000 distinct records streamed in writer-sized blocks, with (sk,
+    # ro, ao) ascending as the indexer's and the query grid's do, fit the
+    # default budget. The sort holds its records and one sorted copy, and
+    # the writer and the in-memory grid encode that copy without another
+    # one: the traced peak stays below 3.3 times the records' bytes, where
+    # a sort that keeps the caller's blocks through the write or copies a
+    # block without duplicates reaches 3.5 to 5 times.
+    n = 300_000
+    rng = np.random.default_rng(11)
+    records = np.empty(n, dtype=RUN_RECORD)
+    records["z"] = rng.integers(0, 30_000, n)
+    records["sk"], records["ro"] = np.divmod(np.arange(n), 1_000)
+    records["ao"] = 7
+    step = grid_module._WRITE_BLOCK_RECORDS
+    blocks = (records[i:i + step].copy() for i in range(0, n, step))
+    tracemalloc.start()
+    try:
+        if sort == "sort_run":
+            info = grid_module.sort_run(blocks, tmp_path / "run.bin")
+        else:
+            info = sort_grid(blocks, P1, tmp_path / "gq")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.n_entries if sort == "sort_run" else info.total_entries) == n
+    assert isinstance(info, RunInfo if sort == "sort_run" else MemoryGrid)
+    assert peak < 3.3 * records.nbytes
 
 
 def test_build_sorted_run_collapses_duplicates(tmp_path):

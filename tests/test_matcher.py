@@ -837,7 +837,9 @@ def test_spilled_query_leaves_tmp_dir_empty(tmp_path, monkeypatch, ending):
         scanned = []
 
         def fail(*args):
-            scanned.append(sorted(p.name for p in (made[0] / "gq").iterdir()))
+            # the sort's rgsort- directory is made before the query- one
+            query_dir = next(p for p in made if p.name.startswith("query-"))
+            scanned.append(sorted(p.name for p in (query_dir / "gq").iterdir()))
             raise RuntimeError("scan failed")
 
         monkeypatch.setattr(matcher, "_join_cells", fail)

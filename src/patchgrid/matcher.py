@@ -38,6 +38,16 @@ takes a lone reduced block as it is. The scored pairs stay that one block
 to the raw counts, so a ``MatchResult`` is built only for a pair that is
 kept.
 
+Each column of that path is held at the width an exact bound allows, since
+numpy integers wrap silently. A frame's entry count in a cell is uint32 (a
+cell's count is a u32) and cell numbers are int32. A pair key is int32
+while its key space is below 2^31. A pair (f, q) gains f's count from each
+cell that also holds q, so no pair sum in a batch exceeds f's entry total
+in it: a batch's counts and sums take the narrowest unsigned type that
+holds its largest per-frame total (uint8 on the benchmark's queries). A
+reduction widens its counts only as far as its total count needs, and
+``_merge`` promotes columns only where blocks of different widths meet.
+
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
 frame, yet none of them can decide a match alone. ``match_query`` therefore
@@ -134,15 +144,20 @@ class _Block(NamedTuple):
     count: np.ndarray
 
 
-def _nonzero(values: np.ndarray) -> np.ndarray:
-    """The indices of the nonzero values, ascending.
+def _index_type(bound: int) -> type:
+    """int32 while every index below ``bound`` fits it, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _nonzero(values: np.ndarray, dtype: type) -> np.ndarray:
+    """The indices of the nonzero values, ascending, as ``dtype``.
 
     numpy finds the nonzero items of an integer or float array several
     times slower than those of a bool mask, so each chunk of at most
     ``_GROUP_ENTRIES`` values is compared with 0 first. A mask of every
     value at once would be one more temporary as long as the values.
     """
-    found = np.empty(np.count_nonzero(values), dtype=np.intp)
+    found = np.empty(np.count_nonzero(values), dtype=dtype)
     at = 0
     for start in range(0, len(values), _GROUP_ENTRIES):
         chunk = np.flatnonzero(values[start:start + _GROUP_ENTRIES] != 0)
@@ -156,31 +171,39 @@ def _reduce(block: _Block) -> _Block:
     """Sum the counts of equal pair keys; the keys come out ascending.
 
     Counts must be positive. Small key spaces are summed densely with
-    ``np.bincount``, larger ones by sorting the one key column.
+    ``np.bincount``, larger ones by sorting the one key column. Keys keep
+    their type; counts widen only as far as the block's total count needs.
     """
     pair, count = block.pair, block.count
     size = len(block.db) * len(block.q)
+    # No sum exceeds the block's total count.
+    width = np.promote_types(count.dtype, np.min_scalar_type(int(count.sum(dtype=np.uint64))))
     if size <= 4 * len(pair):
         sums = np.bincount(pair, weights=count, minlength=size)
-        pair = _nonzero(sums)
-        count = sums[pair].astype(np.uint64)
+        pair = _nonzero(sums, pair.dtype)
+        count = sums[pair].astype(width)
     elif len(pair):
         order = np.argsort(pair, kind="stable")
         pair, count = pair[order], count[order]
         starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
-        pair, count = pair[starts], np.add.reduceat(count, starts, dtype=np.uint64)
+        pair, count = pair[starts], np.add.reduceat(count, starts, dtype=width)
     return _Block(block.db, block.q, pair, count)
 
 
 def _merge(blocks: list[_Block]) -> _Block:
-    """One block over the union of the blocks' keys, rows concatenated."""
+    """One block over the union of the blocks' keys, rows concatenated.
+
+    Keys take the type the union's key space needs, and counts the widest
+    of the blocks' count types.
+    """
     if len(blocks) == 1:
         return blocks[0]
     db = np.unique(np.concatenate([b.db for b in blocks]))
     q = np.unique(np.concatenate([b.q for b in blocks]))
+    key_type = _index_type(len(db) * len(q))
     pair = [
-        np.searchsorted(db, b.db)[b.pair // len(b.q)] * len(q)
-        + np.searchsorted(q, b.q)[b.pair % len(b.q)]
+        np.searchsorted(db, b.db).astype(key_type)[b.pair // len(b.q)] * len(q)
+        + np.searchsorted(q, b.q).astype(key_type)[b.pair % len(b.q)]
         for b in blocks
     ]
     return _Block(db, q, np.concatenate(pair), np.concatenate([b.count for b in blocks]))
@@ -196,9 +219,11 @@ def _expand(lo: np.ndarray, width: np.ndarray, limit: int) -> Iterator[tuple[np.
     """Enumerate ``(i, lo[i] + k)`` for every i and k < width[i], in chunks.
 
     Yields ``(item, index)`` arrays of about ``limit`` rows each (a single
-    item wider than ``limit`` makes a chunk of its own).
+    item wider than ``limit`` makes a chunk of its own). The running row
+    ends are int64, since the rows can pass 2^31, and so are the chunks:
+    numpy converts any narrower index array to intp each time it indexes.
     """
-    ends = np.cumsum(width)
+    ends = np.cumsum(width, dtype=np.int64)
     first = 0
     while first < len(width):
         base = ends[first] - width[first]
@@ -226,7 +251,9 @@ class ScoreTable:
     and ``spills`` counts those reductions of buffered sparse rows.
     ``reduced()`` merges the reduced blocks with the buffer and reduces them
     once, or returns a lone reduced block as it is, so each block's
-    distinct pairs are held until then.
+    distinct pairs are held until then. Keys and counts are as narrow as
+    their bounds allow (see the module docstring): a dense batch's pair
+    holds an int32 key and a count of the batch's per-frame total type.
 
     The table owns the query's hot cells as ``hot``, a ``HotCells``: the
     merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
@@ -262,36 +289,42 @@ class ScoreTable:
         ``q_cells`` ascends; counts are positive.
         """
         db, db_index = np.unique(db_keys, return_inverse=True)
+        # A pair (f, q) gains f's count from each cell that also holds q, so
+        # no pair's sum in the batch exceeds f's entry total in the batch.
+        total = np.bincount(db_index, weights=counts).max(initial=0)
+        counts = np.asarray(counts, dtype=np.min_scalar_type(int(total)))
         q, q_index = np.unique(q_keys, return_inverse=True)
+        size = len(db) * len(q)
+        key_type = _index_type(size)
+        db_index, q_index = db_index.astype(key_type), q_index.astype(key_type)
         # Each database row meets its cell's run of query rows.
         per_cell = np.bincount(q_cells, minlength=int(np.max(db_cells, initial=-1)) + 1)
+        per_cell = per_cell.astype(_index_type(len(q_cells) + 1))
         width = per_cell[db_cells]
-        lo = np.cumsum(per_cell)
+        lo = np.cumsum(per_cell, dtype=per_cell.dtype)
         lo -= per_cell
         lo = lo[db_cells]
         del per_cell
         rows = int(width.sum())
         self.rows += rows
-        size = len(db) * len(q)
         if size <= 4 * rows:
             # Dense, by _reduce's rule: sum the rows straight into one count
-            # per pair. No pair sum exceeds rows times the largest count, so
-            # most batches sum in uint32.
-            fits = rows * int(np.max(counts, initial=0)) <= _LOW32
-            sums = np.zeros(size, dtype=np.uint32 if fits else np.uint64)
-            counts = np.asarray(counts, dtype=sums.dtype)
+            # per pair, in the counts' type.
+            sums = np.zeros(size, dtype=counts.dtype)
             for item, q_item in _expand(lo, width, min(self.budget, _GROUP_ENTRIES)):
                 pair = db_index[item]
                 pair *= len(q)
                 pair += q_index[q_item]
                 np.add.at(sums, pair, counts[item])
             del db_index, q_index, lo, width  # freed before the pair keys are listed
-            pair = _nonzero(sums)
+            pair = _nonzero(sums, key_type)
             self._reduced.append(_Block(db, q, pair, sums[pair]))
             return
-        counts = np.asarray(counts, dtype=np.uint64)
         for item, q_item in _expand(lo, width, self.budget):
-            self._blocks.append(_Block(db, q, db_index[item] * len(q) + q_index[q_item], counts[item]))
+            pair = db_index[item]
+            pair *= len(q)
+            pair += q_index[q_item]
+            self._blocks.append(_Block(db, q, pair, counts[item]))
             self._buffered += len(item)
             if self._buffered > self.budget:
                 self._spill()
@@ -307,7 +340,7 @@ class ScoreTable:
         blocks = self._reduced + self._blocks
         if not blocks:
             empty = np.empty(0, dtype=np.uint64)
-            return _Block(empty, empty, empty.astype(np.int64), empty)
+            return _Block(empty, empty, empty.astype(np.int32), empty.astype(np.uint8))
         if len(self._reduced) == 1 and not self._blocks:
             return self._reduced[0]
         return _reduce(_merge(blocks))
@@ -342,9 +375,11 @@ class HotCells:
     ) -> None:
         cells, db_cells = np.unique(db_cells, return_inverse=True)
         q_cells = np.searchsorted(cells, q_cells)
+        cell_type = _index_type(self.n_cells + len(cells))
         self._columns.append((
-            np.asarray(db_keys, dtype=np.uint64), np.asarray(counts, dtype=np.uint64),
-            db_cells + self.n_cells, np.asarray(q_keys, dtype=np.uint64), q_cells + self.n_cells,
+            np.asarray(db_keys, dtype=np.uint64), np.asarray(counts),
+            db_cells.astype(cell_type) + self.n_cells,
+            np.asarray(q_keys, dtype=np.uint64), q_cells.astype(cell_type) + self.n_cells,
         ))
         self.n_cells += len(cells)
 
@@ -427,7 +462,8 @@ def build_query_grid(
 
 
 def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell, its distinct frames as packed keys, their entry counts and cell numbers.
+    """Per cell, its distinct frames as packed uint64 keys, their uint32 entry
+    counts and their cell numbers, int32 while fewer than 2^31 cells.
 
     Entries are sorted within a cell, so each distinct frame is one run of rows.
     """
@@ -443,10 +479,12 @@ def _distinct_frames(cells: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, n
     first[ends[ends < len(keys)]] = True
     starts = np.flatnonzero(first)
     del first
+    # A frame's entry count is its run's length, at most a cell's u32 count.
+    counts = np.diff(starts, append=len(keys)).astype(np.uint32)
     # A frame's cell number is the count of cell ends at or before its first row.
     cell = np.bincount(np.searchsorted(starts, ends[:-1]), minlength=len(starts) + 1)
     np.cumsum(cell, out=cell)
-    return keys[starts], np.diff(starts, append=len(keys)), cell[: len(starts)]
+    return keys[starts], counts, cell[: len(starts)].astype(_index_type(len(cells)))
 
 
 def _join_cells(p_entries: list[np.ndarray], q_entries: list[np.ndarray], table: ScoreTable) -> None:
@@ -546,7 +584,8 @@ def merge_scan_match(
 
 
 def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
-    """Atom count of the patch owning each packed database key.
+    """Atom count of the patch owning each packed database key, in the
+    narrowest unsigned type that holds the largest.
 
     Raises UnknownRefId for a structure key absent from the patch metadata.
     """
@@ -557,7 +596,7 @@ def _atom_counts(db_keys: np.ndarray, db: PatchDatabase) -> np.ndarray:
         if meta is None:
             raise UnknownRefId(f"structure key {key} not in patch metadata")
         n_atoms.append(meta.n_atoms)
-    return np.array(n_atoms, dtype=np.uint64)[row_key]
+    return np.array(n_atoms, dtype=np.min_scalar_type(max(n_atoms, default=0)))[row_key]
 
 
 def _passing_count(n_atoms: np.ndarray, tau_pp: float) -> np.ndarray:
@@ -571,6 +610,14 @@ def _passing_count(n_atoms: np.ndarray, tau_pp: float) -> np.ndarray:
     c += c / n_atoms < tau_pp
     c -= (c - 1) / n_atoms >= tau_pp
     return c
+
+
+def _frame_runs(pair: np.ndarray, n_frames: int, n_q: int) -> np.ndarray:
+    """The length of each frame f's run of ascending pair keys, the keys in
+    ``[f * n_q, (f + 1) * n_q)``; searched in the keys' own type, since a
+    wider search value would copy the keys into that type."""
+    starts = np.searchsorted(pair, np.arange(n_frames, dtype=pair.dtype) * n_q)
+    return np.diff(starts, append=len(pair))
 
 
 def _hot_candidates(
@@ -587,41 +634,50 @@ def _hot_candidates(
     hot_max = np.bincount(h_frame, weights=h_counts).astype(np.int64)
     # A cold pair is kept when its count reaches its frame's smallest passing
     # count less the frame's own hot-cell entries. Pairs ascend by frame, so
-    # each frame's need covers one run of rows.
+    # each frame's need covers one run of rows; the needs take a type that
+    # holds every need and every count, so none wraps.
     i = np.minimum(np.searchsorted(frames, cold.db), len(frames) - 1)
     own = np.where(frames[i] == cold.db, hot_max[i], 0)
     need = np.maximum(_passing_count(_atom_counts(cold.db, db), tau_pp) - own, 0)
+    need = need.astype(np.promote_types(cold.count.dtype, np.min_scalar_type(int(need.max(initial=0)))))
     n_q = max(len(cold.q), 1)
-    frame_rows = np.diff(np.searchsorted(cold.pair, np.arange(len(cold.db) + 1) * n_q))
-    kept = np.flatnonzero(cold.count >= np.repeat(need.astype(cold.count.dtype), frame_rows))
+    kept = np.flatnonzero(cold.count >= np.repeat(need, _frame_runs(cold.pair, len(cold.db), n_q)))
     pair = cold.pair[kept]
     # Frames whose hot-cell entries alone pass meet every query frame of the hot cells.
     crossed = frames[hot_max >= _passing_count(_atom_counts(frames, db), tau_pp)]
     hot_q = np.unique(h_q)
     # Candidates as dense keys over the union of the frames and query frames.
     f_keys, q_keys = np.union1d(cold.db, frames), np.union1d(cold.q, hot_q)
+    n_keys = len(q_keys)
+    key_type = _index_type(len(f_keys) * n_keys)
     cold_key = (
-        np.searchsorted(f_keys, cold.db)[pair // n_q] * len(q_keys)
-        + np.searchsorted(q_keys, cold.q)[pair % n_q]
+        np.searchsorted(f_keys, cold.db).astype(key_type)[pair // n_q] * n_keys
+        + np.searchsorted(q_keys, cold.q).astype(key_type)[pair % n_q]
     )
     crossed_key = (
-        np.searchsorted(f_keys, crossed)[:, None] * len(q_keys) + np.searchsorted(q_keys, hot_q)
+        np.searchsorted(f_keys, crossed).astype(key_type)[:, None] * n_keys
+        + np.searchsorted(q_keys, hot_q).astype(key_type)
     ).ravel()
     key = np.union1d(cold_key, crossed_key)
-    count = np.zeros(len(key), dtype=np.uint64)
+    del crossed_key
+    # No exact count exceeds the cold count plus the frame's hot-cell entries.
+    bound = int(cold.count.max(initial=0)) + int(hot_max.max(initial=0))
+    count = np.zeros(len(key), dtype=np.min_scalar_type(bound))
     count[np.searchsorted(key, cold_key)] = cold.count[kept]
     # Exact recount: each candidate visits only the hot cells holding its
     # frame, and looks its query frame up in that cell's membership row.
-    member = np.zeros((hot.n_cells, len(q_keys)), dtype=bool)
+    member = np.zeros((hot.n_cells, n_keys), dtype=bool)
     member[h_q_cells, np.searchsorted(q_keys, h_q)] = True
     h_f = np.searchsorted(f_keys, h_db)
     order = np.argsort(h_f, kind="stable")
-    h_f, h_cells, h_counts = h_f[order], h_cells[order], h_counts[order]
-    f_of, q_of = key // len(q_keys), key % len(q_keys)
-    lo = np.searchsorted(h_f, f_of, "left")
-    width = np.searchsorted(h_f, f_of, "right") - lo
-    for item, t in _expand(lo, width, chunk_rows):
-        hit = member[h_cells[t], q_of[item]]
+    h_cells, h_counts = h_cells[order], h_counts[order].astype(count.dtype)
+    # Frame f's hot rows are f_lo[f], f_lo[f] + 1, ... of the sorted columns.
+    f_width = np.bincount(h_f, minlength=len(f_keys)).astype(_index_type(len(h_f) + 1))
+    f_lo = np.cumsum(f_width, dtype=f_width.dtype)
+    f_lo -= f_width
+    per_frame = _frame_runs(key, len(f_keys), n_keys)
+    for item, t in _expand(np.repeat(f_lo, per_frame), np.repeat(f_width, per_frame), chunk_rows):
+        hit = member[h_cells[t], key[item] % n_keys]
         np.add.at(count, item[hit], h_counts[t[hit]])
     nonzero = count > 0
     return _Block(f_keys, q_keys, key[nonzero], count[nonzero])
@@ -639,14 +695,15 @@ def finalize_scores(table: ScoreTable, db: PatchDatabase, tau_pp: float = 0.0) -
     pairs = table.reduced()
     if table.hot.n_cells:
         pairs = _hot_candidates(pairs, table.hot, db, tau_pp, min(table.budget, _GROUP_ENTRIES))
-    db_keys, _, counts = _decode(pairs)
-    n_atoms = _atom_counts(db_keys, db)
-    over = np.flatnonzero(counts > n_atoms)
+    # Each pair's atom count is its frame's, looked up once per frame.
+    frame = pairs.pair // max(len(pairs.q), 1)
+    n_atoms = _atom_counts(pairs.db, db)[frame]
+    over = np.flatnonzero(pairs.count > n_atoms)
     if over.size:
         i = over[0]
         raise PatchGridError(
-            f"corrupt score table: pair count {counts[i]} exceeds atom count "
-            f"{n_atoms[i]} of patch {db.patch_meta[int(db_keys[i]) >> 32].patch_id}"
+            f"corrupt score table: pair count {pairs.count[i]} exceeds atom count "
+            f"{n_atoms[i]} of patch {db.patch_meta[int(pairs.db[frame[i]]) >> 32].patch_id}"
         )
     return ScoredPairs(pairs, n_atoms, db.patch_meta)
 
@@ -661,11 +718,12 @@ def threshold_filter(scored: ScoredPairs, tau_pp: float) -> list[MatchResult]:
     """
     if not (0.0 <= tau_pp <= 1.0):
         raise ValueError("tau_pp must be in [0, 1]")
-    db_keys, q_keys, counts = _decode(scored.pairs)
-    scores = counts / scored.n_atoms
+    pairs = scored.pairs
+    scores = pairs.count / scored.n_atoms
     kept = np.flatnonzero(scores >= tau_pp)
+    db_keys, q_keys, _ = _decode(pairs._replace(pair=pairs.pair[kept], count=pairs.count[kept]))
     results = []
-    for db_key, q_key, score in zip(db_keys[kept].tolist(), q_keys[kept].tolist(), scores[kept].tolist()):
+    for db_key, q_key, score in zip(db_keys.tolist(), q_keys.tolist(), scores[kept].tolist()):
         meta = scored.patch_meta[db_key >> 32]
         results.append(
             MatchResult(

@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -48,7 +49,7 @@ from patchgrid.matcher import (
     structural_identity,
     threshold_filter,
 )
-from patchgrid.preprocess import add_patches, build_patch_database, residue_frames
+from patchgrid.preprocess import PatchMeta, add_patches, build_patch_database, residue_frames
 from patchgrid.synthetic import (
     lattice_patch,
     move_atoms,
@@ -419,7 +420,11 @@ def test_score_table_dense_batch_holds_its_pairs_once():
     # 2,500 cells crossing 20 of 200 database frames with 10 of 100 query
     # frames: 500,000 increment rows over 20,000 pair keys. Row blocks would
     # retain a pair key and a count, 16 bytes, per row; the dense sum holds
-    # one count per pair key instead.
+    # one count per pair key instead. Narrow columns hold each kept pair in
+    # an int32 key and a uint16 count (no frame totals more than 65,535), and
+    # the join's per-row columns in 4 bytes or less: 6 bytes per kept pair
+    # and a peak near 8.3 bytes per row, where int64 keys and row columns
+    # with uint32 counts hold 12 and peak near 10.5.
     rng = np.random.default_rng(7)
     n_cells, db_per_cell, q_per_cell = 2500, 20, 10
     db = np.sort(rng.random((n_cells, 200)).argsort(axis=1)[:, :db_per_cell], axis=1).ravel()
@@ -432,11 +437,13 @@ def test_score_table_dense_batch_holds_its_pairs_once():
     tracemalloc.start()
     try:
         table.add(*args)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert table.rows == rows == 500_000
     assert peak < 16 * rows
+    n_pairs = len(table.reduced().pair)
+    assert held < 8 * n_pairs and peak < 9 * rows
     expected = np.zeros((200, 100), dtype=np.uint64)
     np.add.at(expected, (np.repeat(db, q_per_cell).reshape(n_cells, -1),
                          np.tile(q.reshape(n_cells, q_per_cell), db_per_cell)),
@@ -444,6 +451,62 @@ def test_score_table_dense_batch_holds_its_pairs_once():
     db_keys, q_keys, sums = matcher._decode(table.reduced())
     assert np.array_equal(sums, expected[db_keys.astype(np.int64), (q_keys & 0xFFFFFFFF).astype(np.int64)])
     assert len(sums) == np.count_nonzero(expected) and table.spills == 0
+
+
+def _meta_db(n_atoms):
+    """A stand-in database whose structure key 0 is a patch of ``n_atoms`` atoms."""
+    return SimpleNamespace(patch_meta={0: PatchMeta(0, "T_0", "T", n_atoms, 1)})
+
+
+# Per-frame totals on both sides of the uint8, uint16 and uint32 limits.
+_TOTALS = [255, 256, 65_535, 65_536, 2**32 - 1, 2**32]
+_U32 = 2**32 - 1
+
+
+@st.composite
+def _width_batch(draw):
+    """One batch of matched cells in which database frame (0, 0) meets query
+    frame (1, 0) with entry counts totalling one of ``_TOTALS``, split over
+    cells, each count at most a cell's u32 entry count. A dense batch gives
+    every cell the same query frames; a sparse one pads with cells that
+    cross distinct frames once."""
+    total = draw(st.sampled_from(_TOTALS), label="total")
+    n_cells = draw(st.integers(1 if total <= _U32 else 2, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=n_cells - 1, max_size=n_cells - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    count = st.integers(1, _U32)
+    if draw(st.booleans(), label="dense"):
+        query_refs = [RefId(1, 0), RefId(1, 1)]
+        return [([RefId(0, 0), RefId(0, 1)], query_refs, [part, draw(count)]) for part in parts]
+    pad = [([RefId(0, 2 + k)], [RefId(1, 2 + k)], [draw(count)]) for k in range(8)]
+    return [([RefId(0, 0)], [RefId(1, 0)], [part]) for part in parts] + pad
+
+
+@settings(max_examples=120, deadline=None)
+@given(batches=st.lists(st.tuples(_width_batch(), st.booleans()), min_size=1, max_size=4),
+       budget=st.sampled_from([1, 3, DEFAULT_SCORE_BUDGET]),
+       n_atoms=st.sampled_from([2 * t + d for t in _TOTALS for d in (-1, 0, 1)]))
+def test_score_table_counts_never_wrap(batches, budget, n_atoms):
+    # numpy integer columns wrap silently: every count type is chosen from a
+    # bound, so the table and the hot-cell recount must equal Python ints
+    table = ScoreTable(budget=budget)
+    cold, hot = [], []
+    for cells, is_hot in batches:
+        add_cells(table.hot if is_hot else table, cells)
+        (hot if is_hot else cold).extend(cells)
+    assert list(table.items()) == sorted(joined(cold).items())
+    if not hot:
+        return
+    full = joined(cold + hot)
+    for tau in (0.0, 0.5):
+        block = matcher._hot_candidates(table.reduced(), table.hot, _meta_db(n_atoms), tau, 7)
+        found = {(d >> 32, d & 0xFFFFFFFF, q >> 32, q & 0xFFFFFFFF): c
+                 for d, q, c in zip(*(column.tolist() for column in matcher._decode(block)))}
+        assert all(full[key] == c for key, c in found.items())
+        passing = {key: c for key, c in full.items() if c / n_atoms >= tau}
+        assert passing.items() <= found.items()
+        if tau == 0.0:
+            assert found == full
 
 
 def test_join_cells_takes_cells_without_database_entries():
@@ -643,6 +706,42 @@ def test_hot_candidates_equal_for_any_recount_chunk(tmp_path):
         for block in blocks[1:]:
             for column, expected in zip(block, blocks[0]):
                 assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
+
+
+def test_hot_bound_does_not_wrap_in_a_narrow_count_type():
+    # a 520-atom patch needs 260 matched atoms at tau 0.5, more than a uint8
+    # count can hold: no pair of a uint8 block is a candidate, just as none
+    # of the same pairs held as uint64 is
+    db = _meta_db(520)
+    hot = ScoreTable(fanin=0).hot
+    add_cell(hot, [RefId(0, 5)], [RefId(0, 9)], [1])
+    packed = np.array([1, 2], dtype=np.uint64)
+    scored = []
+    for count_type in (np.uint8, np.uint64):
+        cold = matcher._Block(packed, packed + 10, np.arange(4, dtype=np.int32),
+                              np.array([100, 200, 4, 255], dtype=count_type))
+        scored.append(len(matcher._hot_candidates(cold, hot, db, 0.5, 7).pair))
+    assert scored == [0, 0]
+
+
+def test_all_hot_finalize_holds_narrow_candidates():
+    # every matched cell hot at tau 0: all 168,480 joined pairs are hot-cell
+    # candidates. Each candidate's key, count, run bounds and atom count are
+    # held narrow, so the finalize peak stays under 64 bytes per candidate;
+    # int64 keys and bounds and uint64 counts reach about 90
+    instance = planted_instance(seed=86, n_patches=120, patch_residues=(3, 6), query_noise_residues=100)
+    with tempfile.TemporaryDirectory() as tmp:
+        db = build_patch_database(instance.patches, instance.params, Path(tmp) / "db")
+        gq = build_query_grid(instance.query, db.params, db.mps, Path(tmp) / "gq")
+        table = merge_scan_match(db.grid, gq, ScoreTable(fanin=0))
+        tracemalloc.start()
+        try:
+            scored = finalize_scores(table, db, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert table.rows == 0 and len(scored) == 168_480
+    assert peak < 64 * len(scored)
 
 
 def test_passing_count_is_the_smallest_count_the_threshold_keeps():

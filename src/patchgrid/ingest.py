@@ -8,9 +8,9 @@ only when an ``Atoms`` is indexed or iterated.
 
 Structure files are fixed-width text in the legacy public format; only ATOM
 and SITE records are consumed (first model, alternate location blank or
-'A'). Their ATOM lines are cut into one character table, and each field
-becomes a column with one conversion. Template files are a line-oriented
-tabular format::
+'A'). Their ATOM lines are cut into one character table, whose numeric
+fields are decoded as columns and whose text fields become one integer key
+per atom. Template files are a line-oriented tabular format::
 
     template_id  residue_name  atom_name  x  y  z
 
@@ -110,17 +110,25 @@ def _parse_int(text: str, what: str, line_number: int) -> int:
         raise MalformedRecord(f"bad {what} field {text.strip()!r}", line_number) from None
 
 
-# 0-based [start, stop) columns of the ATOM fields; every field lies in the
-# first _ATOM_WIDTH characters of a line.
-_ATOM_WIDTH = 78
+# 0-based columns of the ATOM fields. Every field lies in the first
+# _ATOM_WIDTH characters of a line; the character table adds one blank
+# column, _PAD, that pads short fields to one width.
+_ATOM_WIDTH = _PAD = 78
 _ALTLOC = 16
-_SERIAL = (6, 11)
-_RESIDUE_SEQ = (22, 26)
-_ICODE = 26
-_XYZ = (30, 54)
-# The text fields, gathered into one key per atom: atom name 12-16,
-# residue name 17-20, chain id 21 and element 76-78.
-_TEXT_COLUMNS = np.r_[12:16, 17:20, 21:22, 76:78]
+# The numeric fields as _DIGITS characters each, right-justified with _PAD:
+# serial 6-11, residue number 22-26, and x, y and z (30-38, 38-46, 46-54)
+# without the decimal point each holds at _POINTS.
+_DIGITS = 8
+_POINTS = np.array([34, 42, 50])
+_NUMERIC = np.array([
+    [_PAD] * 3 + list(range(6, 11)),
+    [_PAD] * 4 + list(range(22, 26)),
+    *([_PAD, *range(point - 4, point), *range(point + 1, point + 4)] for point in _POINTS.tolist()),
+])
+# The text fields of an atom, gathered into one key of whole 8-byte words:
+# atom name 12-16, residue name 17-20, chain id 21, insertion code 26 and
+# element 76-78, padded with _PAD.
+_TEXT_COLUMNS = np.r_[12:16, 17:20, 21:22, 26:27, 76:78, [_PAD] * 5]
 _SPACE, _ALTLOC_A = ord(" "), ord("A")
 
 
@@ -134,14 +142,14 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     name. Raises MalformedRecord with the offending line number, or
     EmptyStructure when no ATOM records exist.
 
-    The ATOM lines are cut by character into one table of ``_ATOM_WIDTH``
-    columns, padded with blanks, and each numeric field is converted with
-    one numpy cast, which parses each value as ``int()`` or ``float()``
-    does. Only when a cast fails, a value is not finite or a line holds a
-    NUL character (numpy strings drop the trailing NULs that ``int()`` and
-    ``float()`` reject) are the numeric fields read again line by line,
-    which raises the first bad field's MalformedRecord. The text fields of
-    an atom form one key, and each distinct key is split and stripped once.
+    The ATOM lines are cut by character into one table, and the numeric
+    fields are decoded from it as columns by ``_decode_digits``, which
+    takes exactly the right-justified forms ``[blanks][-]digits`` (serial,
+    residue number) and ``[blanks][-]digits.ddd`` (x, y, z). When any field
+    has another form, the numeric fields are read again line by line as
+    ``int()`` and ``float()`` read them, which raises the first bad field's
+    MalformedRecord. The text fields of an atom form one integer key, and
+    the fields of each distinct key are cut from one of its lines.
     """
     lines = list(stream)
     records = [raw[0:6].strip() for raw in lines]
@@ -155,35 +163,28 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     if not len(kept):
         raise EmptyStructure("no ATOM records found")
     table = table[kept]
-    try:
-        if not table.all():
-            raise ValueError("NUL character")
-        _field(table, _SERIAL).astype(np.int64)
-        residue_seqs = _field(table, _RESIDUE_SEQ).astype(np.int64)
-        positions = _field(table, _XYZ, 8).astype(np.float64).reshape(-1, 3)
-        if not np.isfinite(positions).all():
-            raise ValueError("non-finite coordinate")
-    except ValueError:
+    valid, values = _decode_digits(table[:, _NUMERIC])
+    points = (table[:, _POINTS] == ord(".")).all() and (table[:, _POINTS - 1] - ord("0") < 10).all()
+    if valid.all() and points:
+        residue_seqs = values[:, 1].astype(np.int64)
+        positions = values[:, 2:] / 1000.0
+    else:
         residue_seqs, positions = _numeric_fields(
             [atom_lines[k] for k in kept], [numbers[k] + 1 for k in kept]
         )
 
-    keys = np.ascontiguousarray(table[:, _TEXT_COLUMNS]).view(
-        np.dtype((np.void, len(_TEXT_COLUMNS) * table.itemsize))
-    )
-    distinct, text_of_atom = np.unique(keys.ravel(), return_inverse=True)
-    texts = ["".join(map(chr, row)) for row in distinct.view(table.dtype).reshape(len(distinct), -1).tolist()]
-    atom_names = [t[0:4].strip() for t in texts]
-    chains = [t[7:8].strip() for t in texts]
-    chain_number = {chain: k for k, chain in enumerate(dict.fromkeys(chains))}
-    chain_of_atom = np.array([chain_number[c] for c in chains], dtype=np.int64)[text_of_atom]
+    first, text_of_atom = _distinct_rows(np.ascontiguousarray(table[:, _TEXT_COLUMNS]).view(np.uint64))
+    texts = [atom_lines[k] for k in kept[first].tolist()]
+    atom_names = [line[12:16].strip() for line in texts]
+    chains = [line[21:22].strip() for line in texts]
 
     # Residue ordinals number the distinct (chain, residue number,
-    # insertion code) keys.
-    icodes, icode_of_atom = np.unique(table[:, _ICODE], return_inverse=True)
+    # insertion code) keys; the chain by its stripped id, the code as is.
+    icodes = [line[26:27] or " " for line in texts]
+    number: dict[tuple[str, str], int] = {}
+    residue_of_text = np.array([number.setdefault(key, len(number)) for key in zip(chains, icodes)])
     low = residue_seqs.min()
-    residue_keys = chain_of_atom * (residue_seqs.max() - low + 1) + (residue_seqs - low)
-    residue_keys = residue_keys * (icode_of_atom.max() + 1) + icode_of_atom
+    residue_keys = residue_of_text[text_of_atom] * (residue_seqs.max() - low + 1) + (residue_seqs - low)
 
     def text_column(values):
         return np.array(values, dtype=object)[text_of_atom]
@@ -194,42 +195,76 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
         residue_ordinals=_first_appearance_ordinals(residue_keys),
         residue_seqs=residue_seqs,
         atom_names=text_column(atom_names),
-        residue_names=text_column([t[4:7].strip() for t in texts]),
-        elements=text_column([t[8:10].strip() or name[:1] for t, name in zip(texts, atom_names)]),
+        residue_names=text_column([line[17:20].strip() for line in texts]),
+        elements=text_column([line[76:78].strip() or name[:1] for line, name in zip(texts, atom_names)]),
         chain_ids=text_column(chains),
-        insertion_codes=np.array([chr(c).strip() for c in icodes.tolist()], dtype=object)[icode_of_atom],
+        insertion_codes=text_column([icode.strip() for icode in icodes]),
     )
     return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=atoms)
 
 
 def _first_appearance_ordinals(keys: np.ndarray) -> np.ndarray:
-    """Dense ordinals of ``keys``, numbered in order of first appearance."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    """Dense ordinals of ``keys``, numbered in order of first appearance.
+    Only the first key of each run of equal keys is ranked."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(starts)
+    _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
+    return np.repeat(rank[inverse], np.diff(starts, append=len(keys)))
 
 
 def _character_table(lines: list[str]) -> np.ndarray:
     """The first ``_ATOM_WIDTH`` characters of each line as one row of
     character codes (uint8 when every line is ASCII, else uint32), with
-    blanks past each line's end."""
+    blanks past each line's end and in one more column, ``_PAD``."""
     try:
-        table = np.array(lines, dtype=f"S{_ATOM_WIDTH}").view(np.uint8)
+        rows = np.array(lines, dtype=f"S{_ATOM_WIDTH + 1}")
     except UnicodeEncodeError:
-        table = np.array(lines, dtype=f"U{_ATOM_WIDTH}").view(np.uint32)
-    table = table.reshape(len(lines), _ATOM_WIDTH)
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    table[np.arange(_ATOM_WIDTH) >= lengths[:, None]] = _SPACE
+        rows = np.array(lines, dtype=f"U{_ATOM_WIDTH + 1}")
+    table = rows.view(np.uint8 if rows.dtype.kind == "S" else np.uint32).reshape(len(lines), _ATOM_WIDTH + 1)
+    # numpy's lengths leave out trailing NULs, so only the lines it finds
+    # short are measured again.
+    short = np.flatnonzero(np.strings.str_len(rows) < _ATOM_WIDTH)
+    lengths = np.array([len(lines[k]) for k in short.tolist()], dtype=np.int64)
+    past_end = np.arange(_ATOM_WIDTH + 1) >= np.minimum(lengths, _ATOM_WIDTH)[:, None]
+    table[short] = np.where(past_end, _SPACE, table[short])
+    table[:, _PAD] = _SPACE
     return table
 
 
-def _field(table: np.ndarray, columns: tuple[int, int], width: int | None = None) -> np.ndarray:
-    """Columns ``[start, stop)`` of every row as strings of ``width``
-    characters (default: the whole span), to be cast with ``astype``."""
-    start, stop = columns
-    kind = "S" if table.dtype == np.uint8 else "U"
-    return np.ascontiguousarray(table[:, start:stop]).view(f"{kind}{width or stop - start}").ravel()
+# Place values of the _DIGITS characters of a field.
+_PLACES = 10.0 ** np.arange(_DIGITS - 1, -1, -1)
+
+
+def _decode_digits(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each field of ``_DIGITS`` characters along the last axis of
+    ``chars`` has the form ``[blanks][-]digits`` and, where it has, its value
+    as ``int()`` reads it, as an exact float64 that keeps a minus on zero.
+    Other forms ``int()`` takes (``+5``, ``1_0``, ``٣``) are not valid."""
+    digits = chars - ord("0")  # wraps below "0", as the codes are unsigned
+    digit = digits < 10
+    minus = chars == ord("-")
+    # Digits end the field; before them come blanks, then at most one minus.
+    form = digit | (chars == _SPACE)
+    form[..., :-1] |= minus[..., :-1] & digit[..., 1:]
+    valid = form.all(axis=-1) & (digit[..., :-1] <= digit[..., 1:]).all(axis=-1) & digit[..., -1]
+    # Every partial sum is an integer below 2**53, so the sum is exact.
+    value = np.einsum("...i,i->...", digits * digit, _PLACES)
+    return valid, np.where(minus.any(axis=-1), -value, value)
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row index for each distinct row of the 2-D ``words`` and, for
+    every row, the number of its distinct row."""
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(words), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _numeric_fields(lines: list[str], line_numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +297,14 @@ def extract_site_patches(
     resolve no residue at all are dropped and counted under
     ``counters['sites_dropped']``. Patch ids are ``<protein_id>_<k>`` with
     k running in order of first appearance of the site identifier.
+
+    Atoms are grouped into runs of one residue ordinal and residue name, a
+    reference finds its runs by one dict lookup, and all rows are taken at once.
     """
     sites: dict[str, list[tuple[str, str, int, str]]] = {}
-    for line in [raw.rstrip("\n") for raw in stream if raw[0:6].strip() == "SITE"]:
+    # A SITE record holds "SITE" in its first six characters, so the strip
+    # runs on few lines.
+    for line in [raw.rstrip("\n") for raw in stream if "SITE" in raw[0:6] and raw[0:6].strip() == "SITE"]:
         site_id = line[11:14].strip()
         if not site_id:
             continue
@@ -282,28 +322,28 @@ def extract_site_patches(
                 continue
             slots.append((residue_name, chain_id, residue_seq, line[off + 9 : off + 10].strip()))
 
-    # The atom rows of each (residue name, chain id, residue number,
-    # insertion code), as (start, stop) runs of consecutive rows with equal keys.
+    # Runs of consecutive atoms of one residue ordinal, which numbers the
+    # (chain id, residue number, insertion code) keys, and one residue name.
     atoms = protein.atoms
-    columns = (atoms.residue_names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
-    change = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(atoms)] if len(atoms) else []
-    names, chains, seqs, icodes = columns
-    by_residue: dict[tuple[str, str, int, str], list[tuple[int, int]]] = {}
-    for start, stop in zip(bounds, bounds[1:]):
-        key = (names[start], chains[start], int(seqs[start]), icodes[start])
-        by_residue.setdefault(key, []).append((start, stop))
+    ordinals, names = atoms.residue_ordinals, atoms.residue_names
+    new = np.ones(len(atoms), dtype=bool)
+    new[1:] = (ordinals[1:] != ordinals[:-1]) | (names[1:] != names[:-1])
+    starts = np.flatnonzero(new)
+    runs_of: dict[tuple[str, str, int, str], list[int]] = {}
+    columns = (names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
+    for run, key in enumerate(zip(*(column[starts].tolist() for column in columns))):
+        runs_of.setdefault(key, []).append(run)
 
-    site_runs: list[list[tuple[int, int]]] = []
+    site_runs: list[list[int]] = []
     for site_id, refs in sites.items():
-        runs: list[tuple[int, int]] = []
+        runs: list[int] = []
         for ref in dict.fromkeys(refs):
-            found = by_residue.get(ref)
+            found = runs_of.get(ref)
             if found is None:
                 _count(counters, "site_residues_unresolved")
                 logger.warning("site %s: unresolvable residue %s", site_id, ref)
                 continue
-            runs.extend(found)
+            runs += found
         if not runs:
             _count(counters, "sites_dropped")
             logger.warning("site %s resolves no residues; dropped", site_id)
@@ -314,20 +354,16 @@ def extract_site_patches(
 
     # Every site's rows, ordered by site and then stably by atom ordinal,
     # are taken at once; each patch is a slice of them.
-    starts, stops = np.array([run for runs in site_runs for run in runs]).T
-    sizes = stops - starts
-    rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-    site_of_row = np.repeat(np.arange(len(site_runs)), [sum(b - a for a, b in runs) for runs in site_runs])
+    run = np.array([r for runs in site_runs for r in runs])
+    sizes = np.diff(starts, append=len(atoms))[run]
+    rows = np.repeat(starts[run] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    site_of_row = np.repeat(np.repeat(np.arange(len(site_runs)), [len(runs) for runs in site_runs]), sizes)
     cut = atoms[rows[np.lexsort((atoms.atom_ordinals[rows], site_of_row))]]
     ends = np.cumsum(np.bincount(site_of_row)).tolist()
+    protein_id, tag = protein.protein_id, OriginTag.SiteRecord
     return [
-        Patch(
-            patch_id=f"{protein.protein_id}_{k}",
-            source_protein_id=protein.protein_id,
-            atoms=cut[start:stop],
-            origin_tag=OriginTag.SiteRecord,
-        )
-        for k, (start, stop) in enumerate(zip([0] + ends, ends))
+        Patch(f"{protein_id}_{k}", protein_id, cut[start:stop], tag)
+        for k, (start, stop) in enumerate(zip([0, *ends], ends))
     ]
 
 
@@ -425,28 +461,71 @@ def dedup_patches(patches: list[Patch]) -> list[Patch]:
     member.
 
     Groups are bucketed by atom count and first-atom position, so a patch
-    is compared only with the groups in the 27 buckets around its own.
+    is compared only with the groups in the 27 buckets around its own. The
+    buckets of all patches are probed at once (``_crowded``), and only the
+    patches with another patch in those buckets are compared at all.
     """
-    groups: list[list[Patch]] = []
+    if not patches:
+        return []
+    positions = [patch.atoms.positions for patch in patches]
+    counts = np.fromiter(map(len, positions), dtype=np.int64, count=len(positions))
+    first = np.zeros((len(patches), 3))
+    first[counts > 0] = np.concatenate([p[:1] for p in positions])
+    # Groups by the index of their first member, and the patches that joined one.
+    groups: dict[int, list[Patch]] = {}
+    joined: set[int] = set()
     buckets: dict[tuple[int, int, int, int], list[int]] = {}
-    for patch in patches:
+    for i in np.flatnonzero(_crowded(counts, np.floor(first / _DEDUP_BUCKET))).tolist():
+        patch = patches[i]
         key = n, bx, by, bz = _dedup_bucket(patch)
         candidates = sorted(
             gi for dx, dy, dz in _NEIGHBOURS for gi in buckets.get((n, bx + dx, by + dy, bz + dz), ())
         )
-        match = next((gi for gi in candidates if _atoms_equivalent(groups[gi][0].atoms, patch.atoms)), None)
+        match = next((gi for gi in candidates if _atoms_equivalent(patches[gi].atoms, patch.atoms)), None)
         if match is None:
-            buckets.setdefault(key, []).append(len(groups))
-            groups.append([patch])
+            buckets.setdefault(key, []).append(i)
+            groups[i] = [patch]
         else:
             groups[match].append(patch)
+            joined.add(i)
 
-    survivors = []
-    for group in groups:
+    def keeper(group: list[Patch]) -> Patch:
         site_members = [p for p in group if p.origin_tag is OriginTag.SiteRecord]
-        pool = site_members or group
-        survivors.append(min(pool, key=lambda p: p.patch_id))
-    return survivors
+        return min(site_members or group, key=lambda p: p.patch_id)
+
+    # A patch with no other near it is a group of its own.
+    return [keeper(groups[i]) if i in groups else patch for i, patch in enumerate(patches) if i not in joined]
+
+
+def _crowded(counts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+    """Whether each patch has another of its atom count whose (n, 3)
+    ``buckets``, integral floats exact however large, differ from its own
+    by at most 1 on every axis. Each axis numbers its buckets one apart when
+    adjacent and two apart when not. The 27 neighbour offsets are probed an
+    axis at a time, keyed by the number of the patch's distinct (count, x,
+    ...) prefix times a span of at most 2n + 2, so no key overflows.
+    """
+    alive = np.arange(len(counts))
+    _, prefix = np.unique(counts, return_inverse=True)
+    targets = prefix[:, None]  # the numbers of the prefixes probed, -1 where absent
+    for axis in (0, 1, 2, None):
+        # A patch alone in every prefix it probes has no neighbour, and is
+        # no other patch's neighbour.
+        kept = np.where(targets >= 0, np.bincount(prefix)[targets], 0).sum(axis=1) > 1
+        alive, prefix, targets = alive[kept], prefix[kept], targets[kept]
+        if axis is None:
+            break
+        values, value_of = np.unique(buckets[alive, axis], return_inverse=True)
+        numbers = np.cumsum(np.where(np.diff(values, prepend=values[:1]) == 1, 1, 2))[value_of]
+        span = int(numbers.max(initial=0)) + 2
+        keys, prefix = np.unique(prefix * span + numbers, return_inverse=True)
+        probe = targets[:, :, None] * span + numbers[:, None, None] + np.arange(-1, 2)
+        probe = probe.reshape(len(alive), 3 * targets.shape[1])
+        found = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        targets = np.where(keys[found] == probe, found, -1)
+    crowded = np.zeros(len(counts), dtype=bool)
+    crowded[alive] = True
+    return crowded
 
 
 def parse_keyword_file(stream: IO[str] | Iterable[str]) -> list[KeywordAnnotation]:

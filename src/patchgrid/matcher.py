@@ -190,6 +190,17 @@ def _reduce(block: _Block) -> _Block:
     return _Block(block.db, block.q, pair, count)
 
 
+def _distinct(*arrays: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D ``arrays``, ascending, in their
+    common type: what ``np.union1d`` and a bare ``np.unique`` give, by a
+    stable sort and a drop of equal neighbours, which keeps off the slower
+    hash path numpy 2.4 takes for those calls."""
+    values = np.sort(np.concatenate(arrays), kind="stable")
+    kept = np.ones(len(values), dtype=bool)
+    kept[1:] = values[1:] != values[:-1]
+    return values[kept]
+
+
 def _merge(blocks: list[_Block]) -> _Block:
     """One block over the union of the blocks' keys, rows concatenated.
 
@@ -198,8 +209,8 @@ def _merge(blocks: list[_Block]) -> _Block:
     """
     if len(blocks) == 1:
         return blocks[0]
-    db = np.unique(np.concatenate([b.db for b in blocks]))
-    q = np.unique(np.concatenate([b.q for b in blocks]))
+    db = _distinct(*(b.db for b in blocks))
+    q = _distinct(*(b.q for b in blocks))
     key_type = _index_type(len(db) * len(q))
     pair = [
         np.searchsorted(db, b.db).astype(key_type)[b.pair // len(b.q)] * len(q)
@@ -645,9 +656,9 @@ def _hot_candidates(
     pair = cold.pair[kept]
     # Frames whose hot-cell entries alone pass meet every query frame of the hot cells.
     crossed = frames[hot_max >= _passing_count(_atom_counts(frames, db), tau_pp)]
-    hot_q = np.unique(h_q)
+    hot_q = _distinct(h_q)
     # Candidates as dense keys over the union of the frames and query frames.
-    f_keys, q_keys = np.union1d(cold.db, frames), np.union1d(cold.q, hot_q)
+    f_keys, q_keys = _distinct(cold.db, frames), _distinct(cold.q, hot_q)
     n_keys = len(q_keys)
     key_type = _index_type(len(f_keys) * n_keys)
     cold_key = (
@@ -658,7 +669,7 @@ def _hot_candidates(
         np.searchsorted(f_keys, crossed).astype(key_type)[:, None] * n_keys
         + np.searchsorted(q_keys, hot_q).astype(key_type)
     ).ravel()
-    key = np.union1d(cold_key, crossed_key)
+    key = _distinct(cold_key, crossed_key)
     del crossed_key
     # No exact count exceeds the cold count plus the frame's hot-cell entries.
     bound = int(cold.count.max(initial=0)) + int(hot_max.max(initial=0))

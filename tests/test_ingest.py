@@ -1,12 +1,16 @@
 import io
 import math
 import random
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import atom_line, site_lines, structure_text
+from patchgrid import ingest
 from patchgrid.errors import EmptyStructure, MalformedRecord
 from patchgrid.geometry import AtomRecord, Point3
 from patchgrid.ingest import (
@@ -281,6 +285,78 @@ def test_parser_reports_the_first_bad_field(field, text, message):
     assert excinfo.value.line_number == 3
 
 
+def test_well_formed_lines_never_take_the_line_by_line_reader():
+    text = "".join(
+        atom_line(serial, name, "ALA", "A", seq, x, -0.0, 0.5, element="C")
+        for serial, (name, seq, x) in enumerate(
+            [("N", -3, -999.999), ("CA", -3, 9999.999), ("C", 0, -0.0), ("CB", 12, 1.25)], start=1
+        )
+    )
+    with mock.patch.object(ingest, "_numeric_fields", wraps=ingest._numeric_fields) as reader:
+        protein = parse_structure_file(lines(text))
+    assert reader.call_count == 0
+    assert protein == reference_parse_structure_file(lines(text))
+    positions = protein.atoms.positions
+    assert math.copysign(1.0, positions[2, 0]) == math.copysign(1.0, positions[0, 1]) == -1.0
+
+
+@pytest.mark.parametrize("field, text, expected", [
+    ("x", "     +.5", 0.5),
+    ("x", "     1e2", 100.0),
+    ("y", "   1_0.5", 10.5),
+    ("z", "       ٣", 3.0),
+    ("residue", "٣٣  ", 33),
+    ("serial", "+0012", None),
+])
+def test_odd_valid_fields_take_the_line_by_line_reader(field, text, expected):
+    # forms int() and float() take but the column decoder does not
+    good = atom_line(1, "CA", "ALA", "A", 7, 1.0, 2.0, 3.0)
+    start, stop = {"serial": (6, 11), "residue": (22, 26), "x": (30, 38), "y": (38, 46), "z": (46, 54)}[field]
+    odd = good[:start] + text + good[stop:]
+    with mock.patch.object(ingest, "_numeric_fields", wraps=ingest._numeric_fields) as reader:
+        protein = parse_structure_file([good, odd])
+    assert reader.call_count == 1
+    assert protein == reference_parse_structure_file([good, odd])
+    if field == "residue":
+        assert protein.atoms.residue_seqs.tolist() == [7, expected]
+    elif expected is not None:
+        assert protein.atoms.positions[1, "xyz".index(field)] == expected
+
+
+def _decoded(texts):
+    """_decode_digits of right-justified fields, one per text."""
+    chars = np.array([t.rjust(ingest._DIGITS) for t in texts], dtype=f"S{ingest._DIGITS}")
+    valid, values = ingest._decode_digits(chars.view(np.uint8).reshape(len(texts), -1))
+    return valid.tolist(), values.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(-999, 9999).map(lambda v: f"{v:4d}"),
+    st.integers(-9999, 99999).map(lambda v: f"{v:5d}"),
+    st.text(" -+.0123456789_", min_size=4, max_size=5),
+), min_size=1, max_size=20))
+def test_decoder_equals_int_on_right_justified_fields(texts):
+    valid, values = _decoded(texts)
+    for text, ok, value in zip(texts, valid, values):
+        assert ok == bool(re.fullmatch(r" *-?[0-9]+", text))
+        if ok:
+            assert value == int(text) and math.copysign(1.0, value) == (-1.0 if "-" in text else 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-999.999, 9999.999, allow_nan=False), min_size=1, max_size=20))
+@example([0.0, -0.0, 9999.999, -999.999, -0.0004, 0.0005])
+def test_decoded_coordinates_equal_float_bitwise(values):
+    texts = [f"{v:8.3f}" for v in values]
+    text = "".join(atom_line(k + 1, "CA", "ALA", "A", k, 0.0, 0.0, 0.0) for k in range(len(texts)))
+    text = "".join(line[:30] + t + line[38:] for line, t in zip(lines(text), texts))
+    with mock.patch.object(ingest, "_numeric_fields", wraps=ingest._numeric_fields) as reader:
+        positions = parse_structure_file(lines(text)).atoms.positions[:, 0]
+    assert reader.call_count == 0
+    assert positions.view(np.int64).tolist() == np.array([float(t) for t in texts]).view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # SITE extraction
 
@@ -383,6 +459,123 @@ def test_site_atoms_subset_of_protein():
         ordinals = {a.atom_ordinal for a in protein.atoms}
         for patch in patches:
             assert {a.atom_ordinal for a in patch.atoms} <= ordinals
+
+
+def reference_extract_site_patches(stream, protein, counters=None):
+    """Reference: SITE extraction as it was before it grouped atoms into
+    runs by residue ordinal, with per-slot parsing and four column compares."""
+
+    def count(key):
+        if counters is not None:
+            counters[key] = counters.get(key, 0) + 1
+
+    sites = {}
+    for line in [raw.rstrip("\n") for raw in stream if raw[0:6].strip() == "SITE"]:
+        site_id = line[11:14].strip()
+        if not site_id:
+            continue
+        slots = sites.setdefault(site_id, [])
+        for off in (18, 29, 40, 51):
+            residue_name = line[off : off + 3].strip()
+            chain_id = line[off + 4 : off + 5].strip()
+            seq_text = line[off + 5 : off + 9].strip()
+            if not residue_name and not seq_text:
+                continue
+            try:
+                residue_seq = int(seq_text)
+            except ValueError:
+                count("site_residues_unresolved")
+                continue
+            slots.append((residue_name, chain_id, residue_seq, line[off + 9 : off + 10].strip()))
+    atoms = protein.atoms
+    columns = (atoms.residue_names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
+    change = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(atoms)] if len(atoms) else []
+    names, chains, seqs, icodes = columns
+    by_residue = {}
+    for start, stop in zip(bounds, bounds[1:]):
+        key = (names[start], chains[start], int(seqs[start]), icodes[start])
+        by_residue.setdefault(key, []).append((start, stop))
+    site_runs = []
+    for refs in sites.values():
+        runs = []
+        for ref in dict.fromkeys(refs):
+            found = by_residue.get(ref)
+            if found is None:
+                count("site_residues_unresolved")
+                continue
+            runs.extend(found)
+        if not runs:
+            count("sites_dropped")
+            continue
+        site_runs.append(runs)
+    if not site_runs:
+        return []
+    starts, stops = np.array([run for runs in site_runs for run in runs]).T
+    sizes = stops - starts
+    rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    site_of_row = np.repeat(np.arange(len(site_runs)), [sum(b - a for a, b in runs) for runs in site_runs])
+    cut = atoms[rows[np.lexsort((atoms.atom_ordinals[rows], site_of_row))]]
+    ends = np.cumsum(np.bincount(site_of_row)).tolist()
+    return [
+        Patch(f"{protein.protein_id}_{k}", protein.protein_id, cut[start:stop], OriginTag.SiteRecord)
+        for k, (start, stop) in enumerate(zip([0] + ends, ends))
+    ]
+
+
+# Residues as (name, chain, number, insertion code): one (chain, number,
+# code) under two names, and numbers that differ only by insertion code.
+_RESIDUES = [("ALA", "A", 1, " "), ("GLY", "A", 1, " "), ("SER", "A", 2, " "), ("SER", "A", 2, "B"),
+             ("ALA", "B", 1, " "), ("GLY", " ", -3, " "), ("LYS", "A", 10, "A")]
+
+
+def _site_slot_text(slot):
+    if isinstance(slot, int):
+        name, chain, seq, icode = _RESIDUES[slot]
+        return f"{name:>3} {chain}{seq:>4}{icode}"
+    return slot
+
+
+_SITE_SLOT = st.one_of(
+    st.integers(0, len(_RESIDUES) - 1),
+    st.sampled_from(["          ", "TRP A  99 ", "ALA A  x1 ", "ALA A 1.5 ", "    A     ", "ALA A1    ",
+                     "ALA A  +2 ", "SER A   2B", "  A A   1 ", "ALA\tA   1 "]),
+)
+_SITE_LINE = st.builds(
+    lambda record, site_id, slots, cut: (
+        f"{record} {1:>3} {site_id} {len(slots):>2} " + " ".join(map(_site_slot_text, slots))
+    )[:cut],
+    st.sampled_from(["SITE  ", " SITE ", "SITE\t ", "SITES "]),
+    st.sampled_from(["AC1", "AC2", " S3", "   "]),
+    st.lists(_SITE_SLOT, max_size=4),
+    st.integers(20, 70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, len(_RESIDUES) - 1), st.sampled_from(["N", "CA", "C"])), min_size=1, max_size=14),
+    st.lists(_SITE_LINE, max_size=8),
+)
+def test_site_extraction_equals_line_by_line_reference(atoms, site_text):
+    # sites repeated across lines and blank site ids, residues named twice,
+    # unresolvable, non-integer and blank slots, insertion codes, residues
+    # whose atoms are not consecutive or change name within one (chain,
+    # number, code), and the record names " SITE " and "SITE\t"
+    text = "".join(
+        atom_line(serial, atom_name, *_RESIDUES[residue][:3], float(serial), 0.0, 0.0, icode=_RESIDUES[residue][3])
+        for serial, (residue, atom_name) in enumerate(atoms, start=1)
+    )
+    protein = parse_structure_file(lines(text), protein_id="P")
+    stream = [line + "\n" for line in site_text] + lines(text)
+    counters, expected_counters = {}, {}
+    patches = extract_site_patches(iter(stream), protein, counters=counters)
+    expected = reference_extract_site_patches(stream, protein, counters=expected_counters)
+    assert [(p.patch_id, p.source_protein_id, p.origin_tag) for p in patches] == [
+        (p.patch_id, p.source_protein_id, p.origin_tag) for p in expected
+    ]
+    assert [p.atoms for p in patches] == [p.atoms for p in expected]
+    assert counters == expected_counters
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +736,46 @@ def test_dedup_equals_scan_oracle(specs):
         tag = OriginTag.SiteRecord if site else OriginTag.Template
         patches.append(Patch(f"P{pid}_{k}", f"P{pid}", atoms, tag))
     assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)]
+
+
+def _neighbour_oracle(patches):
+    """Whether each patch has another of its atom count whose first-atom
+    buckets, as Python ints, are at most 1 apart on every axis."""
+    keys = [ingest._dedup_bucket(p) for p in patches]
+    return [
+        any(j != i and k[0] == o[0] and all(abs(a - b) <= 1 for a, b in zip(k[1:], o[1:])) for j, o in enumerate(keys))
+        for i, k in enumerate(keys)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1e15, -1e15, 1e15 + 0.125, 2.0**53, 2.0**53 + 2, 1e300, -1e300, -0.0015]),
+        st.lists(st.tuples(_NEAR, _NEAR, _NEAR), min_size=3, max_size=3),
+        st.integers(0, 2),                       # atoms: 0, 1 or 2
+        st.booleans(),                           # SITE or template
+        st.integers(0, 9),                       # patch id
+    ),
+    max_size=30,
+))
+def test_dedup_at_extreme_coordinates(specs):
+    # first atoms at +-1e15 and +-1e300, so buckets pass 2**53 and int64,
+    # many patches in one bucket, and patches with no atoms
+    patches = []
+    for k, (base, offsets, n_atoms, site, pid) in enumerate(specs):
+        atoms = tuple(
+            AtomRecord(i, "C", "CA", 0, "GLY", Point3(base + dx, base - i + dy, -base + dz), "A", 1)
+            for i, (dx, dy, dz) in enumerate(offsets[:n_atoms])
+        )
+        tag = OriginTag.SiteRecord if site else OriginTag.Template
+        patches.append(Patch(f"P{pid}_{k}", f"P{pid}", atoms, tag))
+    assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)]
+    if patches:
+        counts = np.array([len(p.atoms) for p in patches])
+        first = np.array([p.atoms.positions[0] if len(p.atoms) else (0.0, 0.0, 0.0) for p in patches])
+        crowded = ingest._crowded(counts, np.floor(first / ingest._DEDUP_BUCKET))
+        assert crowded.tolist() == _neighbour_oracle(patches)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])

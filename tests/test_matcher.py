@@ -990,3 +990,17 @@ def test_scores_bounded_on_random_instances(tmp_path):
         db = build_patch_database(instance.patches, instance.params, tmp_path / f"db{seed}")
         for r in match_query(instance.query, db, 0.0, tmp_dir=tmp_path):
             assert 0.0 <= r.score <= 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (7, 0), (40, 25), (1, 1)])
+def test_distinct_equals_numpy_union_and_unique(dtype, ordered, sizes):
+    # the sort-based union keeps numpy's values and type, sorted or not, empty or not
+    rng = np.random.default_rng(sum(sizes) + ordered)
+    a, b = (rng.integers(0, 30, size=n).astype(dtype) for n in sizes)
+    if ordered:
+        a, b = np.sort(a), np.sort(b)
+    union = matcher._distinct(a, b)
+    assert union.dtype == np.union1d(a, b).dtype and np.array_equal(union, np.union1d(a, b))
+    assert matcher._distinct(a).dtype == dtype and np.array_equal(matcher._distinct(a), np.unique(a))

@@ -500,14 +500,19 @@ def _chunk_records(path: Path) -> Iterator[np.ndarray]:
         yield block
 
 
-def _sorted(records: np.ndarray) -> np.ndarray:
-    """Records in (z, sk, ro, ao) order. When (sk, ro, ao) never decreases
-    along the records, a stable sort on z alone gives that order;
-    otherwise a four-key lexsort does."""
-    later, same = _steps(records, z=False)
-    if (later | same).all():
-        return records.take(np.argsort(records["z"], kind="stable"))
-    return records.take(np.lexsort((records["ao"], records["ro"], records["sk"], records["z"])))
+def _order(records: np.ndarray) -> np.ndarray:
+    """The (z, sk, ro, ao) order of records: a stable sort on z alone where
+    (sk, ro, ao) never decreases along them, else a four-key lexsort. The
+    step masks are freed before the sort allocates."""
+    if np.logical_or(*_steps(records, z=False)).all():
+        return np.argsort(records["z"], kind="stable")
+    return np.lexsort((records["ao"], records["ro"], records["sk"], records["z"]))
+
+
+def _in_order(records: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
+    """``records`` in ``order``, taken ``_WRITE_BLOCK_RECORDS`` at a time."""
+    for start in range(0, len(order), _WRITE_BLOCK_RECORDS):
+        yield records.take(order[start:start + _WRITE_BLOCK_RECORDS])
 
 
 def _merged(pieces: list[np.ndarray]) -> np.ndarray:
@@ -586,43 +591,48 @@ def _sort(
     """External-sort ``RUN_RECORD`` blocks: whether the records fit the
     budget, and their sorted blocks. The one sort of run files and grids.
 
-    Blocks are held while they total at most ``memory_budget_entries``
-    records. Past the budget, the held records are spilled as sorted chunks
-    of exactly the budget, keeping at most the budget held, so a stream of
-    n records spills ceil(n / budget) - 1 chunks however it is cut into
-    blocks. The chunks live in one ``tempfile.TemporaryDirectory`` under
-    ``tmp_dir``, made at the first spill and entered on ``stack``, and
-    ``_merge_blocks`` merges them with the sorted held records as the
-    blocks are taken, holding one block per chunk. Records that fit come
-    back as one sorted block. Duplicates are kept. Raises ValueError for a
-    budget below 2.
+    Each record is held once: the first block as given, then in one buffer
+    grown geometrically, in place where the allocator can, up to
+    ``memory_budget_entries`` records. A full buffer spills as a sorted
+    chunk when another record arrives, so n records spill ceil(n / budget)
+    - 1 chunks however the stream is cut, into one ``TemporaryDirectory``
+    under ``tmp_dir`` entered on ``stack``. Held records are sorted by one
+    ``_order`` and written or merged (``_merge_blocks``, one block per
+    chunk) as ``take``s of its slices: under twice the budget's record
+    bytes. Records that fit come back as one block, taken once. Duplicates
+    are kept. Raises ValueError for a budget below 2.
     """
     if memory_budget_entries < 2:
         raise ValueError("memory budget must allow at least 2 entries")
     chunk_paths: list[Path] = []
-    held: list[np.ndarray] = []
-    n_held = 0
+    buffer = np.empty(0, dtype=RUN_RECORD)  # resized in place: no view outlives a statement
+    held, n_held = buffer, 0  # the first block as given, until a second arrives
     for block in blocks:
-        held.append(block)
-        n_held += len(block)
-        if n_held <= memory_budget_entries:
-            continue
-        if not chunk_paths:
-            spill_dir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)))
-        records = _concatenate(held)
-        held.clear()
-        n_held = (len(records) - 1) % memory_budget_entries + 1
-        for start in range(0, len(records) - n_held, memory_budget_entries):
-            path = spill_dir / f"chunk_{len(chunk_paths):06d}.bin"
-            _sorted(records[start:start + memory_budget_entries]).tofile(path)
-            chunk_paths.append(path)
-        held.append(records[len(records) - n_held:])
-    records = _concatenate(held)
-    held.clear()  # so that only the sorted copy outlives the sort
-    tail = iter([_sorted(records)])
-    if not chunk_paths:
-        return True, tail
-    return False, _merge_blocks([_chunk_records(p) for p in chunk_paths] + [tail])
+        while len(block):
+            if n_held == memory_budget_entries:
+                if not chunk_paths:
+                    spill_dir = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="rgsort-", dir=tmp_dir)))
+                chunk_paths.append(spill_dir / f"chunk_{len(chunk_paths):06d}.bin")
+                with open(chunk_paths[-1], "wb") as fh:
+                    for records in _in_order(held, _order(held)):
+                        records.tofile(fh)
+                held, n_held = buffer, 0
+            piece, block = block[:memory_budget_entries - n_held], block[memory_budget_entries - n_held:]
+            if not n_held and not len(buffer):
+                held, n_held = piece, len(piece)
+                continue
+            n = n_held + len(piece)
+            if n > len(buffer):
+                buffer.resize(min(memory_budget_entries, max(n, 2 * n_held)), refcheck=False)
+            if held is not buffer:
+                buffer.view(_RAW_RECORD)[:n_held], held = held.view(_RAW_RECORD), buffer
+            buffer.view(_RAW_RECORD)[n_held:n] = piece.view(_RAW_RECORD)
+            n_held = n
+    if held is buffer:
+        buffer.resize(n_held, refcheck=False)
+    if chunk_paths:
+        return False, _merge_blocks([_chunk_records(p) for p in chunk_paths] + [_in_order(held, _order(held))])
+    return True, iter([held.take(_order(held))])
 
 
 def _write_run(path: Path, sorted_blocks: Iterable[np.ndarray]) -> RunInfo:
@@ -651,7 +661,7 @@ def sort_run(
     sorted chunks under ``tmp_dir`` that are removed when the sort ends,
     however it ends. Records whose last three keys ascend in stream order,
     as the indexer's and the query grid's do, are sorted and merged on z
-    alone (see ``_sorted`` and ``_merged``). Identical records collapse to
+    alone (see ``_order`` and ``_merged``). Identical records collapse to
     one. Output is byte-identical to an in-memory sort of the same records.
     """
     with ExitStack() as stack:

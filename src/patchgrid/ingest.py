@@ -443,9 +443,11 @@ _NEIGHBOURS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in 
 
 
 def _dedup_bucket(patch: Patch) -> tuple[int, int, int, int]:
-    """Atom count plus the bucket of the first atom's position."""
+    """Atom count plus the bucket of the first atom's position. A position
+    whose quotient by the edge overflows (about 3.6e305 A) buckets at
+    +-inf, where every equal-signed one is compared."""
     first = patch.atoms.positions[0].tolist() if len(patch.atoms) else (0.0, 0.0, 0.0)
-    x, y, z = (math.floor(c / _DEDUP_BUCKET) for c in first)
+    x, y, z = (math.floor(q) if math.isfinite(q := c / _DEDUP_BUCKET) else q for c in first)
     return len(patch.atoms), x, y, z
 
 
@@ -475,7 +477,9 @@ def dedup_patches(patches: list[Patch]) -> list[Patch]:
     groups: dict[int, list[Patch]] = {}
     joined: set[int] = set()
     buckets: dict[tuple[int, int, int, int], list[int]] = {}
-    for i in np.flatnonzero(_crowded(counts, np.floor(first / _DEDUP_BUCKET))).tolist():
+    with np.errstate(over="ignore", invalid="ignore"):  # buckets at +-inf, two apart from any other
+        crowded = _crowded(counts, np.floor(first / _DEDUP_BUCKET))
+    for i in np.flatnonzero(crowded).tolist():
         patch = patches[i]
         key = n, bx, by, bz = _dedup_bucket(patch)
         candidates = sorted(

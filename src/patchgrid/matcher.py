@@ -183,7 +183,7 @@ def _reduce(block: _Block) -> _Block:
         pair = _nonzero(sums, pair.dtype)
         count = sums[pair].astype(width)
     elif len(pair):
-        order = np.argsort(pair, kind="stable")
+        order = np.argsort(pair)  # equal keys' counts are summed in any order
         pair, count = pair[order], count[order]
         starts = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
         pair, count = pair[starts], np.add.reduceat(count, starts, dtype=width)
@@ -192,10 +192,10 @@ def _reduce(block: _Block) -> _Block:
 
 def _distinct(*arrays: np.ndarray) -> np.ndarray:
     """The distinct values of the 1-D ``arrays``, ascending, in their
-    common type: what ``np.union1d`` and a bare ``np.unique`` give, by a
-    stable sort and a drop of equal neighbours, which keeps off the slower
+    common type: what ``np.union1d`` and a bare ``np.unique`` give, by an
+    unstable sort and a drop of equal neighbours, which keeps off the slower
     hash path numpy 2.4 takes for those calls."""
-    values = np.sort(np.concatenate(arrays), kind="stable")
+    values = np.sort(np.concatenate(arrays))
     kept = np.ones(len(values), dtype=bool)
     kept[1:] = values[1:] != values[:-1]
     return values[kept]
@@ -680,7 +680,7 @@ def _hot_candidates(
     member = np.zeros((hot.n_cells, n_keys), dtype=bool)
     member[h_q_cells, np.searchsorted(q_keys, h_q)] = True
     h_f = np.searchsorted(f_keys, h_db)
-    order = np.argsort(h_f, kind="stable")
+    order = np.argsort(h_f)  # a frame's hot rows are summed, in any order
     h_cells, h_counts = h_cells[order], h_counts[order].astype(count.dtype)
     # Frame f's hot rows are f_lo[f], f_lo[f] + 1, ... of the sorted columns.
     f_width = np.bincount(h_f, minlength=len(f_keys)).astype(_index_type(len(h_f) + 1))

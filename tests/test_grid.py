@@ -367,31 +367,64 @@ def test_sort_run_and_sort_grid_spill_only_past_the_budget(tmp_path, monkeypatch
 def test_fitting_sort_holds_few_copies_of_its_records(tmp_path, sort):
     # 300,000 distinct records streamed in writer-sized blocks, with (sk,
     # ro, ao) ascending as the indexer's and the query grid's do, fit the
-    # default budget. The sort holds its records and one sorted copy, and
-    # the writer and the in-memory grid encode that copy without another
-    # one: the traced peak stays below 3.3 times the records' bytes, where
-    # a sort that keeps the caller's blocks through the write or copies a
-    # block without duplicates reaches 3.5 to 5 times.
+    # default budget. The sort holds its records once and takes one sorted
+    # copy, and the writer and the in-memory grid encode that copy without
+    # another one: the traced peak stays below 2.9 times the records' bytes
+    # (2.8 measured), where a sort that keeps the caller's blocks through
+    # the write or copies a block without duplicates reaches 3.5 to 5
+    # times, and one that sorts a buffer grown past its records 3.1.
     n = 300_000
+    records = _ascending_records(n)
+    info, peak = _traced_sort(sort, records, tmp_path)
+    assert (info.n_entries if sort == "sort_run" else info.total_entries) == n
+    assert isinstance(info, RunInfo if sort == "sort_run" else MemoryGrid)
+    assert peak < 2.9 * records.nbytes
+
+
+@pytest.mark.parametrize("sort", ["sort_run", "sort_grid"])
+def test_spilling_sort_holds_its_budget_once(tmp_path, monkeypatch, sort):
+    # 250,000 records past a budget of 100,000 spill two chunks. The sort
+    # holds the budget's records once, their order and one slice of them:
+    # the traced peak stays at most 2.0 times the budget's record bytes
+    # (1.87 measured), where a sort that joins the held blocks into a copy
+    # and sorts a full copy of that reaches 3.
+    n, budget = 250_000, 100_000
+    chunks = []
+    reader = grid_module._chunk_records
+    monkeypatch.setattr(grid_module, "_chunk_records", lambda path: chunks.append(path) or reader(path))
+    info, peak = _traced_sort(sort, _ascending_records(n), tmp_path, budget)
+    assert len(chunks) == 2
+    assert (info.n_entries if sort == "sort_run" else info.total_entries) == n
+    assert isinstance(info, RunInfo if sort == "sort_run" else DiskGrid)
+    assert peak <= 2.0 * budget * RUN_RECORD.itemsize
+
+
+def _ascending_records(n: int) -> np.ndarray:
+    """``n`` distinct records whose (sk, ro, ao) ascend, as the indexer's
+    and the query grid's do."""
     rng = np.random.default_rng(11)
     records = np.empty(n, dtype=RUN_RECORD)
     records["z"] = rng.integers(0, 30_000, n)
     records["sk"], records["ro"] = np.divmod(np.arange(n), 1_000)
     records["ao"] = 7
+    return records
+
+
+def _traced_sort(sort, records, tmp_path, budget=grid_module.DEFAULT_MEMORY_BUDGET):
+    """The run info or grid of ``records`` streamed through ``sort`` in
+    writer-sized blocks, and the sort's traced peak memory."""
     step = grid_module._WRITE_BLOCK_RECORDS
-    blocks = (records[i:i + step].copy() for i in range(0, n, step))
+    blocks = (records[i:i + step].copy() for i in range(0, len(records), step))
     tracemalloc.start()
     try:
         if sort == "sort_run":
-            info = grid_module.sort_run(blocks, tmp_path / "run.bin")
+            info = grid_module.sort_run(blocks, tmp_path / "run.bin", budget, tmp_path)
         else:
-            info = sort_grid(blocks, P1, tmp_path / "gq")
+            info = sort_grid(blocks, P1, tmp_path / "gq", budget, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (info.n_entries if sort == "sort_run" else info.total_entries) == n
-    assert isinstance(info, RunInfo if sort == "sort_run" else MemoryGrid)
-    assert peak < 3.3 * records.nbytes
+    return info, peak
 
 
 def test_build_sorted_run_collapses_duplicates(tmp_path):

@@ -800,6 +800,25 @@ def test_dedup_tolerance_is_inclusive_to_the_ulp(axis, sign):
     assert dedup_patches([base, past_tol]) == [base, past_tol]
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_dedup_of_sites_read_at_the_largest_coordinates(sign):
+    # an 8-column field can hold 1e306, whose quotient by the dedup bucket
+    # edge overflows a float; SITE patches there are read, kept and
+    # deduplicated by the tolerance rule, one site or two
+    atoms = []
+    for serial, (name, x) in enumerate([("N", f"{sign}1e306"), ("CA", f"{sign}2e306"), ("C", "1.5")], start=1):
+        line = atom_line(serial, name, "GLY", "A", 1, 0.0, 2.0, 3.0)
+        atoms.append(line[:30] + f"{x:>8}" + line[38:])
+    sites = site_lines("AC1", [("GLY", "A", 1)]), site_lines("AC2", [("GLY", "A", 1)])
+    for n_sites in (1, 2):
+        text = [line for site in sites[:n_sites] for line in site] + atoms
+        protein = parse_structure_file(text, "1BIG")
+        assert protein.atoms.positions[:, 0].tolist() == [float(f"{sign}1e306"), float(f"{sign}2e306"), 1.5]
+        patches = extract_site_patches(text, protein)
+        assert [p.patch_id for p in patches] == ["1BIG_0", "1BIG_1"][:n_sites]
+        assert [id(p) for p in dedup_patches(patches)] == [id(p) for p in dedup_oracle(patches)] == [id(patches[0])]
+
+
 def test_dedup_patch_matching_two_groups_joins_the_earlier():
     # groups at x = 0.0021 (bucket 1) and, created later, x = 0.0005
     # (bucket 0); a patch at x = 0.0013 duplicates both and must join the

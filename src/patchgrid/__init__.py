@@ -13,7 +13,6 @@ from .errors import (
     DuplicatePatchId,
     EmptyStructure,
     MalformedRecord,
-    MissingSourceProtein,
     NoValidFrame,
     OutOfExtent,
     ParamsMismatch,

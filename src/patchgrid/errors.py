@@ -49,7 +49,3 @@ class CapExceeded(PatchGridError):
 
 class UndefinedTP(PatchGridError):
     """TP rate is undefined because the chance ratio R equals I."""
-
-
-class MissingSourceProtein(PatchGridError):
-    """A patch's source structure is not available for identity computation."""

@@ -235,7 +235,7 @@ def frame_from_triple(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e1 = v1 / d_ab[:, None]
         e3 = _cross(e1, v2)
         e3 = e3 / np.sqrt(np.vecdot(e3, e3))[:, None]
-    e2 = _cross(e3, e1)
+        e2 = _cross(e3, e1)
     return anchors[0], np.concatenate((e1, e2, e3), axis=1).reshape(-1, 3, 3), valid
 
 

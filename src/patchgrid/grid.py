@@ -276,14 +276,17 @@ def _cell_words(records: np.ndarray) -> np.ndarray:
     """
     z = records["z"]
     starts = _cell_starts(z)
+    sizes = np.diff(np.append(starts, len(records)))
     header_rows = starts + np.arange(len(starts))
     words = np.empty((len(records) + len(starts), 3), dtype="<u4")
     words[header_rows, 0] = (z[starts] & 0xFFFFFFFF).astype(np.uint32)
     words[header_rows, 1] = (z[starts] >> 32).astype(np.uint32)
-    words[header_rows, 2] = np.diff(np.append(starts, len(records)))
-    is_entry = np.ones(len(words), dtype=bool)
-    is_entry[header_rows] = False
-    words[is_entry] = np.column_stack((records["sk"], records["ro"], records["ao"]))
+    words[header_rows, 2] = sizes
+    # Record i of cell c follows c + 1 headers; fields go in without a row copy.
+    entry_rows = np.arange(1, len(records) + 1)
+    entry_rows += np.repeat(np.arange(len(starts)), sizes)
+    for k, name in enumerate(("sk", "ro", "ao")):
+        words[entry_rows, k] = records[name]
     return words
 
 

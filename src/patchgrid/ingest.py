@@ -155,8 +155,6 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     records = [raw[0:6].strip() for raw in lines]
     end = records.index("ENDMDL") if "ENDMDL" in records else len(records)
     numbers = [i for i in range(end) if records[i] == "ATOM"]
-    header_ids = (raw.rstrip("\n")[62:66].strip() for raw, record in zip(lines, records) if record == "HEADER")
-    header_id = next(filter(None, header_ids), None)
     atom_lines = [lines[i].rstrip("\n") for i in numbers]
     table = _character_table(atom_lines)
     kept = np.flatnonzero((table[:, _ALTLOC] == _SPACE) | (table[:, _ALTLOC] == _ALTLOC_A))
@@ -200,7 +198,9 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
         chain_ids=text_column(chains),
         insertion_codes=text_column([icode.strip() for icode in icodes]),
     )
-    return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=atoms)
+    # HEADER records are read only when no protein_id is given.
+    header_ids = (raw.rstrip("\n")[62:66].strip() for raw, record in zip(lines, records) if record == "HEADER")
+    return Protein(protein_id=protein_id or next(filter(None, header_ids), "UNKNOWN"), atoms=atoms)
 
 
 def _first_appearance_ordinals(keys: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ into a run file, in a temporary directory that lives as long as the query.
 The read path is columnar from the run to the threshold. Each cell
 arrives as a ``(count, 3)`` uint32 array, and the matched cells' arrays are
 collected and scored in batches of about the score table's ``budget``
-entries (``DEFAULT_SCORE_BUDGET`` in ``match_query``): a cell's distinct
+entries (``DEFAULT_SCORE_BUDGET`` in ``score_query``): a cell's distinct
 frames and their entry counts are the runs of equal packed (structure key,
 residue ordinal) keys in its sorted entries, and a cold cell's cross product
 becomes increment rows built with ``np.repeat``. A row is keyed by one
@@ -36,7 +36,9 @@ distinct pairs. The final merge reduces the blocks with the buffer once, or
 takes a lone reduced block as it is. The scored pairs stay that one block
 (``_Block``) through the hot-cell recount to the threshold, which is applied
 to the raw counts, so a ``MatchResult`` is built only for a pair that is
-kept.
+kept. ``score_query`` ends at that block, as ``ScoredPairs``: ``match_query``
+thresholds it, and ``structural_identity`` takes each source's best score
+from it without building a ``MatchResult``.
 
 Each column of that path is held at the width an exact bound allows, since
 numpy integers wrap silently. A frame's entry count in a cell is uint32 (a
@@ -50,7 +52,7 @@ reduction widens its counts only as far as its total count needs, and
 
 Hot cells. Every frame puts its own anchor atoms (CA, N, C) in the same few
 cells, so those cells cross nearly every database frame with every query
-frame, yet none of them can decide a match alone. ``match_query`` therefore
+frame, yet none of them can decide a match alone. ``score_query`` therefore
 marks a matched cell *hot*, during the scan, when its fan-in (distinct
 database frames times distinct query frames) exceeds the internal cutoff
 ``_HOT_FANIN``. A hot cell adds no rows to the score table; the table's
@@ -269,7 +271,7 @@ class ScoreTable:
     The table owns the query's hot cells as ``hot``, a ``HotCells``: the
     merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
     instead of to ``add``. The default ``fanin`` makes no cell hot, so
-    ``items()`` is then the full join. ``match_query`` builds its table from
+    ``items()`` is then the full join. ``score_query`` builds its table from
     the module constants ``DEFAULT_SCORE_BUDGET`` and ``_HOT_FANIN``; they
     are internal and not options of any entry point.
     """
@@ -751,15 +753,16 @@ def threshold_filter(scored: ScoredPairs, tau_pp: float) -> list[MatchResult]:
     return results
 
 
-def match_query(
+def score_query(
     query: Protein,
     db: PatchDatabase,
-    tau_pp: float,
+    tau_pp: float = 0.0,
     tmp_dir: Path | None = None,
     memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
     stats: dict | None = None,
-) -> list[MatchResult]:
-    """Full pipeline: query grid, merge scan, normalization, threshold.
+) -> ScoredPairs:
+    """Query grid, merge scan and ``finalize_scores``: every pair that can
+    reach ``tau_pp``, with its exact count and its patch's atom count.
 
     A query grid within ``memory_budget_entries`` is held in memory and
     nothing is made under ``tmp_dir``. Past it, the sort's chunks go to a
@@ -794,31 +797,45 @@ def match_query(
         stats["score_spills"] = table.spills
         stats["score_rows"] = table.rows
         stats["hot_cells"] = table.hot.n_cells
-    return threshold_filter(scored, tau_pp)
+    return scored
+
+
+def match_query(
+    query: Protein,
+    db: PatchDatabase,
+    tau_pp: float,
+    tmp_dir: Path | None = None,
+    memory_budget_entries: int = DEFAULT_MEMORY_BUDGET,
+    stats: dict | None = None,
+) -> list[MatchResult]:
+    """Full pipeline: ``score_query``, then ``threshold_filter`` at ``tau_pp``."""
+    return threshold_filter(score_query(query, db, tau_pp, tmp_dir, memory_budget_entries, stats), tau_pp)
 
 
 def structural_identity(
-    a: Protein,
-    b: Protein,
+    query: Protein,
+    sources: Mapping[str, Protein],
     params: GridParams,
     tmp_dir: Path | None = None,
-) -> float:
-    """Whole-structure identity of ``a`` against ``b`` in [0, 1].
+) -> dict[str, float]:
+    """Whole-structure identity of ``query`` against each source, in [0, 1].
 
-    ``b`` is indexed as a single pseudo-patch (all atoms, per-residue
-    frames) and ``a`` is matched against it without any mps clipping; the
-    identity is the maximum pair score. Raises NoValidFrame when either
-    structure has no usable residue.
+    Every source is indexed as one pseudo-patch (all its atoms, per-residue
+    frames) of one database, and ``query`` is scored against all of them in
+    one pass, without mps clipping or threshold. A source's identity is its
+    largest pair score, the float64 ``count / n_atoms`` of
+    ``threshold_filter``, so it is normalized by the source's atom count; a
+    source that shares no cell with the query gets 0.0. Raises NoValidFrame
+    when the query or a source has no usable residue.
     """
-    pseudo = Patch(
-        patch_id=b.protein_id,
-        source_protein_id=b.protein_id,
-        atoms=b.atoms,
-        origin_tag=OriginTag.Template,
-    )
-    with tempfile.TemporaryDirectory(
-        prefix="identity-", dir=str(tmp_dir) if tmp_dir else None
-    ) as work:
-        db = build_patch_database([pseudo], params, Path(work) / "db", tmp_dir=tmp_dir)
-        results = match_query(a, replace(db, mps=float("inf")), 0.0, tmp_dir=tmp_dir)
-    return results[0].score if results else 0.0
+    pseudo = [Patch(source_id, source_id, source.atoms, OriginTag.Template) for source_id, source in sources.items()]
+    with tempfile.TemporaryDirectory(prefix="identity-", dir=tmp_dir) as work:
+        db = build_patch_database(pseudo, params, Path(work) / "db", tmp_dir=tmp_dir)
+        unframed = sources.keys() - db.source_protein_ids()
+        if unframed:
+            raise NoValidFrame(f"source {min(unframed)}: no residue yields a frame")
+        scored = score_query(query, replace(db, mps=math.inf), 0.0, tmp_dir=tmp_dir)
+    db_keys, _, counts = _decode(scored.pairs)
+    best = np.zeros(max(db.patch_meta) + 1)
+    np.maximum.at(best, db_keys >> 32, counts / scored.n_atoms)
+    return {meta.source_protein_id: float(best[key]) for key, meta in db.patch_meta.items()}

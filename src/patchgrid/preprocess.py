@@ -233,7 +233,8 @@ class PatchDatabase:
             f"mps\t{self.mps!r}",
         ]
         lines += [f"run\t{r.file_name}\t{r.n_cells}\t{r.n_entries}" for r in self.grid.runs]
-        lines += ["\t".join(map(str, ("patch", *m))) for _, m in sorted(self.patch_meta.items())]
+        lines += [f"patch\t{m.structure_key}\t{m.patch_id}\t{m.source_protein_id}\t{m.n_atoms}\t{m.n_frames}"
+                  for _, m in sorted(self.patch_meta.items())]
         atomic_write_text(Path(self.directory) / MANIFEST_FILE, "\n".join(lines) + "\n")
 
     @classmethod

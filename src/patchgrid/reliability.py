@@ -7,7 +7,9 @@ reported pairs, R the same ratio over the full query x source cross
 product, and I the ratio among true pairs (taken as 1), the true-positive
 rate is TP = (D - R) / (I - R). Pairs whose structural identity exceeds the
 protein-protein threshold are discarded first, so near-identical structures
-cannot inflate D.
+cannot inflate D. The identities are computed once per sweep, by one
+scoring pass per query against every source its pairs name
+(``pair_identities``), and each row's filter reads them.
 
 Entities lacking keywords are excluded from both the D and R denominators
 rather than counted as non-matching.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MissingSourceProtein, UndefinedTP
+from .errors import UndefinedTP
 from .grid import GridParams
 from .ingest import KeywordAnnotation, Protein, _count
 from .matcher import MatchResult, structural_identity
@@ -76,74 +78,62 @@ class TPReport:
         return "\n".join(lines) + "\n"
 
 
-def pair_identity(
-    query_id: str,
-    source_id: str,
+def pair_identities(
+    pairs: Iterable[EvalPair],
     query_proteins: Mapping[str, Protein],
     source_proteins: Mapping[str, Protein],
     params: GridParams,
-    identity_cache: dict | None = None,
     tmp_dir: Path | None = None,
-) -> float:
-    """Structural identity of ``query_id`` against ``source_id``, cached on
-    the ordered pair: the identity is normalized by the source's atom count,
-    so it depends on direction.
+) -> dict[tuple[str, str], float]:
+    """Structural identity of each distinct (query id, source id) of ``pairs``.
 
-    Raises MissingSourceProtein when the source structure is unavailable.
+    A self pair gets 1.0 without a match. Every other query is matched once,
+    by ``structural_identity``, against all the sources its pairs name; the
+    identity is normalized by the source's atom count, so it depends on
+    direction. A pair whose query or source structure is missing gets no
+    entry.
     """
-    cache_key = (query_id, source_id)
-    if identity_cache is not None and cache_key in identity_cache:
-        return identity_cache[cache_key]
-    if query_id == source_id:
-        value = 1.0
-    else:
-        source = source_proteins.get(source_id)
-        if source is None:
-            raise MissingSourceProtein(source_id)
+    identities: dict[tuple[str, str], float] = {}
+    named: dict[str, set[str]] = {}
+    for pair in pairs:
+        query_id, source_id = pair.query_id, pair.result.source_protein_id
+        if query_id == source_id:
+            identities[query_id, source_id] = 1.0
+        else:
+            named.setdefault(query_id, set()).add(source_id)
+    for query_id, source_ids in named.items():
         query = query_proteins.get(query_id)
-        if query is None:
-            raise MissingSourceProtein(query_id)
-        value = structural_identity(query, source, params, tmp_dir=tmp_dir)
-    if identity_cache is not None:
-        identity_cache[cache_key] = value
-    return value
+        sources = {sid: source_proteins[sid] for sid in sorted(source_ids) if source_proteins.get(sid) is not None}
+        if query is None or not sources:
+            continue
+        for source_id, identity in structural_identity(query, sources, params, tmp_dir=tmp_dir).items():
+            identities[query_id, source_id] = identity
+    return identities
 
 
 def redundancy_filter(
     pairs: Sequence[EvalPair],
-    query_proteins: Mapping[str, Protein],
-    source_proteins: Mapping[str, Protein],
+    identities: Mapping[tuple[str, str], float],
     tau_prot: float,
-    params: GridParams,
-    identity_cache: dict | None = None,
-    tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
 ) -> list[EvalPair]:
     """Drop pairs whose protein-protein identity exceeds tau_prot (strict).
 
-    Pairs whose source structure cannot be found are dropped and counted
-    under ``counters['pairs_missing_source']``; removals are counted under
+    ``identities`` maps (query id, source id) to identity, as
+    ``pair_identities`` gives it. Pairs without an identity, whose query or
+    source structure was missing, are dropped and counted under
+    ``counters['pairs_missing_source']``; removals are counted under
     ``counters['pairs_removed_redundant']``.
     """
     kept: list[EvalPair] = []
     for pair in pairs:
-        try:
-            identity = pair_identity(
-                pair.query_id,
-                pair.result.source_protein_id,
-                query_proteins,
-                source_proteins,
-                params,
-                identity_cache=identity_cache,
-                tmp_dir=tmp_dir,
-            )
-        except MissingSourceProtein:
+        identity = identities.get((pair.query_id, pair.result.source_protein_id))
+        if identity is None:
             _count(counters, "pairs_missing_source")
-            continue
-        if identity > tau_prot:
+        elif identity > tau_prot:
             _count(counters, "pairs_removed_redundant")
-            continue
-        kept.append(pair)
+        else:
+            kept.append(pair)
     return kept
 
 
@@ -225,37 +215,29 @@ def sweep(
     query_proteins: Mapping[str, Protein],
     source_proteins: Mapping[str, Protein],
     db: PatchDatabase,
-    identity_cache: dict | None = None,
     tmp_dir: Path | None = None,
     counters: dict[str, int] | None = None,
 ) -> TPReport:
     """One TP row per (tau_pp, tau_prot) combination.
 
-    ``pairs`` must carry scores at or below the smallest tau_pp of interest;
-    each row keeps pairs with score >= tau_pp, applies the redundancy filter
-    at tau_prot with ``db.params``, then computes D and TP against a shared
-    R. In ``counters``, ``pairs_missing_source``, ``pairs_removed_redundant``
-    and ``pairs_unannotated`` count each input pair once if any row counts
-    it.
+    ``pairs`` must carry scores at or below the smallest tau_pp of interest.
+    The identities of the pairs that reach it are computed once, by
+    ``pair_identities`` with ``db.params``; each row keeps pairs with score
+    >= tau_pp, applies the redundancy filter at tau_prot, then computes D
+    and TP against a shared R. In ``counters``, ``pairs_missing_source``,
+    ``pairs_removed_redundant`` and ``pairs_unannotated`` count each input
+    pair once if any row counts it.
     """
-    if identity_cache is None:
-        identity_cache = {}
+    lowest = min(config.tau_pp_values)
+    reached = [p for p in pairs if p.result.score >= lowest]
+    identities = pair_identities(reached, query_proteins, source_proteins, db.params, tmp_dir)
     r_value = compute_R(query_proteins.keys(), db, annotations, counters=counters)
     report = TPReport()
     for tau_pp in config.tau_pp_values:
         kept = [p for p in pairs if p.result.score >= tau_pp]
         for tau_prot in config.tau_prot_values:
             row_counters: dict[str, int] = {}
-            filtered = redundancy_filter(
-                kept,
-                query_proteins,
-                source_proteins,
-                tau_prot,
-                db.params,
-                identity_cache=identity_cache,
-                tmp_dir=tmp_dir,
-                counters=row_counters,
-            )
+            filtered = redundancy_filter(kept, identities, tau_prot, counters=row_counters)
             d_value = compute_D(filtered, annotations, counters=row_counters)
             # A row's counted pairs are a subset of those of the row with the
             # smallest tau_pp and the smallest (redundant) or largest

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CellIndex, corpus, interleave_bits, morton_decode, z_records
+from patchgrid import reliability
 from patchgrid.baseline import FrameMode, naive_frames, naive_match
 from patchgrid.geometry import AtomRecord, Atoms, Point3, transform_points
 from patchgrid.grid import (
@@ -31,7 +32,7 @@ from patchgrid.preprocess import (
     compact,
     residue_frames,
 )
-from patchgrid.reliability import EvalConfig, EvalPair, redundancy_filter, sweep, tp_rate
+from patchgrid.reliability import EvalConfig, EvalPair, pair_identities, redundancy_filter, sweep, tp_rate
 from patchgrid.matcher import MatchResult
 from patchgrid.synthetic import (
     lattice_patch,
@@ -333,7 +334,7 @@ def test_acceptance_08_morton_correctness():
           "100000 random indices; documented values 0/7/53 reproduced")
 
 
-def test_acceptance_09_tp_rate_machinery(tmp_path):
+def test_acceptance_09_tp_rate_machinery(tmp_path, monkeypatch):
     """tp_rate reference points; sweep TSV matches hand-computed D/R/TP within
     1e-12 on a planted annotation set; TP non-decreasing in tau_pp."""
     assert tp_rate(1.0, 0.0, 1.0) == 1.0
@@ -365,9 +366,9 @@ def test_acceptance_09_tp_rate_machinery(tmp_path):
         pair("Q2", "S3", 0.87), pair("Q1", "S2", 0.87),
         pair("Q1", "S4", 0.82), pair("Q2", "S4", 0.82),
     ]
-    cache = {(q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")}
-    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {},
-                   db, identity_cache=cache)
+    identities = {(q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")}
+    monkeypatch.setattr(reliability, "pair_identities", lambda *args, **kwargs: identities)
+    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db)
     # hand computation: R = 4/8; D per tau_pp tier; TP = (D - R) / (1 - R)
     expected_d = {0.80: 4 / 8, 0.85: 4 / 6, 0.90: 3 / 4, 0.95: 2 / 2}
     parsed = [line.split("\t") for line in report.to_tsv().splitlines()[1:]]
@@ -411,17 +412,15 @@ def test_acceptance_10_threshold_semantics(tmp_path):
 
     pairs = [pair("A"), pair("B")]
     params = GridParams(delta=1.0)
-    cache: dict = {}
+    identities = pair_identities(pairs, query_proteins, source_proteins, params, tmp_dir=tmp_path)
     config = EvalConfig()
     removed_by_tau = {}
     for tau_prot in config.tau_prot_values:
-        kept = redundancy_filter(pairs, query_proteins, source_proteins, tau_prot,
-                                 params, identity_cache=cache, tmp_dir=tmp_path)
+        kept = redundancy_filter(pairs, identities, tau_prot)
         removed_by_tau[tau_prot] = {p.result.source_protein_id for p in pairs} - {
             p.result.source_protein_id for p in kept
         }
-    assert cache[("Q", "A")] == 0.7
-    assert cache[("Q", "B")] == 0.3
+    assert identities == {("Q", "A"): 0.7, ("Q", "B"): 0.3}
     for tau_prot, removed in removed_by_tau.items():
         expected = {sid for sid, identity in (("A", 0.7), ("B", 0.3)) if identity > tau_prot}
         assert removed == expected, f"tau_prot={tau_prot}"
@@ -433,7 +432,7 @@ def test_acceptance_10_threshold_semantics(tmp_path):
         "B": KeywordAnnotation("B", frozenset({"k"})),
     }
     report = sweep(pairs, config, annotations, query_proteins, source_proteins,
-                   db, identity_cache=cache, tmp_dir=tmp_path)
+                   db, tmp_dir=tmp_path)
     rows = {(row.tau_pp, row.tau_prot) for row in report.rows}
     assert rows == set(itertools.product((0.80, 0.85, 0.90, 0.95),
                                          tuple(round(0.1 * i, 10) for i in range(1, 11))))

@@ -111,7 +111,9 @@ def test_build_query_add_eval_round_trip(workspace, capsys):
     assert rc == 0
     assert (tmp_path / "pre.results.tsv").read_text() == (tmp_path / "post.results.tsv").read_text()
 
-    # eval over two query result sets
+    # eval over two query result sets; its identity databases leave --tmp empty
+    eval_tmp = tmp_path / "eval-tmp"
+    eval_tmp.mkdir()
     rc = main([
         "eval",
         "--results", f"SRC0={tmp_path / 'q0.results.tsv'}",
@@ -120,12 +122,13 @@ def test_build_query_add_eval_round_trip(workspace, capsys):
         "--structures", str(tmp_path),
         "--db", str(db_dir),
         "--out", str(tmp_path / "tp.tsv"),
-        "--tmp", str(tmp_path),
+        "--tmp", str(eval_tmp),
     ])
     assert rc == 0
     lines = (tmp_path / "tp.tsv").read_text().splitlines()
     assert lines[0] == "tau_pp\ttau_prot\tD\tR\tTP\tpair_count"
     assert len(lines) == 1 + 40
+    assert list(eval_tmp.iterdir()) == []
 
     # no temp litter left behind
     assert not list(tmp_path.rglob("*.tmp"))

@@ -369,16 +369,17 @@ def test_fitting_sort_holds_few_copies_of_its_records(tmp_path, sort):
     # ro, ao) ascending as the indexer's and the query grid's do, fit the
     # default budget. The sort holds its records once and takes one sorted
     # copy, and the writer and the in-memory grid encode that copy without
-    # another one: the traced peak stays below 2.9 times the records' bytes
-    # (2.8 measured), where a sort that keeps the caller's blocks through
+    # another one: the traced peak stays below 2.7 times the records' bytes
+    # (2.62 measured), where a sort that keeps the caller's blocks through
     # the write or copies a block without duplicates reaches 3.5 to 5
-    # times, and one that sorts a buffer grown past its records 3.1.
+    # times, one that sorts a buffer grown past its records 3.1, and an
+    # encoder that stacks the entry fields into one copy 2.8.
     n = 300_000
     records = _ascending_records(n)
     info, peak = _traced_sort(sort, records, tmp_path)
     assert (info.n_entries if sort == "sort_run" else info.total_entries) == n
     assert isinstance(info, RunInfo if sort == "sort_run" else MemoryGrid)
-    assert peak < 2.9 * records.nbytes
+    assert peak < 2.7 * records.nbytes
 
 
 @pytest.mark.parametrize("sort", ["sort_run", "sort_grid"])

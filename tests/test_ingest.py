@@ -111,6 +111,8 @@ def test_hetatm_ignored_and_header_id():
     protein = parse_structure_file(lines(text))
     assert protein.protein_id == "1ABC"
     assert len(protein.atoms) == 2
+    # a given id wins over the HEADER id
+    assert parse_structure_file(lines(text), protein_id="GIVEN").protein_id == "GIVEN"
 
 
 def test_non_finite_coordinate_rejected():

@@ -839,11 +839,11 @@ def test_structural_identity_unchanged_by_pruning(tmp_path):
         (Protein("P", move_atoms(b.atoms[: len(b.atoms) // 2], *rigid_motion(rng))), b),
     ]
     with hot_fanin(2**62):
-        unpruned = [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs]
+        unpruned = [structural_identity(a, {"B": b}, P1, tmp_dir=tmp_path)["B"] for a, b in pairs]
     assert 0.0 < min(unpruned) and max(unpruned) == 1.0
     for cutoff in (0, 4):
         with hot_fanin(cutoff):
-            assert [structural_identity(a, b, P1, tmp_dir=tmp_path) for a, b in pairs] == unpruned
+            assert [structural_identity(a, {"B": b}, P1, tmp_dir=tmp_path)["B"] for a, b in pairs] == unpruned
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +953,7 @@ def test_spilled_query_leaves_tmp_dir_empty(tmp_path, monkeypatch, ending):
 def test_structural_identity_self_is_one(tmp_path):
     rng = random.Random(7)
     protein = random_protein(rng, "SELF", 3)
-    assert structural_identity(protein, protein, P1, tmp_dir=tmp_path) == 1.0
+    assert structural_identity(protein, {"SELF": protein}, P1, tmp_dir=tmp_path) == {"SELF": 1.0}
 
 
 def test_structural_identity_partial_overlap_is_exact_ratio(tmp_path):
@@ -971,7 +971,7 @@ def test_structural_identity_partial_overlap_is_exact_ratio(tmp_path):
     from patchgrid.synthetic import move_atoms
 
     a = Protein("A", move_atoms(kept, rotation, translation))
-    assert structural_identity(a, b, P1, tmp_dir=tmp_path) == 0.7
+    assert structural_identity(a, {"B": b}, P1, tmp_dir=tmp_path) == {"B": 0.7}
 
 
 def test_structural_identity_moved_copy_is_one(tmp_path):
@@ -981,7 +981,40 @@ def test_structural_identity_moved_copy_is_one(tmp_path):
     patch = lattice_patch("L_0", "L", 1.0, rng, n_extra_atoms=4)
     base = Protein("L", patch.atoms)
     moved = move_protein(base, *rigid_motion(rng), new_id="M")
-    assert structural_identity(moved, base, P1, tmp_dir=tmp_path) == 1.0
+    assert structural_identity(moved, {"L": base}, P1, tmp_dir=tmp_path) == {"L": 1.0}
+
+
+def test_structural_identity_of_many_sources_equals_one_source_each(tmp_path):
+    # one pseudo-database of every source gives each source the identity it
+    # gets alone, to the bit: the random sources, a moved copy of the query
+    # (1.0) and a source holding half of the query's atoms
+    rng = random.Random(13)
+    query = random_protein(rng, "Q", 5)
+    sources = {f"R{i}": random_protein(rng, f"R{i}", rng.randint(2, 6)) for i in range(4)}
+    sources["M"] = move_protein(query, *rigid_motion(rng), new_id="M")
+    sources["H"] = Protein("H", move_atoms(query.atoms[: len(query.atoms) // 2], *rigid_motion(rng)))
+    work = tmp_path / "work"
+    work.mkdir()
+    alone = {sid: structural_identity(query, {sid: s}, P1, tmp_dir=work)[sid] for sid, s in sources.items()}
+    for cutoff in (None, 0):
+        with hot_fanin(cutoff):
+            many = structural_identity(query, sources, P1, tmp_dir=work)
+        assert many == alone
+        assert list(many) == list(sources)
+    assert many["M"] == 1.0 and 0.0 < min(many.values())
+    assert list(work.iterdir()) == []
+
+
+def test_structural_identity_requires_frames_of_every_source(tmp_path):
+    from patchgrid.geometry import AtomRecord, Point3
+
+    rng = random.Random(14)
+    framed = random_protein(rng, "A", 3)
+    unframed = Protein("X", (AtomRecord(0, "C", "CB", 0, "ALA", Point3(0, 0, 0), "A", 1),))
+    with pytest.raises(NoValidFrame, match="source X"):
+        structural_identity(framed, {"A": framed, "X": unframed}, P1, tmp_dir=tmp_path)
+    with pytest.raises(NoValidFrame):
+        structural_identity(unframed, {"A": framed}, P1, tmp_dir=tmp_path)
 
 
 def test_scores_bounded_on_random_instances(tmp_path):

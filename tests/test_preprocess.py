@@ -269,6 +269,29 @@ def test_build_is_deterministic(tmp_path):
     ).read_text()
 
 
+def test_manifest_golden_bytes(tmp_path):
+    # settings, runs in grid order, then patches by structure key
+    db = PatchDatabase(
+        grid=grid.DiskGrid(
+            params=GridParams(delta=0.7, bits_per_axis=10),
+            directory=tmp_path / "grid",
+            runs=[grid.RunInfo("run_000000.bin", 3, 7), grid.RunInfo("run_000001.bin", 1, 3)],
+        ),
+        patch_meta={
+            1: preprocess.PatchMeta(1, "1ABC_1", "1ABC", 2, 1),
+            0: preprocess.PatchMeta(0, "1ABC_0", "1ABC", 4, 2),
+        },
+        mps=1 / 3,
+        directory=tmp_path,
+    )
+    db.save()
+    assert (tmp_path / "manifest.tsv").read_bytes() == (
+        b"delta\t0.7\nbits_per_axis\t10\nmps\t0.3333333333333333\n"
+        b"run\trun_000000.bin\t3\t7\nrun\trun_000001.bin\t1\t3\n"
+        b"patch\t0\t1ABC_0\t1ABC\t4\t2\npatch\t1\t1ABC_1\t1ABC\t2\t1\n"
+    )
+
+
 def test_add_patches_empty_is_noop(tmp_path):
     db = build_patch_database([two_frame_patch()], P1, tmp_path / "db")
     assert add_patches(db, []) is db

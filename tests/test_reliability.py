@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from patchgrid import matcher, reliability
 from patchgrid.errors import UndefinedTP
 from patchgrid.grid import GridParams, RefId
 from patchgrid.ingest import KeywordAnnotation, Protein
@@ -12,13 +13,13 @@ from patchgrid.reliability import (
     EvalPair,
     compute_D,
     compute_R,
-    pair_identity,
+    pair_identities,
     redundancy_filter,
     same_keywords,
     sweep,
     tp_rate,
 )
-from patchgrid.synthetic import lattice_patch, move_atoms, rigid_motion
+from patchgrid.synthetic import lattice_patch, move_atoms, random_protein, rigid_motion
 
 P1 = GridParams(delta=1.0)
 
@@ -141,41 +142,44 @@ def test_compute_R_undefined_without_annotations(tmp_path):
 
 
 def test_redundancy_filter_with_planted_identities(tmp_path):
-    cache = {
+    identities = {
         ("Q", "A"): 0.7,
         ("Q", "B"): 0.3,
     }
     pairs = [pair("Q", "A", 0.9), pair("Q", "B", 0.9)]
     counters: dict[str, int] = {}
-    kept = redundancy_filter(pairs, {}, {}, 0.5, P1, identity_cache=cache, counters=counters)
+    kept = redundancy_filter(pairs, identities, 0.5, counters=counters)
     assert [p.result.source_protein_id for p in kept] == ["B"]
     assert counters["pairs_removed_redundant"] == 1
 
 
 def test_redundancy_filter_tau_one_keeps_all():
-    cache = {("Q", "A"): 1.0}
+    identities = {("Q", "A"): 1.0}
     pairs = [pair("Q", "A", 0.9)]
-    assert redundancy_filter(pairs, {}, {}, 1.0, P1, identity_cache=cache) == pairs
+    assert redundancy_filter(pairs, identities, 1.0) == pairs
 
 
 def test_redundancy_filter_self_pair_removed():
     # a patch extracted from the query protein itself has identity 1.0
+    # without a match: no structure is given
     pairs = [pair("Q", "Q", 0.9)]
-    kept = redundancy_filter(pairs, {}, {}, 0.5, P1, identity_cache={})
-    assert kept == []
+    identities = pair_identities(pairs, {}, {}, P1)
+    assert identities == {("Q", "Q"): 1.0}
+    assert redundancy_filter(pairs, identities, 0.5) == []
 
 
 def test_redundancy_filter_strict_boundary():
-    cache = {("Q", "A"): 0.7}
+    identities = {("Q", "A"): 0.7}
     pairs = [pair("Q", "A", 0.9)]
-    assert redundancy_filter(pairs, {}, {}, 0.7, P1, identity_cache=cache) == pairs
+    assert redundancy_filter(pairs, identities, 0.7) == pairs
 
 
 def test_redundancy_filter_missing_source_dropped():
     pairs = [pair("Q", "GONE", 0.9)]
     counters: dict[str, int] = {}
-    kept = redundancy_filter(pairs, {"Q": None}, {}, 0.5, P1,
-                             identity_cache={}, counters=counters)
+    identities = pair_identities(pairs, {"Q": None}, {}, P1)
+    assert identities == {}
+    kept = redundancy_filter(pairs, identities, 0.5, counters=counters)
     assert kept == []
     assert counters["pairs_missing_source"] == 1
 
@@ -183,12 +187,12 @@ def test_redundancy_filter_missing_source_dropped():
 def test_redundancy_filter_monotone_in_tau():
     rng = random.Random(4)
     sources = [f"S{i}" for i in range(8)]
-    cache = {("Q", s): rng.random() for s in sources}
+    identities = {("Q", s): rng.random() for s in sources}
     pairs = [pair("Q", s, 0.9) for s in sources]
     previous = None
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
         kept = {p.result.source_protein_id
-                for p in redundancy_filter(pairs, {}, {}, tau, P1, identity_cache=cache)}
+                for p in redundancy_filter(pairs, identities, tau)}
         if previous is not None:
             assert previous <= kept
         previous = kept
@@ -216,17 +220,13 @@ def test_redundancy_filter_engine_identities(tmp_path):
         )
     query = Protein("Q", tuple(atoms))
     pairs = [pair("Q", "A", 0.95), pair("Q", "B", 0.95)]
-    cache: dict = {}
-    kept = redundancy_filter(
-        pairs, {"Q": query}, {"A": source_a, "B": source_b}, 0.5, P1,
-        identity_cache=cache, tmp_dir=tmp_path,
-    )
-    assert cache[("Q", "A")] == 0.7
-    assert cache[("Q", "B")] == 0.3
+    identities = pair_identities(pairs, {"Q": query}, {"A": source_a, "B": source_b}, P1, tmp_dir=tmp_path)
+    assert identities == {("Q", "A"): 0.7, ("Q", "B"): 0.3}
+    kept = redundancy_filter(pairs, identities, 0.5)
     assert [p.result.source_protein_id for p in kept] == ["B"]
 
 
-def test_pair_identity_cache_is_ordered(tmp_path):
+def test_pair_identities_depend_on_direction(tmp_path):
     # identity is normalized by the source's atom count: B (7 of A's 10 atoms,
     # moved) scores 7/10 against A, and A scores 7/7 against B
     rng = random.Random(5)
@@ -237,12 +237,8 @@ def test_pair_identity_cache_is_ordered(tmp_path):
     }
     expected = {("B", "A"): 0.7, ("A", "B"): 1.0}
     for order in (list(expected), list(reversed(expected))):
-        cache: dict = {}
-        for query_id, source_id in order:
-            identity = pair_identity(query_id, source_id, proteins, proteins, P1,
-                                     identity_cache=cache, tmp_dir=tmp_path)
-            assert identity == expected[(query_id, source_id)]
-        assert cache == expected
+        pairs = [pair(query_id, source_id, 0.9) for query_id, source_id in order]
+        assert pair_identities(pairs, proteins, proteins, P1, tmp_dir=tmp_path) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +261,22 @@ def hand_built_sweep_inputs(tmp_path):
         pair("Q2", "S3", 0.87), pair("Q1", "S2", 0.87),
         pair("Q1", "S4", 0.82), pair("Q2", "S4", 0.82),
     ]
-    identity_cache = {
+    identities = {
         (q, s): 0.0 for q in ("Q1", "Q2") for s in ("S1", "S2", "S3", "S4")
     }
-    return annotations, db, pairs, identity_cache
+    return annotations, db, pairs, identities
 
 
-def test_sweep_matches_hand_computation(tmp_path):
-    annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
+def planted(monkeypatch, identities):
+    """Make sweep read ``identities`` instead of computing them."""
+    monkeypatch.setattr(reliability, "pair_identities", lambda *args, **kwargs: identities)
+
+
+def test_sweep_matches_hand_computation(tmp_path, monkeypatch):
+    annotations, db, pairs, identities = hand_built_sweep_inputs(tmp_path)
+    planted(monkeypatch, identities)
     config = EvalConfig()
-    report = sweep(pairs, config, annotations, {"Q1": None, "Q2": None}, {}, db,
-                   identity_cache=cache)
+    report = sweep(pairs, config, annotations, {"Q1": None, "Q2": None}, {}, db)
     assert len(report.rows) == 40
     # R: 8 cross pairs, sharing = (Q1,S1),(Q1,S3),(Q2,S2),(Q2,S3) -> 0.5
     expected_d = {0.80: 4 / 8, 0.85: 4 / 6, 0.90: 3 / 4, 0.95: 2 / 2}
@@ -291,10 +292,10 @@ def test_sweep_matches_hand_computation(tmp_path):
         assert values == sorted(values)
 
 
-def test_sweep_grid_dimensions(tmp_path):
-    annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
-    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db,
-                   identity_cache=cache)
+def test_sweep_grid_dimensions(tmp_path, monkeypatch):
+    annotations, db, pairs, identities = hand_built_sweep_inputs(tmp_path)
+    planted(monkeypatch, identities)
+    report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db)
     taus_pp = sorted({row.tau_pp for row in report.rows})
     taus_prot = sorted({row.tau_prot for row in report.rows})
     assert taus_pp == [0.80, 0.85, 0.90, 0.95]
@@ -304,36 +305,67 @@ def test_sweep_grid_dimensions(tmp_path):
 def test_sweep_empty_results_all_na(tmp_path):
     db = _db_with_sources(tmp_path, ["S1"])
     report = sweep([], EvalConfig(), {"S1": ann("S1", "k"), "Q": ann("Q", "k")},
-                   {"Q": None}, {}, db, identity_cache={})
+                   {"Q": None}, {}, db)
     assert all(row.d_value is None and row.tp is None for row in report.rows)
     text = report.to_tsv()
     assert "NA" in text
     assert text.splitlines()[0] == "tau_pp\ttau_prot\tD\tR\tTP\tpair_count"
 
 
-def test_sweep_pair_count_consistency(tmp_path):
-    annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
-    cache[("Q1", "S1")] = 0.95  # planted redundant pair
+def test_sweep_pair_count_consistency(tmp_path, monkeypatch):
+    annotations, db, pairs, identities = hand_built_sweep_inputs(tmp_path)
+    identities[("Q1", "S1")] = 0.95  # planted redundant pair
+    planted(monkeypatch, identities)
     counters: dict[str, int] = {}
     report = sweep(pairs, EvalConfig(tau_pp_values=(0.8,), tau_prot_values=(0.5,)),
-                   annotations, {"Q1": None, "Q2": None}, {}, db,
-                   identity_cache=cache, counters=counters)
+                   annotations, {"Q1": None, "Q2": None}, {}, db, counters=counters)
     (row,) = report.rows
     assert row.pair_count + counters["pairs_removed_redundant"] == len(pairs)
 
 
-def test_sweep_counters_count_each_pair_once(tmp_path):
-    annotations, db, pairs, cache = hand_built_sweep_inputs(tmp_path)
-    cache[("Q1", "S1")] = 0.95  # redundant in the 36 rows with tau_prot below 0.95
+def test_sweep_counters_count_each_pair_once(tmp_path, monkeypatch):
+    annotations, db, pairs, identities = hand_built_sweep_inputs(tmp_path)
+    identities[("Q1", "S1")] = 0.95  # redundant in the 36 rows with tau_prot below 0.95
+    planted(monkeypatch, identities)
     pairs.append(pair("Q1", "S9", 0.96))  # no source structure: dropped in all 40 rows
     del annotations["S4"]  # (Q1, S4) and (Q2, S4) unannotated in the 10 rows at tau_pp 0.8
     counters: dict[str, int] = {}
     report = sweep(pairs, EvalConfig(), annotations, {"Q1": None, "Q2": None}, {}, db,
-                   identity_cache=cache, counters=counters)
+                   counters=counters)
     assert len(report.rows) == 40
     assert counters["pairs_removed_redundant"] == 1
     assert counters["pairs_missing_source"] == 1
     assert counters["pairs_unannotated"] == 2
+
+
+def test_sweep_builds_and_scores_once_per_query(tmp_path, monkeypatch):
+    # one pseudo-database of every source a query's pairs name, and one
+    # scoring pass against it, for all 40 rows; a self pair makes neither,
+    # and a pair below the smallest tau_pp is not matched
+    rng = random.Random(15)
+    queries = {q: random_protein(rng, q, 3) for q in ("Q1", "Q2")}
+    sources = {s: random_protein(rng, s, 3) for s in ("S1", "S2", "S3")}
+    db = _db_with_sources(tmp_path, list(sources))
+    pairs = [pair("Q1", s, 0.9) for s in ("S3", "S1", "S2")] + [
+        pair("Q2", "S2", 0.85), pair("Q2", "S3", 0.5), pair("Q2", "Q2", 0.95),
+    ]
+    built, scored = [], []
+    build, score = matcher.build_patch_database, matcher.score_query
+
+    def build_spy(patches, *args, **kwargs):
+        built.append([patch.patch_id for patch in patches])
+        return build(patches, *args, **kwargs)
+
+    def score_spy(query, *args, **kwargs):
+        scored.append(query.protein_id)
+        return score(query, *args, **kwargs)
+
+    monkeypatch.setattr(matcher, "build_patch_database", build_spy)
+    monkeypatch.setattr(matcher, "score_query", score_spy)
+    report = sweep(pairs, EvalConfig(), {}, queries, sources, db, tmp_dir=tmp_path)
+    assert len(report.rows) == 40
+    assert built == [["S1", "S2", "S3"], ["S2"]]
+    assert scored == ["Q1", "Q2"]
 
 
 def test_eval_config_validation():

@@ -327,9 +327,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         query_ids.add(query_id)
         pairs.extend(_parse_results_file(Path(path), db, query_id))
 
-    structures_dir = Path(args.structures)
-    query_proteins = _load_structure_dir(structures_dir, query_ids)
-    source_proteins = _load_structure_dir(structures_dir, db.source_protein_ids())
+    # Only the structures the queries and their pairs name are parsed, each
+    # once, though a query may also be a source.
+    source_ids = {pair.result.source_protein_id for pair in pairs}
+    proteins = _load_structure_dir(Path(args.structures), query_ids | source_ids)
+    query_proteins = {pid: protein for pid, protein in proteins.items() if pid in query_ids}
+    source_proteins = {pid: protein for pid, protein in proteins.items() if pid in source_ids}
 
     eval_config = reliability.EvalConfig(
         tau_pp_values=_parse_tau_list(args.tau_pp_list, reliability.DEFAULT_TAU_PP_VALUES),

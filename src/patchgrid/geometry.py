@@ -60,6 +60,13 @@ class AtomRecord(NamedTuple):
     insertion_code: str = ""
 
 
+def _column(i: int) -> property:
+    def column(self) -> np.ndarray:
+        values = self._columns[i]
+        return values if self._rows is None else values[self._rows.start:self._rows.stop]
+    return property(column)
+
+
 class Atoms:
     """The atoms of one structure or patch, in file order, as columns.
 
@@ -71,26 +78,39 @@ class Atoms:
     are read-only. Indexing with an int gives that row as an ``AtomRecord``,
     iteration gives every row so, and a slice or an index array gives an
     ``Atoms``. Two ``Atoms`` are equal when all their columns are.
+
+    The nine columns are held in one tuple, with the range of its rows that
+    this ``Atoms`` covers (``None`` for all of them). A step-1 slice shares
+    its parent's tuple and stores only its range, so a patch cut from a
+    protein costs one small object, not nine arrays; each column attribute
+    is then a read-only view of the range, made when it is read. Other
+    slices and index arrays take their rows of each column.
     """
 
-    __slots__ = COLUMNS = (
+    COLUMNS = (
         "positions", "atom_ordinals", "residue_ordinals", "residue_seqs",
         "atom_names", "residue_names", "elements", "chain_ids", "insertion_codes",
     )
+    __slots__ = ("_columns", "_rows")
+    (positions, atom_ordinals, residue_ordinals, residue_seqs,
+     atom_names, residue_names, elements, chain_ids, insertion_codes) = map(_column, range(len(COLUMNS)))
 
     def __init__(self, positions, atom_ordinals, residue_ordinals, residue_seqs,
                  atom_names, residue_names, elements, chain_ids, insertion_codes=None):
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         n = (len(positions),)
-        self.positions = _read_only(positions, np.float64, positions.shape)
-        self.atom_ordinals = _read_only(atom_ordinals, np.int64, n)
-        self.residue_ordinals = _read_only(residue_ordinals, np.int64, n)
-        self.residue_seqs = _read_only(residue_seqs, np.int64, n)
-        self.atom_names = _read_only(atom_names, object, n)
-        self.residue_names = _read_only(residue_names, object, n)
-        self.elements = _read_only(elements, object, n)
-        self.chain_ids = _read_only(chain_ids, object, n)
-        self.insertion_codes = _read_only([""] * n[0] if insertion_codes is None else insertion_codes, object, n)
+        self._columns = (
+            _read_only(positions, np.float64, positions.shape),
+            _read_only(atom_ordinals, np.int64, n),
+            _read_only(residue_ordinals, np.int64, n),
+            _read_only(residue_seqs, np.int64, n),
+            _read_only(atom_names, object, n),
+            _read_only(residue_names, object, n),
+            _read_only(elements, object, n),
+            _read_only(chain_ids, object, n),
+            _read_only([""] * n[0] if insertion_codes is None else insertion_codes, object, n),
+        )
+        self._rows: range | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[AtomRecord]) -> "Atoms":
@@ -118,30 +138,41 @@ class Atoms:
         """A copy with the given columns replaced."""
         return Atoms(**{name: columns.get(name, getattr(self, name)) for name in self.COLUMNS})
 
+    def _span(self) -> range:
+        # The rows of the shared columns that this Atoms covers.
+        return range(len(self._columns[1])) if self._rows is None else self._rows
+
     def __len__(self) -> int:
-        return len(self.atom_ordinals)
+        return len(self._columns[1]) if self._rows is None else len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
+            row = self._span()[index]
+            positions, atom_ordinals, residue_ordinals, residue_seqs, *names = self._columns
+            atom_name, residue_name, element, chain_id, insertion_code = (column[row] for column in names)
             return AtomRecord(
-                atom_ordinal=int(self.atom_ordinals[index]),
-                element=self.elements[index],
-                atom_name=self.atom_names[index],
-                residue_ordinal=int(self.residue_ordinals[index]),
-                residue_name=self.residue_names[index],
-                position=Point3(*self.positions[index].tolist()),
-                chain_id=self.chain_ids[index],
-                residue_seq=int(self.residue_seqs[index]),
-                insertion_code=self.insertion_codes[index],
+                atom_ordinal=int(atom_ordinals[row]),
+                element=element,
+                atom_name=atom_name,
+                residue_ordinal=int(residue_ordinals[row]),
+                residue_name=residue_name,
+                position=Point3(*positions[row].tolist()),
+                chain_id=chain_id,
+                residue_seq=int(residue_seqs[row]),
+                insertion_code=insertion_code,
             )
+        atoms = object.__new__(Atoms)
+        if isinstance(index, slice) and (rows := self._span()[index]).step == 1:
+            atoms._columns = self._columns
+            atoms._rows = None if rows == range(len(self._columns[1])) else rows
+            return atoms
         # Rows of valid columns stay valid; a slice of a read-only column is
         # read-only, an index array's copy is made so.
-        atoms = object.__new__(Atoms)
-        for name in self.COLUMNS:
-            column = getattr(self, name)[index]
-            if not isinstance(index, slice):
+        atoms._columns = tuple(getattr(self, name)[index] for name in self.COLUMNS)
+        if not isinstance(index, slice):
+            for column in atoms._columns:
                 column.setflags(write=False)
-            setattr(atoms, name, column)
+        atoms._rows = None
         return atoms
 
     def __iter__(self) -> Iterator[AtomRecord]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, NamedTuple
@@ -149,7 +150,8 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     has another form, the numeric fields are read again line by line as
     ``int()`` and ``float()`` read them, which raises the first bad field's
     MalformedRecord. The text fields of an atom form one integer key, and
-    the fields of each distinct key are cut from one of its lines.
+    the fields of each distinct key are cut from one of its lines and
+    interned (``sys.intern``).
     """
     lines = list(stream)
     records = [raw[0:6].strip() for raw in lines]
@@ -184,8 +186,9 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     low = residue_seqs.min()
     residue_keys = residue_of_text[text_of_atom] * (residue_seqs.max() - low + 1) + (residue_seqs - low)
 
+    # Names are interned, so equal names of every file share one str.
     def text_column(values):
-        return np.array(values, dtype=object)[text_of_atom]
+        return np.array([sys.intern(value) for value in values], dtype=object)[text_of_atom]
 
     atoms = Atoms(
         positions=positions,

@@ -271,7 +271,7 @@ class ScoreTable:
     The table owns the query's hot cells as ``hot``, a ``HotCells``: the
     merge scan sends a matched cell whose fan-in exceeds ``fanin`` there
     instead of to ``add``. The default ``fanin`` makes no cell hot, so
-    ``items()`` is then the full join. ``score_query`` builds its table from
+    ``reduced()`` is then the full join. ``score_query`` builds its table from
     the module constants ``DEFAULT_SCORE_BUDGET`` and ``_HOT_FANIN``; they
     are internal and not options of any entry point.
     """
@@ -357,11 +357,6 @@ class ScoreTable:
         if len(self._reduced) == 1 and not self._blocks:
             return self._reduced[0]
         return _reduce(_merge(blocks))
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        """Yield ((db sk, db ro, q sk, q ro), total count) for every reduced pair, in key order."""
-        for db, q, count in zip(*(column.tolist() for column in _decode(self.reduced()))):
-            yield (db >> 32, db & _LOW32, q >> 32, q & _LOW32), count
 
 
 class HotCells:

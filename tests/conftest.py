@@ -1,7 +1,8 @@
 """Shared helpers: fixed-width structure text writers, corpus builders, the
 reference run order and run bytes, a per-cell reference run reader, a
 recorder of opened run readers, the reference norms, cell indices with the
-reference Morton coder, and score-table batches of matched cells."""
+reference Morton coder, and score-table batches of matched cells and their
+reduced pairs."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from patchgrid import grid as grid_module
+from patchgrid import matcher
 from patchgrid.errors import CorruptDatabase
 from patchgrid.geometry import AtomRecord
 from patchgrid.grid import Cell, GridParams, morton_encode
@@ -337,6 +339,13 @@ def add_cells(target, cells) -> None:
 
     target.add(packed(column(0)), np.array(column(2), dtype=np.uint64), cell_numbers(0),
                packed(column(1)), cell_numbers(1))
+
+
+def score_items(table) -> list[tuple[tuple[int, int, int, int], int]]:
+    """((db sk, db ro, q sk, q ro), total count) of every pair a
+    ``ScoreTable`` has reduced, in key order."""
+    db, q, counts = (column.tolist() for column in matcher._decode(table.reduced()))
+    return [((d >> 32, d & 0xFFFFFFFF, k >> 32, k & 0xFFFFFFFF), c) for d, k, c in zip(db, q, counts)]
 
 
 def sparse_cells(rng: random.Random, n_cells: int = 8) -> list[tuple[list, list, list]]:

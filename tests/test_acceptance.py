@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CellIndex, corpus, interleave_bits, morton_decode, z_records
+from conftest import CellIndex, corpus, interleave_bits, morton_decode, score_items, z_records
 from patchgrid import reliability
 from patchgrid.baseline import FrameMode, naive_frames, naive_match
 from patchgrid.geometry import AtomRecord, Atoms, Point3, transform_points
@@ -199,7 +199,7 @@ def test_acceptance_05_single_access_merge_scan(tmp_path):
     for trial in range(1000):
         gp = random_grid(rng, "gp.bin")
         gq = random_grid(rng, "gq.bin")
-        merged = dict(merge_scan_match(gp, gq, ScoreTable()).items())
+        merged = dict(score_items(merge_scan_match(gp, gq, ScoreTable())))
         assert merged == join_oracle(gp, gq)
     print("ACCEPTANCE 05 PASS — single access per stored cell; merge scan == "
           "nested-loop join on 1000 random grid pairs")

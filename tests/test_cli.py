@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import structure_text
-from patchgrid import preprocess
+from patchgrid import cli, preprocess
 from patchgrid.cli import db_write_lock, main, resolve_config
 from patchgrid.preprocess import PatchDatabase
 from patchgrid.synthetic import random_protein
@@ -132,6 +132,36 @@ def test_build_query_add_eval_round_trip(workspace, capsys):
 
     # no temp litter left behind
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_eval_parses_each_structure_its_pairs_name_once(workspace, monkeypatch, capsys):
+    tmp_path, files, template, annotations, _ = workspace
+    db_dir = tmp_path / "db"
+    assert main([
+        "build-db", *(str(path) for path in files.values()), "--templates", str(template),
+        "--db", str(db_dir), "--delta", "1.0", "--tmp", str(tmp_path),
+    ]) == 0
+    assert main(["query", str(files["SRC0"]), "--db", str(db_dir), "--tau-pp", "1.0",
+                 "--out", str(tmp_path / "q0"), "--tmp", str(tmp_path)]) == 0
+    rows = (tmp_path / "q0.results.tsv").read_text().splitlines()[1:]
+    named = {row.split("\t")[1] for row in rows}
+    # the query is also a source, and some database source is not named
+    assert "SRC0" in named and not set(files) <= named
+    parsed = []
+
+    def counting(stream, protein_id=None):
+        parsed.append(protein_id)
+        return parse(stream, protein_id=protein_id)
+
+    parse = cli.parse_structure_file
+    monkeypatch.setattr(cli, "parse_structure_file", counting)
+    rc = main([
+        "eval", "--results", f"SRC0={tmp_path / 'q0.results.tsv'}",
+        "--annotations", str(annotations), "--structures", str(tmp_path),
+        "--db", str(db_dir), "--out", str(tmp_path / "tp.tsv"), "--tmp", str(tmp_path),
+    ])
+    assert rc == 0
+    assert sorted(parsed) == sorted(named & set(files))
 
 
 def test_build_refuses_existing_db(workspace, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from conftest import reference_norms
 from patchgrid.geometry import (
     COLLINEARITY_TOL,
     MIN_SEPARATION,
+    AtomRecord,
+    Atoms,
+    Point3,
     RigidFrame,
     frame_from_triple,
     point_norms,
@@ -301,3 +305,90 @@ def test_property_point_norms_bit_equal_row_sum(rows):
     with np.errstate(over="ignore", under="ignore"):
         got, expected = point_norms(points), reference_norms(points)
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def random_atoms(seed: int, n: int) -> Atoms:
+    rng = np.random.default_rng(seed)
+    names = np.array(["N", "CA", "C", "O", "CB", "OG1"], dtype=object)
+    return Atoms(
+        positions=rng.normal(scale=10.0, size=(n, 3)),
+        atom_ordinals=np.arange(n),
+        residue_ordinals=np.sort(rng.integers(0, max(n // 3, 1), size=n)),
+        residue_seqs=rng.integers(-5, 500, size=n),
+        atom_names=rng.choice(names, size=n),
+        residue_names=rng.choice(np.array(["ALA", "SER", "GLY"], dtype=object), size=n),
+        elements=rng.choice(np.array(["N", "C", "O"], dtype=object), size=n),
+        chain_ids=rng.choice(np.array(["A", "B"], dtype=object), size=n),
+        insertion_codes=rng.choice(np.array(["", "A"], dtype=object), size=n),
+    )
+
+
+BOUNDS = st.none() | st.integers(-15, 15)
+
+
+@st.composite
+def atom_indices(draw, n: int):
+    """A slice, of any step and any bounds, or an index array within ``n`` rows."""
+    kind = draw(st.sampled_from(["range", "slice", "array", "mask"]))
+    if kind == "range":
+        return slice(draw(BOUNDS), draw(BOUNDS))
+    if kind == "slice":
+        return slice(draw(BOUNDS), draw(BOUNDS), draw(st.sampled_from([None, 1, -1, 2, -2, 3])))
+    if kind == "mask":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rows = st.lists(st.integers(-n, n - 1), max_size=8) if n else st.just([])
+    return np.array(draw(rows), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_indexed_atoms_equal_each_column_indexed(n, seed, data):
+    atoms = random_atoms(seed, n)
+    columns = {name: getattr(atoms, name).copy() for name in Atoms.COLUMNS}
+    for _ in range(data.draw(st.integers(1, 3))):
+        index = data.draw(atom_indices(len(atoms)))
+        atoms = atoms[index]
+        columns = {name: column[index] for name, column in columns.items()}
+        assert len(atoms) == len(columns["atom_ordinals"])
+        for name, expected in columns.items():
+            column = getattr(atoms, name)
+            assert column.dtype == expected.dtype and column.shape == expected.shape
+            assert np.array_equal(column, expected) and not column.flags.writeable
+    records = [
+        AtomRecord(int(o), e, a, int(r), rn, Point3(*p.tolist()), c, int(s), i)
+        for o, e, a, r, rn, p, c, s, i in zip(*(columns[name] for name in (
+            "atom_ordinals", "elements", "atom_names", "residue_ordinals", "residue_names",
+            "positions", "chain_ids", "residue_seqs", "insertion_codes",
+        )))
+    ]
+    assert list(atoms) == records
+    assert [atoms[k] for k in range(-len(atoms), len(atoms))] == records + records
+    for k in (len(atoms), -len(atoms) - 1):
+        with pytest.raises(IndexError):
+            atoms[k]
+    assert atoms == Atoms(**columns) and atoms.replace() == atoms
+    assert Atoms.concat([atoms, atoms[len(atoms):]]) == atoms
+
+
+def test_step_one_slice_shares_its_parents_columns():
+    atoms = random_atoms(7, 10)
+    part = atoms[2:9][-4:-1]
+    assert part == atoms[5:8]
+    for name in Atoms.COLUMNS:
+        assert np.shares_memory(getattr(part, name), getattr(atoms, name))
+        # an Atoms that covers every row gives the column itself
+        assert getattr(atoms[:], name) is getattr(atoms, name)
+
+
+def test_row_range_slices_allocate_no_column_arrays():
+    atoms = random_atoms(11, 2000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parts = [atoms[k:k + 5] for k in range(1000)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 1000
+    # an Atoms and its range each, not nine column arrays of some 100 B
+    assert held < 1000 * 250

@@ -20,6 +20,7 @@ from conftest import (
     reference_morton,
     reference_norms,
     reference_run_bytes,
+    score_items,
     sparse_cells,
     z_records,
 )
@@ -242,18 +243,18 @@ def test_merge_scan_shared_cells_only(tmp_path):
     gq = run_from_z(tmp_path, "gq.bin", {2: [(0, 0, 0)], 4: [(0, 5, 1)], 9: [(0, 6, 2)]})
     table = ScoreTable()
     merge_scan_match(gp, gq, table)
-    assert dict(table.items()) == {
+    assert dict(score_items(table)) == {
         (0, 1, 0, 5): 1,
         (0, 2, 0, 6): 1,
     }
-    assert dict(table.items()) == join_oracle(gp, gq)
+    assert dict(score_items(table)) == join_oracle(gp, gq)
 
 
 def test_merge_scan_disjoint_is_empty(tmp_path):
     gp = run_from_z(tmp_path, "gp.bin", {1: [(0, 0, 0)]})
     gq = run_from_z(tmp_path, "gq.bin", {2: [(0, 0, 0)]})
     table = merge_scan_match(gp, gq, ScoreTable())
-    assert dict(table.items()) == {}
+    assert dict(score_items(table)) == {}
 
 
 def test_merge_scan_increment_rule(tmp_path):
@@ -261,7 +262,7 @@ def test_merge_scan_increment_rule(tmp_path):
     gp = run_from_z(tmp_path, "gp.bin", {5: [(7, 1, 0), (7, 1, 1), (7, 1, 2)]})
     gq = run_from_z(tmp_path, "gq.bin", {5: [(0, 10, 0), (0, 11, 4)]})
     table = merge_scan_match(gp, gq, ScoreTable())
-    assert dict(table.items()) == {
+    assert dict(score_items(table)) == {
         (7, 1, 0, 10): 3,
         (7, 1, 0, 11): 3,
     }
@@ -312,7 +313,7 @@ def test_merge_scan_equals_join_oracle_random(tmp_path):
             {z: [(0, rng.randint(0, 6), rng.randint(0, 5))
                  for _ in range(rng.randint(1, 4))] for z in z_pool_q},
         )
-        assert dict(merge_scan_match(gp, gq, ScoreTable()).items()) == join_oracle(gp, gq)
+        assert dict(score_items(merge_scan_match(gp, gq, ScoreTable()))) == join_oracle(gp, gq)
 
 
 @pytest.mark.parametrize("scan_batch", [1, 3, 1024])
@@ -342,7 +343,7 @@ def test_merge_scan_closes_batches_where_the_budget_is_reached(tmp_path, monkeyp
     monkeypatch.setattr(matcher, "_SCAN_BATCH", scan_batch)
     table = merge_scan_match(db.grid, gq, ScoreTable(budget=budget))
     assert batches == expected and len(expected) > (budget < 10**6)
-    assert dict(table.items()) == join_oracle(db.grid, gq)
+    assert dict(score_items(table)) == join_oracle(db.grid, gq)
 
 
 def test_merge_scan_params_mismatch(tmp_path):
@@ -412,7 +413,7 @@ def test_score_table_spilled_items_sorted_and_summed():
             batch = sparse_cells(rng)
             add_cells(table, batch)
             cells += batch
-        assert list(table.items()) == sorted(joined(cells).items())
+        assert list(score_items(table)) == sorted(joined(cells).items())
         assert table.spills > 0
 
 
@@ -494,7 +495,7 @@ def test_score_table_counts_never_wrap(batches, budget, n_atoms):
     for cells, is_hot in batches:
         add_cells(table.hot if is_hot else table, cells)
         (hot if is_hot else cold).extend(cells)
-    assert list(table.items()) == sorted(joined(cold).items())
+    assert list(score_items(table)) == sorted(joined(cold).items())
     if not hot:
         return
     full = joined(cold + hot)
@@ -515,10 +516,10 @@ def test_join_cells_takes_cells_without_database_entries():
     empty = np.empty((0, 3), dtype=np.uint32)
     table = ScoreTable()
     matcher._join_cells([np.array([[0, 1, 0]], dtype=np.uint32), empty], [q, q], table)
-    assert dict(table.items()) == {(0, 1, 0, 5): 1}
+    assert dict(score_items(table)) == {(0, 1, 0, 5): 1}
     table = ScoreTable()
     matcher._join_cells([empty], [q], table)
-    assert dict(table.items()) == {} and table.rows == 0
+    assert dict(score_items(table)) == {} and table.rows == 0
 
 
 _FIELD = st.one_of(st.integers(0, 3), st.just(2**32 - 1))
@@ -554,9 +555,9 @@ def test_score_table_equals_dict_oracle(batches, budget):
         if keys > 4 * rows:
             sparse_rows += rows
     expected = joined([cell for cells in batches for cell in cells])
-    first = list(table.items())
+    first = list(score_items(table))
     assert first == sorted(expected.items())
-    assert list(table.items()) == first  # items() does not consume the table
+    assert list(score_items(table)) == first  # reading the pairs does not consume the table
     assert len(table.reduced().pair) == len(expected)
     assert (table.spills > 0) == (sparse_rows > budget)
 
@@ -652,7 +653,7 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
     for cutoff in (0, 2, 4, 2**62):
         table = merge_scan_match(db.grid, gq, ScoreTable(fanin=cutoff))
         hot = table.hot
-        joined = dict(table.items())
+        joined = dict(score_items(table))
         cells = []
         if hot.n_cells:
             db_keys, counts, db_cells, q_keys, q_cells = hot.columns()

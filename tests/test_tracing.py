@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
-from conftest import add_cells, sparse_cells
+from conftest import add_cells, score_items, sparse_cells
 from patchgrid import grid, matcher, preprocess
 from patchgrid.matcher import match_query
 from patchgrid.preprocess import add_patches, build_patch_database, compact
@@ -120,5 +120,5 @@ def test_library_writes_nothing_to_stdout(tmp_path, capsys):
     # the score table's spills, which the query's dense batches do not take
     table = matcher.ScoreTable(budget=3)
     add_cells(table, sparse_cells(random.Random(79)))
-    assert results and table.spills > 0 and list(table.items())
+    assert results and table.spills > 0 and list(score_items(table))
     assert capsys.readouterr().out == ""

@@ -42,8 +42,10 @@ external sort, ``_sort``, serves ``sort_run`` and ``sort_grid``: only
 records past the memory budget spill, as sorted chunks in one temporary
 directory that is removed when the sort ends, and the chunks are merged.
 ``sort_run`` writes a run file; ``sort_grid`` keeps records that fit as a
-``MemoryGrid``. ``merge_runs`` merges a grid's runs, and a multi-run
-``GridCursor`` cuts its cells from the merged runs, so equal-z cells of
+``MemoryGrid``. A ``GridCursor`` reads the cells of one run; a database
+of several runs is scanned with one cursor per run, since its runs share
+no structure key (see ``matcher.merge_scan_match``). Only ``merge_runs``
+forms the union of several runs, to write it as one run: equal-z cells of
 several runs become one cell. Where the records' (structure key, residue
 ordinal, atom ordinal) already ascend, as in the indexer's and the query
 grid's streams, the chunks of one stream and the runs of one database,
@@ -782,41 +784,33 @@ class MemoryGrid:
 
 
 class GridCursor:
-    """Iterator over the logical cells of a grid in strictly increasing z.
+    """Iterator over the cells of a one-run grid in strictly increasing z.
 
-    ``records`` is the runs' ``RUN_RECORD`` blocks merged by
-    ``_merge_blocks``. A multi-run cursor cuts its cells from that stream:
-    equal-z cells of several runs become one cell with the sorted, distinct
-    union of their entries. A single run's cells are read directly.
-    ``physical_cells_read`` counts stored cell records read from the
-    runs: exactly one read per stored cell over a full scan.
+    A grid whose cells lie in several runs raises ValueError: a database's
+    runs are scanned each by its own cursor (``matcher.merge_scan_match``)
+    and compacted by ``merge_runs``. A grid without cells reads as an empty
+    run. ``physical_cells_read`` counts stored cell records read from the
+    run: exactly one read per stored cell over a full scan.
     """
 
     def __init__(self, grid: DiskGrid | MemoryGrid):
-        # A run that fails to open closes the ones opened before it.
-        with ExitStack() as opened:
-            self._readers = [
-                opened.enter_context(closing(_RunReader(source))) for source in grid.run_sources()
-            ]
-            opened.pop_all()
-        self.records = _merge_blocks([_run_records(r) for r in self._readers])
-        self._cells = (
-            self._readers[0] if len(self._readers) == 1 else _cells_of(self.records)
-        )
+        sources = grid.run_sources()
+        if len(sources) > 1:
+            raise ValueError(f"a cursor reads one run; the grid holds cells in {len(sources)}")
+        self._reader = _RunReader(sources[0] if sources else np.empty(0, dtype=np.uint8))
 
     @property
     def physical_cells_read(self) -> int:
-        return sum(r.cells_read for r in self._readers)
+        return self._reader.cells_read
 
     def __iter__(self):
         return self
 
     def __next__(self) -> Cell:
-        return next(self._cells)
+        return next(self._reader)
 
     def close(self) -> None:
-        for r in self._readers:
-            r.close()
+        self._reader.close()
 
     def __enter__(self):
         return self
@@ -850,36 +844,19 @@ def _cell_records(cells: list[Cell]) -> np.ndarray:
     return records
 
 
-def _cells_of(blocks: Iterator[np.ndarray]) -> Iterator[Cell]:
-    """The sorted, distinct cells of a stream of sorted record blocks."""
-    held = np.empty(0, dtype=RUN_RECORD)
-    for block in blocks:
-        held, last_cell = _append_distinct(held, block)
-        yield from _split_cells(held[:last_cell])
-        held = held[last_cell:]
-    yield from _split_cells(held)
-
-
-def _split_cells(records: np.ndarray) -> Iterator[Cell]:
-    """Sorted, distinct records as one cell per distinct z."""
-    z = records["z"]
-    bounds = np.append(_cell_starts(z), len(records)).tolist()
-    entries = np.column_stack((records["sk"], records["ro"], records["ao"]))
-    entries.flags.writeable = False
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        yield Cell(int(z[start]), entries[start:end])
-
-
 def merge_runs(grid: DiskGrid) -> DiskGrid:
     """Write the grid's cells as one new run and return the grid made of it.
 
-    The runs' merged record stream goes straight to the run writer, which
-    drops the entries that several runs share. The old run files are left
-    in place for the caller to delete once the new grid is committed. A
-    single-run grid is returned as is.
+    Each run is read by its own reader, and the runs' record streams,
+    merged by ``_merge_blocks``, go straight to the run writer, which drops
+    the entries that several runs share, so equal-z cells of several runs
+    become one cell. A run that fails to open closes the ones opened before
+    it. The old run files are left in place for the caller to delete once
+    the new grid is committed. A single-run grid is returned as is.
     """
     if len(grid.runs) <= 1:
         return grid
-    with GridCursor(grid) as cursor:
-        info = _write_run(grid.directory / grid.next_run_name(), cursor.records)
+    with ExitStack() as opened:
+        readers = [opened.enter_context(closing(_RunReader(source))) for source in grid.run_sources()]
+        info = _write_run(grid.directory / grid.next_run_name(), _merge_blocks([_run_records(r) for r in readers]))
     return DiskGrid(params=grid.params, directory=grid.directory, runs=[info])

@@ -2,11 +2,14 @@
 
 The query structure gets one frame per complete residue, exactly like a
 database patch, but only atoms within ``mps`` of the frame origin produce
-entries. The query grid and database grid are then read in batches of
-cells, and the batches matched by z: each stored cell of either grid is
-read exactly once, and whenever the two sides hold the same z, every
-database frame with c entries in the cell adds c to its pair score with
-every query frame present in the cell.
+entries. The query grid and each run of the database grid are then read
+in batches of cells, each run by its own cursor, and the batches matched by
+z: each stored cell of either grid is read exactly once, and whenever a run
+and the query hold the same z, every database frame with c entries in the
+run's cell adds c to its pair score with every query frame present in the
+query's cell. Runs share no structure key (each ``add`` keys its patches
+above the existing ones), so a frame's entries lie in one run, and summing
+over the runs gives the counts over their union.
 The final score of a (database frame, query frame) pair is its matched-atom
 count divided by the atom count of the patch owning the database frame,
 which keeps scores in [0, 1].
@@ -55,11 +58,12 @@ cells, so those cells cross nearly every database frame with every query
 frame, yet none of them can decide a match alone. ``score_query`` therefore
 marks a matched cell *hot*, during the scan, when its fan-in (distinct
 database frames times distinct query frames) exceeds the internal cutoff
-``_HOT_FANIN``. A hot cell adds no rows to the score table; the table's
-``hot`` collector keeps it in memory as its database keys, their entry
-counts and its query keys, and each database frame f sums its hot-cell
-counts into ``hot_max[f]``. A pair
-(f, q) then scores at most ``cold(f, q) + hot_max[f]``, where ``cold`` is
+``_HOT_FANIN``; over several runs a matched cell is a run's cell, so one z
+can be hot in one run and cold in another. A hot cell adds no rows to the
+score table; the table's ``hot`` collector keeps it in memory as its
+database keys, their entry counts and its query keys, and each database
+frame f sums its hot-cell counts into ``hot_max[f]``. A pair (f, q) then
+scores at most ``cold(f, q) + hot_max[f]``, where ``cold`` is
 its score-table count, because q can gain at most f's own count from each
 hot cell. After the scan a cold pair stays a candidate only if that bound
 passes the threshold, and a frame whose ``hot_max`` alone passes it is
@@ -528,35 +532,50 @@ def merge_scan_match(
     table: ScoreTable,
     stats: dict | None = None,
 ) -> ScoreTable:
-    """Join two z-sorted grids in a single pass, updating the score table.
+    """Join a database grid and a query grid in a single pass, updating the score table.
 
-    Each cursor's cells are taken in batches of at most ``_SCAN_BATCH``, and
-    the two batches are matched by z up to the smaller of their last z; the
-    side that reaches further keeps its other cells for the next round. In
-    every matched cell, every distinct query ref in the query cell receives
-    the per-ref entry counts of the database cell. The matched cells' entry
-    arrays are collected and scored in batches of about ``table.budget``
-    entries, each closed by the cell that brings it to the budget; a
-    matched cell whose fan-in exceeds ``table.hot.fanin`` goes to
-    ``table.hot`` instead of the table. Both cursors are driven to
-    exhaustion so each stored cell of either grid is physically read
-    exactly once (asserted via the cursors' read counters).
+    Each run of ``gp`` is read by its own cursor, opened before the query
+    grid's; a run that fails to open closes the cursors opened before it.
+    Every cursor's cells are taken in batches of at most ``_SCAN_BATCH``.
+    Each round cuts at the smallest last z among the batches, matches each
+    run's cells up to the cut with the query's by z, and replaces a batch
+    that is used up by its cursor's next one. In every matched cell, every
+    distinct query ref in the query cell receives the per-ref entry counts
+    of the database cell. The matched cells' entry arrays are collected and
+    scored in batches of about ``table.budget`` entries, each closed by the
+    cell that brings it to the budget; a matched cell whose fan-in exceeds
+    ``table.hot.fanin`` goes to ``table.hot`` instead of the table. Every
+    cursor is driven to exhaustion so each stored cell of either grid is
+    physically read exactly once (asserted via the cursors' read counters).
+
+    A z that several runs hold is matched once per run. Runs share no
+    structure key (see the module docstring), so the results equal those
+    over the runs' union, which ``merge_runs`` writes.
     """
     if gp.params != gq.params:
         raise ParamsMismatch(f"grid params differ: {gp.params} vs {gq.params}")
-    with GridCursor(gp) as cur_p, GridCursor(gq) as cur_q:
+    with ExitStack() as opened:
+        cursors = [opened.enter_context(GridCursor(DiskGrid(gp.params, gp.directory, [run]))) for run in gp.runs]
+        cur_q = opened.enter_context(GridCursor(gq))
         p_entries: list[np.ndarray] = []
         q_entries: list[np.ndarray] = []
         held = 0
-        p_z, p_cells = _next_cells(cur_p)
+        # Per run: its cursor, then its batch's z and cells.
+        runs = [[cursor, *_next_cells(cursor)] for cursor in cursors]
         q_z, q_cells = _next_cells(cur_q)
-        while len(p_z) and len(q_z):
-            cut = min(p_z[-1], q_z[-1])
-            n_p, n_q = int(np.searchsorted(p_z, cut, "right")), int(np.searchsorted(q_z, cut, "right"))
-            _, at_p, at_q = np.intersect1d(p_z[:n_p], q_z[:n_q], assume_unique=True, return_indices=True)
-            if len(at_p):
-                p_new = [p_cells[i].entries for i in at_p.tolist()]
-                q_new = [q_cells[i].entries for i in at_q.tolist()]
+        while len(q_z) and (runs := [run for run in runs if len(run[1])]):
+            cut = min(q_z[-1], *(p_z[-1] for _, p_z, _ in runs))
+            n_q = int(np.searchsorted(q_z, cut, "right"))
+            p_new: list[np.ndarray] = []
+            q_new: list[np.ndarray] = []
+            for run in runs:
+                _, p_z, p_cells = run
+                n_p = int(np.searchsorted(p_z, cut, "right"))
+                _, at_p, at_q = np.intersect1d(p_z[:n_p], q_z[:n_q], assume_unique=True, return_indices=True)
+                p_new += [p_cells[i].entries for i in at_p.tolist()]
+                q_new += [q_cells[i].entries for i in at_q.tolist()]
+                run[1:] = p_z[n_p:], p_cells[n_p:]
+            if p_new:
                 # Entries held after each new cell; a batch is scored after
                 # the cell that brings it to the budget.
                 sizes = np.fromiter(map(len, p_new), np.int64, len(p_new))
@@ -572,19 +591,19 @@ def merge_scan_match(
                 p_entries += p_new
                 q_entries += q_new
                 held = int(held_after[-1]) if len(held_after) else 0
-            p_z, p_cells = p_z[n_p:], p_cells[n_p:]
+            for run in runs:
+                if not len(run[1]):
+                    run[1:] = _next_cells(run[0])
             q_z, q_cells = q_z[n_q:], q_cells[n_q:]
-            if not len(p_z):
-                p_z, p_cells = _next_cells(cur_p)
             if not len(q_z):
                 q_z, q_cells = _next_cells(cur_q)
         if p_entries:
             _join_cells(p_entries, q_entries, table)
-        # Drain both sides: a full scan reads every stored cell once.
-        collections.deque(cur_p, maxlen=0)
-        collections.deque(cur_q, maxlen=0)
+        # Drain every side: a full scan reads every stored cell once.
+        for cursor in (*cursors, cur_q):
+            collections.deque(cursor, maxlen=0)
         if stats is not None:
-            stats["gp_cells_read"] = cur_p.physical_cells_read
+            stats["gp_cells_read"] = sum(cursor.physical_cells_read for cursor in cursors)
             stats["gq_cells_read"] = cur_q.physical_cells_read
             stats["gp_cells_stored"] = gp.total_cells
             stats["gq_cells_stored"] = gq.total_cells

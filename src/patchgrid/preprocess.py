@@ -361,8 +361,9 @@ def _append_run(
 ) -> PatchDatabase | None:
     """Index patches into one new sorted run of ``db`` and commit it.
 
-    Structure keys continue after the largest existing key. Patches without
-    a single valid frame are excluded and counted under
+    Structure keys continue after the largest existing key, so runs share
+    none: the matcher scans each run on its own. Patches without a single
+    valid frame are excluded and counted under
     ``counters['patches_excluded']``; None is returned, and nothing written,
     when no patch is left. Every group's frames are built before any entry
     is generated, and each group's entries are generated as the sort takes

@@ -156,53 +156,75 @@ def test_acceptance_04_storage_exactness(tmp_path):
 
 
 def test_acceptance_05_single_access_merge_scan(tmp_path):
-    """Physical reads equal stored cell counts, and the merge scan equals a
-    nested-loop cell join on 1000 random grid pairs."""
+    """Physical reads equal stored cell counts, over one run and over three,
+    and the merge scan equals a nested-loop join of the union cells on 1000
+    random grid pairs, whose database grids hold 1 to 3 runs."""
     instance = planted_instance(seed=99, n_patches=6)
-    db = build_patch_database(instance.patches, instance.params, tmp_path / "db")
-    stats: dict = {}
-    match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
-    assert stats["gp_cells_read"] == stats["gp_cells_stored"] == db.grid.total_cells
-    assert stats["gq_cells_read"] == stats["gq_cells_stored"]
+    one_run = build_patch_database(instance.patches, instance.params, tmp_path / "db")
+    three_runs = build_patch_database(instance.patches[:2], instance.params, tmp_path / "db3")
+    three_runs = add_patches(add_patches(three_runs, instance.patches[2:4]), instance.patches[4:])
+    assert len(three_runs.grid.runs) == 3
+    for db in (one_run, three_runs):
+        stats: dict = {}
+        match_query(instance.query, db, 0.0, tmp_dir=tmp_path, stats=stats)
+        assert stats["gp_cells_read"] == stats["gp_cells_stored"] == sum(run.n_cells for run in db.grid.runs)
+        assert stats["gq_cells_read"] == stats["gq_cells_stored"]
 
     params = GridParams(delta=1.0)
 
-    def random_grid(rng, name):
-        items = [
-            (CellIndex(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)),
-             (rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 6)))
-            for _ in range(rng.randint(1, 25))
-        ]
-        info = build_sorted_run(z_records(items, params), tmp_path / name)
-        return DiskGrid(params, tmp_path, [info])
+    def random_grid(rng, name, n_runs=1):
+        # run r holds structure keys 4r to 4r + 3, as appended runs hold
+        # keys above the earlier runs'
+        runs = []
+        for r in range(n_runs):
+            items = [
+                (CellIndex(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)),
+                 (4 * r + rng.randint(0, 3), rng.randint(0, 5), rng.randint(0, 6)))
+                for _ in range(rng.randint(1, 25))
+            ]
+            runs.append(build_sorted_run(z_records(items, params), tmp_path / f"{name}{r}.bin"))
+        return DiskGrid(params, tmp_path, runs)
+
+    def union_cells(grid):
+        """The grid's cells as z -> the union of its runs' entries."""
+        cells: dict[int, set] = {}
+        for run in grid.runs:
+            with GridCursor(DiskGrid(params, tmp_path, [run])) as cursor:
+                for cell in cursor:
+                    cells.setdefault(cell.z, set()).update(map(tuple, cell.entries.tolist()))
+        return cells
 
     def join_oracle(gp, gq):
-        with GridCursor(gp) as cp:
-            p_cells = list(cp)
-        with GridCursor(gq) as cq:
-            q_cells = list(cq)
+        p_cells, q_cells = union_cells(gp), union_cells(gq)
         table: dict[tuple, int] = {}
-        for cell_p in p_cells:
-            for cell_q in q_cells:
-                if cell_p.z != cell_q.z:
+        for z_p, p_entries in p_cells.items():
+            for z_q, q_entries in q_cells.items():
+                if z_p != z_q:
                     continue
                 counts: dict[tuple, int] = {}
-                for sk, ro, _ in cell_p.entries.tolist():
+                for sk, ro, _ in p_entries:
                     counts[sk, ro] = counts.get((sk, ro), 0) + 1
-                for q_ref in {(sk, ro) for sk, ro, _ in cell_q.entries.tolist()}:
+                for q_ref in {(sk, ro) for sk, ro, _ in q_entries}:
                     for db_ref, c in counts.items():
                         key = (*db_ref, *q_ref)
                         table[key] = table.get(key, 0) + c
         return table
 
     rng = random.Random(123)
+    shared = 0  # matched cells that several database runs hold
     for trial in range(1000):
-        gp = random_grid(rng, "gp.bin")
-        gq = random_grid(rng, "gq.bin")
-        merged = dict(score_items(merge_scan_match(gp, gq, ScoreTable())))
+        gp = random_grid(rng, "gp", rng.randint(1, 3))
+        gq = random_grid(rng, "gq")
+        stats = {}
+        merged = dict(score_items(merge_scan_match(gp, gq, ScoreTable(), stats=stats)))
         assert merged == join_oracle(gp, gq)
-    print("ACCEPTANCE 05 PASS — single access per stored cell; merge scan == "
-          "nested-loop join on 1000 random grid pairs")
+        assert stats["gp_cells_read"] == stats["gp_cells_stored"] == sum(run.n_cells for run in gp.runs)
+        run_z = [union_cells(DiskGrid(params, tmp_path, [run])).keys() for run in gp.runs]
+        shared += sum(sum(z in zs for zs in run_z) > 1 for z in union_cells(gq))
+    assert shared > 0
+    print("ACCEPTANCE 05 PASS — single access per stored cell over 1 and 3 runs; merge scan == "
+          f"nested-loop join on 1000 random grid pairs of 1 to 3 database runs ({shared} matched "
+          "cells held by several runs)")
 
 
 def _query_against(rng, patches, n_plant, noise_residues):

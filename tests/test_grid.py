@@ -490,7 +490,7 @@ def test_scan_counts_physical_reads(tmp_path):
     assert zs == sorted(zs) and len(set(zs)) == 5
 
 
-def test_scan_merges_shared_z_across_runs(tmp_path):
+def test_scan_merges_shared_z_across_runs(tmp_path, monkeypatch):
     a = make_run(tmp_path, "a.bin", [
         (CellIndex(0, 0, 0), entry(0, 0, 0)),
         (CellIndex(1, 0, 0), entry(0, 0, 1)),
@@ -499,10 +499,10 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
         (CellIndex(1, 0, 0), entry(1, 0, 0)),
         (CellIndex(2, 0, 0), entry(1, 0, 1)),
     ])
-    grid = DiskGrid(P1, tmp_path, [a, b])
-    with GridCursor(grid) as cursor:
-        cells = list(cursor)
-        assert cursor.physical_cells_read == 4
+    opened = opened_readers(monkeypatch)
+    merged = merge_runs(DiskGrid(P1, tmp_path, [a, b]))
+    assert sum(reader.cells_read for reader in opened) == 4
+    cells = read_cells(merged)
     assert len(cells) == 3
     shared = [c for c in cells if len(c.entries) == 2]
     assert len(shared) == 1
@@ -513,7 +513,7 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
         c.z: sorted(entry_tuples(c)) for c in cells
     }
     # A third run repeats entries of both and ties them on z, on (z, sk)
-    # and on (z, sk, ro); scanning and compacting give the same cells.
+    # and on (z, sk, ro); compacting gives the union's cells.
     c = make_run(tmp_path, "c.bin", [
         (CellIndex(1, 0, 0), entry(0, 0, 1)),
         (CellIndex(1, 0, 0), entry(1, 0, 0)),
@@ -522,14 +522,27 @@ def test_scan_merges_shared_z_across_runs(tmp_path):
         (CellIndex(2, 0, 0), entry(0, 0, 0)),
     ])
     grid = DiskGrid(P1, tmp_path, [a, b, c])
-    with GridCursor(grid) as cursor:
-        cells = [(cell.z, entry_tuples(cell)) for cell in cursor]
-        assert cursor.physical_cells_read == grid.total_cells == 6
+    opened.clear()
+    merged = merge_runs(grid)
+    assert sum(reader.cells_read for reader in opened) == grid.total_cells == 6
+    cells = [(cell.z, entry_tuples(cell)) for cell in read_cells(merged)]
     assert cells == sorted(union_oracle([DiskGrid(P1, tmp_path, [r]) for r in (a, b, c)]).items())
     assert cells[1][1] == [(0, 0, 1), (0, 5, 0), (1, 0, 0), (1, 0, 7)]
-    merged = merge_runs(grid)
-    assert [(cell.z, entry_tuples(cell)) for cell in read_cells(merged)] == cells
     assert (merged.total_cells, merged.total_entries) == (3, 7)
+
+
+def test_cursor_rejects_a_grid_of_several_runs(tmp_path, monkeypatch):
+    # a database's runs are scanned each by its own cursor; a run without
+    # cells holds nothing to read
+    a = make_run(tmp_path, "a.bin", [(CellIndex(0, 0, 0), entry(0, 0, 0))])
+    b = make_run(tmp_path, "b.bin", [(CellIndex(0, 0, 0), entry(1, 0, 0))])
+    empty = make_run(tmp_path, "empty.bin", [])
+    opened = opened_readers(monkeypatch)
+    with pytest.raises(ValueError, match="one run"):
+        GridCursor(DiskGrid(P1, tmp_path, [a, b]))
+    assert opened == []
+    assert [entry_tuples(cell) for cell in read_cells(DiskGrid(P1, tmp_path, [a, empty]))] == [[(0, 0, 0)]]
+    assert read_cells(DiskGrid(P1, tmp_path, [])) == []
 
 
 def test_merge_runs_single_run_unchanged(tmp_path):
@@ -609,18 +622,17 @@ def test_scan_union_equals_set_union_oracle_on_wide_keys(tmp_path, monkeypatch):
     assert any(len(lists) > 1 for lists in by_z.values())
     merge = grid_module._merge_blocks
     grid = DiskGrid(P1, tmp_path, runs)
+    opened = opened_readers(monkeypatch)
     # two-record blocks make the merge take many more, shorter rounds
     for block_records in (2, 1 << 12):
         monkeypatch.setattr(grid_module, "_WRITE_BLOCK_RECORDS", block_records)
         rounds = []
         monkeypatch.setattr(grid_module, "_merge_blocks", lambda streams: (
             rounds.append(set(block["z"].tolist())) or block for block in merge(streams)))
-        with GridCursor(grid) as cursor:
-            got = [(cell.z, entry_tuples(cell)) for cell in cursor]
-            assert cursor.physical_cells_read == grid.total_cells == sum(len(c) for c in per_run)
-        assert got == expected
-        assert any(a & b for a, b in zip(rounds, rounds[1:]))  # a cell straddles two rounds
+        opened.clear()
         merged = merge_runs(grid)
+        assert sum(reader.cells_read for reader in opened) == grid.total_cells == sum(len(c) for c in per_run)
+        assert any(a & b for a, b in zip(rounds, rounds[1:]))  # a cell straddles two rounds
         assert [(cell.z, entry_tuples(cell)) for cell in read_cells(merged)] == expected
         merged.run_path(merged.runs[0]).unlink()
 
@@ -880,23 +892,21 @@ def test_run_writer_blocks_match_one_block(tmp_path, monkeypatch, held):
 
 def test_exhausted_reader_and_cursors_keep_stopping(tmp_path):
     a = make_run(tmp_path, "a.bin", [(CellIndex(0, 0, 0), entry(0, 0, 0)), (CellIndex(1, 0, 0), entry(0, 1, 0))])
-    b = make_run(tmp_path, "b.bin", [(CellIndex(0, 0, 0), entry(1, 0, 0))])
     reader = grid_module._RunReader(tmp_path / "a.bin")
-    with GridCursor(DiskGrid(P1, tmp_path, [a])) as single, GridCursor(DiskGrid(P1, tmp_path, [a, b])) as multi:
-        for cells in (reader, single, multi):
+    with GridCursor(DiskGrid(P1, tmp_path, [a])) as cursor:
+        for cells in (reader, cursor):
             assert len(list(cells)) == 2
             assert next(cells, None) is None
             assert next(cells, None) is None
 
 
-@pytest.mark.parametrize("op", ["cursor", "merge_runs"])
-def test_missing_run_closes_the_runs_opened_before_it(tmp_path, monkeypatch, op):
+def test_missing_run_closes_the_runs_opened_before_it(tmp_path, monkeypatch):
     runs = [make_run(tmp_path, f"r{i}.bin", [(CellIndex(i, 0, 0), entry(0, i, 0))]) for i in range(3)]
     (tmp_path / "r2.bin").unlink()
     grid = DiskGrid(P1, tmp_path, runs)
     opened = opened_readers(monkeypatch)
     with pytest.raises(FileNotFoundError, match="r2.bin"):
-        GridCursor(grid) if op == "cursor" else merge_runs(grid)
+        merge_runs(grid)
     assert len(opened) == 2 and all(reader._fh.closed for reader in opened)
 
 

@@ -50,7 +50,7 @@ from patchgrid.matcher import (
     structural_identity,
     threshold_filter,
 )
-from patchgrid.preprocess import PatchMeta, add_patches, build_patch_database, residue_frames
+from patchgrid.preprocess import PatchMeta, add_patches, build_patch_database, compact, residue_frames
 from patchgrid.synthetic import (
     lattice_patch,
     move_atoms,
@@ -667,6 +667,41 @@ def test_merge_scan_hot_cells_partition_the_join(tmp_path):
         assert joined == expected
         assert (len(cells) > 0) == (cutoff < 2**62)
         assert all(len(db_keys) * len(q_keys) > cutoff for db_keys, _, q_keys in cells)
+
+
+def test_hot_cells_per_run_equal_the_compacted_database(tmp_path, monkeypatch):
+    # Each run of a database is scanned with its own cursor, so fan-in is
+    # per run cell: with the cutoff between two runs' fan-ins in one matched
+    # cell, that cell is hot in one run and cold in the other.
+    instance = planted_instance(seed=87, n_patches=6)
+    db = build_patch_database(instance.patches[:2], instance.params, tmp_path / "db")
+    db = add_patches(add_patches(db, instance.patches[2:4]), instance.patches[4:])
+    assert len(db.grid.runs) == 3
+    gq = build_query_grid(instance.query, db.params, db.mps, tmp_path / "gq")
+
+    def frames(cell):
+        return len({tuple(row) for row in cell.entries[:, :2].tolist()})
+
+    with GridCursor(gq) as cursor:
+        q_frames = {cell.z: frames(cell) for cell in cursor}
+    fanins: dict[int, list] = {}
+    for run in db.grid.runs:
+        with GridCursor(DiskGrid(db.params, db.grid.directory, [run])) as cursor:
+            for cell in cursor:
+                if cell.z in q_frames:
+                    fanins.setdefault(cell.z, []).append(frames(cell) * q_frames[cell.z])
+    cutoff = max(min(f) for f in fanins.values() if min(f) < max(f))
+    monkeypatch.setattr(matcher, "_HOT_FANIN", cutoff)
+    expected = {}
+    for tau in (0.0, 0.5):
+        stats: dict = {}
+        expected[tau] = match_query(instance.query, db, tau, tmp_dir=tmp_path, stats=stats)
+        assert stats["hot_cells"] > 0
+        assert expected[tau] == _oracle(instance, tau)
+    compacted = compact(db)
+    assert len(compacted.grid.runs) == 1
+    for tau in (0.0, 0.5):
+        assert match_query(instance.query, compacted, tau, tmp_dir=tmp_path) == expected[tau]
 
 
 def _pair_rows(scored):

@@ -585,7 +585,7 @@ EXTRA_ROWS = {
 
 @pytest.mark.parametrize("damage", [
     "drop run row", "truncate run file", "drop mps row", "run row missing field",
-    "non-integer count", "negative mps", *EXTRA_ROWS,
+    "non-integer count", "negative mps", "repeated run row", *EXTRA_ROWS,
 ])
 def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     _, patches = corpus(seed=8, n_proteins=6)
@@ -607,6 +607,8 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
             if row.startswith("patch\t") else row
             for row in rows
         ))
+    elif damage == "repeated run row":  # one run listed twice would be scanned twice
+        manifest.write_text("".join(row * 2 if row.startswith("run\trun_000000") else row for row in rows))
     elif damage == "negative mps":  # one byte: the first digit becomes a minus sign
         manifest.write_text("".join("mps\t-" + row[5:] if row.startswith("mps\t") else row for row in rows))
     elif damage in EXTRA_ROWS:
@@ -614,7 +616,7 @@ def test_load_rejects_corrupt_database(tmp_path, capsys, damage):
     else:
         path = db.grid.run_path(db.grid.runs[0])
         path.write_bytes(path.read_bytes()[:-12])
-    with pytest.raises(CorruptDatabase):
+    with pytest.raises(CorruptDatabase, match="patches account for" if damage == "repeated run row" else None):
         PatchDatabase.load(db_dir)
     assert main(["add", "--db", str(db_dir)]) == 1
     err = capsys.readouterr().err

@@ -44,9 +44,9 @@ class AtomRecord(NamedTuple):
 
     ``atom_ordinal`` is the 0-based position within the parent structure and
     ``residue_ordinal`` the 0-based index of the residue the atom belongs to
-    (non-decreasing in file order). ``chain_id``, ``residue_seq`` and
-    ``insertion_code`` retain the source-file residue identity so annotated
-    residue references can be resolved back to atoms.
+    (non-decreasing in file order). ``chain_id`` and ``residue_seq`` retain
+    the source-file residue identity; the residue's insertion code is kept
+    once per residue, by ``Protein.insertion_codes``.
     """
 
     atom_ordinal: int
@@ -57,7 +57,6 @@ class AtomRecord(NamedTuple):
     position: Point3
     chain_id: str = "A"
     residue_seq: int = 0
-    insertion_code: str = ""
 
 
 def _column(i: int) -> property:
@@ -73,30 +72,29 @@ class Atoms:
     Row i of every column describes the same atom: ``positions`` is an
     (n, 3) float64 array; ``atom_ordinals``, ``residue_ordinals`` and
     ``residue_seqs`` are int64 arrays; ``atom_names``, ``residue_names``,
-    ``elements``, ``chain_ids`` and ``insertion_codes`` are object arrays
-    of str, and insertion codes default to blank (""). The columns
+    ``elements`` and ``chain_ids`` are object arrays of str. The columns
     are read-only. Indexing with an int gives that row as an ``AtomRecord``,
     iteration gives every row so, and a slice or an index array gives an
     ``Atoms``. Two ``Atoms`` are equal when all their columns are.
 
-    The nine columns are held in one tuple, with the range of its rows that
+    The eight columns are held in one tuple, with the range of its rows that
     this ``Atoms`` covers (``None`` for all of them). A step-1 slice shares
     its parent's tuple and stores only its range, so a patch cut from a
-    protein costs one small object, not nine arrays; each column attribute
+    protein costs one small object, not eight arrays; each column attribute
     is then a read-only view of the range, made when it is read. Other
     slices and index arrays take their rows of each column.
     """
 
     COLUMNS = (
         "positions", "atom_ordinals", "residue_ordinals", "residue_seqs",
-        "atom_names", "residue_names", "elements", "chain_ids", "insertion_codes",
+        "atom_names", "residue_names", "elements", "chain_ids",
     )
     __slots__ = ("_columns", "_rows")
     (positions, atom_ordinals, residue_ordinals, residue_seqs,
-     atom_names, residue_names, elements, chain_ids, insertion_codes) = map(_column, range(len(COLUMNS)))
+     atom_names, residue_names, elements, chain_ids) = map(_column, range(len(COLUMNS)))
 
     def __init__(self, positions, atom_ordinals, residue_ordinals, residue_seqs,
-                 atom_names, residue_names, elements, chain_ids, insertion_codes=None):
+                 atom_names, residue_names, elements, chain_ids):
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
         n = (len(positions),)
         self._columns = (
@@ -108,25 +106,15 @@ class Atoms:
             _read_only(residue_names, object, n),
             _read_only(elements, object, n),
             _read_only(chain_ids, object, n),
-            _read_only([""] * n[0] if insertion_codes is None else insertion_codes, object, n),
         )
         self._rows: range | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[AtomRecord]) -> "Atoms":
-        """Columns of a sequence of ``AtomRecord``s, in order."""
-        records = list(records)
-        return cls(
-            positions=np.array([a.position for a in records], dtype=np.float64).reshape(-1, 3),
-            atom_ordinals=[a.atom_ordinal for a in records],
-            residue_ordinals=[a.residue_ordinal for a in records],
-            residue_seqs=[a.residue_seq for a in records],
-            atom_names=[a.atom_name for a in records],
-            residue_names=[a.residue_name for a in records],
-            elements=[a.element for a in records],
-            chain_ids=[a.chain_id for a in records],
-            insertion_codes=[a.insertion_code for a in records],
-        )
+        """Columns of a sequence of ``AtomRecord``s, in order: each record
+        field fills the column named by its plural."""
+        fields = zip(*records)
+        return cls(**{f"{name}s": next(fields, ()) for name in AtomRecord._fields})
 
     @classmethod
     def concat(cls, parts: Iterable["Atoms"]) -> "Atoms":
@@ -147,20 +135,8 @@ class Atoms:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            row = self._span()[index]
-            positions, atom_ordinals, residue_ordinals, residue_seqs, *names = self._columns
-            atom_name, residue_name, element, chain_id, insertion_code = (column[row] for column in names)
-            return AtomRecord(
-                atom_ordinal=int(atom_ordinals[row]),
-                element=element,
-                atom_name=atom_name,
-                residue_ordinal=int(residue_ordinals[row]),
-                residue_name=residue_name,
-                position=Point3(*positions[row].tolist()),
-                chain_id=chain_id,
-                residue_seq=int(residue_seqs[row]),
-                insertion_code=insertion_code,
-            )
+            row = range(len(self))[index]
+            return next(iter(self[row:row + 1]))
         atoms = object.__new__(Atoms)
         if isinstance(index, slice) and (rows := self._span()[index]).step == 1:
             atoms._columns = self._columns
@@ -186,7 +162,6 @@ class Atoms:
             map(Point3._make, self.positions.tolist()),
             self.chain_ids.tolist(),
             self.residue_seqs.tolist(),
-            self.insertion_codes.tolist(),
         )
 
     def __eq__(self, other):

@@ -4,7 +4,8 @@ Every parsed atom lives in one representation, ``geometry.Atoms``: columns
 of positions, ordinals, residue numbers and names, held by ``Protein.atoms``
 and ``Patch.atoms`` and read as columns by SITE extraction, dedup and the
 indexer. No per-atom object is built on the way; an ``AtomRecord`` is made
-only when an ``Atoms`` is indexed or iterated.
+only when an ``Atoms`` is indexed or iterated. Insertion codes are kept per
+residue, by ``Protein.insertion_codes``, as only SITE extraction reads them.
 
 Structure files are fixed-width text in the legacy public format; only ATOM
 and SITE records are consumed (first model, alternate location blank or
@@ -60,16 +61,24 @@ def _as_atoms(owner) -> None:
 
 @dataclass(frozen=True)
 class Protein:
-    """A parsed structure: ordered atoms plus the structure id.
+    """A parsed structure: ordered atoms, the structure id, and the
+    insertion code of each residue ordinal ("" for none).
 
     ``atoms`` may be given as a sequence of ``AtomRecord``s; it is stored as
-    ``Atoms``.
+    ``Atoms``. ``insertion_codes`` is stored as a tuple, and is blank for
+    every residue when not given.
     """
 
     protein_id: str
     atoms: Atoms
+    insertion_codes: tuple[str, ...] | None = None
 
-    __post_init__ = _as_atoms
+    def __post_init__(self):
+        _as_atoms(self)
+        codes = self.insertion_codes
+        if codes is None:
+            codes = ("",) * (int(self.atoms.residue_ordinals.max(initial=-1)) + 1)
+        object.__setattr__(self, "insertion_codes", tuple(codes))
 
     @property
     def residue_count(self) -> int:
@@ -190,32 +199,36 @@ def parse_structure_file(stream: IO[str] | Iterable[str], protein_id: str | None
     def text_column(values):
         return np.array([sys.intern(value) for value in values], dtype=object)[text_of_atom]
 
+    residue_ordinals, residue_firsts = _first_appearance_ordinals(residue_keys)
     atoms = Atoms(
         positions=positions,
         atom_ordinals=np.arange(len(kept)),
-        residue_ordinals=_first_appearance_ordinals(residue_keys),
+        residue_ordinals=residue_ordinals,
         residue_seqs=residue_seqs,
         atom_names=text_column(atom_names),
         residue_names=text_column([line[17:20].strip() for line in texts]),
         elements=text_column([line[76:78].strip() or name[:1] for line, name in zip(texts, atom_names)]),
         chain_ids=text_column(chains),
-        insertion_codes=text_column([icode.strip() for icode in icodes]),
     )
     # HEADER records are read only when no protein_id is given.
     header_ids = (raw.rstrip("\n")[62:66].strip() for raw, record in zip(lines, records) if record == "HEADER")
-    return Protein(protein_id=protein_id or next(filter(None, header_ids), "UNKNOWN"), atoms=atoms)
+    code_of_text = np.array([icode.strip() for icode in icodes], dtype=object)
+    codes = code_of_text[text_of_atom[residue_firsts]].tolist()
+    return Protein(protein_id or next(filter(None, header_ids), "UNKNOWN"), atoms, codes)
 
 
-def _first_appearance_ordinals(keys: np.ndarray) -> np.ndarray:
-    """Dense ordinals of ``keys``, numbered in order of first appearance.
-    Only the first key of each run of equal keys is ranked."""
+def _first_appearance_ordinals(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ordinals of ``keys``, numbered in order of first appearance,
+    and the row where each ordinal first appears. Only the first key of
+    each run of equal keys is ranked."""
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(starts)
     _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
+    order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return np.repeat(rank[inverse], np.diff(starts, append=len(keys)))
+    rank[order] = np.arange(len(first))
+    return np.repeat(rank[inverse], np.diff(starts, append=len(keys))), starts[first[order]]
 
 
 def _character_table(lines: list[str]) -> np.ndarray:
@@ -294,7 +307,8 @@ def extract_site_patches(
     """Group SITE records by site identifier and cut one patch per site.
 
     Residue references are matched against the protein on (residue name,
-    chain id, residue sequence number, insertion code), so a reference to
+    chain id, residue sequence number, insertion code), the code being
+    ``protein.insertion_codes`` at the residue's ordinal, so a reference to
     52 takes neither 52A nor 52B; unresolvable references are
     counted under ``counters['site_residues_unresolved']`` and sites that
     resolve no residue at all are dropped and counted under
@@ -333,8 +347,9 @@ def extract_site_patches(
     new[1:] = (ordinals[1:] != ordinals[:-1]) | (names[1:] != names[:-1])
     starts = np.flatnonzero(new)
     runs_of: dict[tuple[str, str, int, str], list[int]] = {}
-    columns = (names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
-    for run, key in enumerate(zip(*(column[starts].tolist() for column in columns))):
+    icodes = map(protein.insertion_codes.__getitem__, ordinals[starts].tolist())
+    columns = (column[starts].tolist() for column in (names, atoms.chain_ids, atoms.residue_seqs))
+    for run, key in enumerate(zip(*columns, icodes)):
         runs_of.setdefault(key, []).append(run)
 
     site_runs: list[list[int]] = []

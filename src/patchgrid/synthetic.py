@@ -62,6 +62,7 @@ def move_protein(protein: Protein, rotation: np.ndarray, translation: np.ndarray
     return Protein(
         protein_id=new_id or protein.protein_id,
         atoms=move_atoms(protein.atoms, rotation, translation),
+        insertion_codes=protein.insertion_codes,
     )
 
 
@@ -150,7 +151,7 @@ def _plant(parts: list[Atoms], moved: Atoms, residue_base: int) -> int:
     residues on from ``residue_base`` in order of first appearance; returns
     the next free residue ordinal. Atoms are numbered when the parts are
     joined."""
-    ordinals = residue_base + _first_appearance_ordinals(moved.residue_ordinals)
+    ordinals = residue_base + _first_appearance_ordinals(moved.residue_ordinals)[0]
     parts.append(moved.replace(residue_ordinals=ordinals, residue_seqs=ordinals + 1, chain_ids=["Q"] * len(moved)))
     return int(ordinals.max(initial=residue_base - 1)) + 1
 

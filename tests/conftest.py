@@ -87,11 +87,12 @@ def structure_text(protein: Protein, sites: dict[str, list[AtomRecord]] | None =
     """Render a protein (and optional SITE records over its residues) as
     fixed-width structure-file text at 3-decimal coordinate precision."""
     lines = []
+    codes = protein.insertion_codes
     for site_id, atoms in (sites or {}).items():
         residues = []
         seen = set()
         for atom in atoms:
-            key = (atom.residue_name, atom.chain_id, atom.residue_seq, atom.insertion_code)
+            key = (atom.residue_name, atom.chain_id, atom.residue_seq, codes[atom.residue_ordinal])
             if key not in seen:
                 seen.add(key)
                 residues.append(key)
@@ -108,7 +109,7 @@ def structure_text(protein: Protein, sites: dict[str, list[AtomRecord]] | None =
                 y=atom.position.y,
                 z=atom.position.z,
                 element=atom.element,
-                icode=atom.insertion_code or " ",
+                icode=codes[atom.residue_ordinal] or " ",
             )
         )
     return "".join(lines)

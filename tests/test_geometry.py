@@ -319,7 +319,6 @@ def random_atoms(seed: int, n: int) -> Atoms:
         residue_names=rng.choice(np.array(["ALA", "SER", "GLY"], dtype=object), size=n),
         elements=rng.choice(np.array(["N", "C", "O"], dtype=object), size=n),
         chain_ids=rng.choice(np.array(["A", "B"], dtype=object), size=n),
-        insertion_codes=rng.choice(np.array(["", "A"], dtype=object), size=n),
     )
 
 
@@ -355,10 +354,10 @@ def test_indexed_atoms_equal_each_column_indexed(n, seed, data):
             assert column.dtype == expected.dtype and column.shape == expected.shape
             assert np.array_equal(column, expected) and not column.flags.writeable
     records = [
-        AtomRecord(int(o), e, a, int(r), rn, Point3(*p.tolist()), c, int(s), i)
-        for o, e, a, r, rn, p, c, s, i in zip(*(columns[name] for name in (
+        AtomRecord(int(o), e, a, int(r), rn, Point3(*p.tolist()), c, int(s))
+        for o, e, a, r, rn, p, c, s in zip(*(columns[name] for name in (
             "atom_ordinals", "elements", "atom_names", "residue_ordinals", "residue_names",
-            "positions", "chain_ids", "residue_seqs", "insertion_codes",
+            "positions", "chain_ids", "residue_seqs",
         )))
     ]
     assert list(atoms) == records

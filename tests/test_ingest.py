@@ -2,6 +2,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from patchgrid.ingest import (
     parse_template_file,
 )
 from patchgrid.preprocess import residue_frames
-from patchgrid.synthetic import random_protein
+from patchgrid.synthetic import move_protein, random_protein
 
 
 def lines(text: str) -> list[str]:
@@ -86,6 +87,7 @@ def test_insertion_codes_number_residues_apart():
     protein = parse_structure_file(lines(text))
     assert protein.atoms.residue_ordinals.tolist() == [0, 0, 0, 1, 1, 1]
     assert protein.atoms.residue_seqs.tolist() == [52] * 6
+    assert protein.insertion_codes == ("", "A")
     assert protein == reference_parse_structure_file(lines(text))
     assert [ordinal for ordinal, _ in residue_frames(protein.atoms)] == [0, 1]
 
@@ -141,6 +143,7 @@ def reference_parse_structure_file(stream, protein_id=None):
     read columns, building one AtomRecord per ATOM line."""
     atoms = []
     residue_index = {}
+    insertion_codes = []
     header_id = None
     in_first_model = True
     for line_number, raw in enumerate(stream, start=1):
@@ -167,6 +170,7 @@ def reference_parse_structure_file(stream, protein_id=None):
             key = (chain_id, residue_seq, insertion_code.ljust(1))
             if key not in residue_index:
                 residue_index[key] = len(residue_index)
+                insertion_codes.append(insertion_code.strip())
             atoms.append(AtomRecord(
                 atom_ordinal=len(atoms),
                 element=element,
@@ -176,11 +180,11 @@ def reference_parse_structure_file(stream, protein_id=None):
                 position=Point3(x, y, z),
                 chain_id=chain_id,
                 residue_seq=residue_seq,
-                insertion_code=insertion_code.strip(),
             ))
     if not atoms:
         raise EmptyStructure("no ATOM records found")
-    return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=tuple(atoms))
+    return Protein(protein_id=protein_id or header_id or "UNKNOWN", atoms=tuple(atoms),
+                   insertion_codes=insertion_codes)
 
 
 def _outcome(parse, lines):
@@ -400,7 +404,8 @@ def test_site_residues_match_insertion_codes():
         )
     )
     protein = parse_structure_file(lines(text))
-    assert protein.atoms.insertion_codes.tolist() == [""] * 3 + ["A"] * 3
+    assert protein.insertion_codes == ("", "A")
+    assert move_protein(protein, np.eye(3), np.zeros(3)).insertion_codes == ("", "A")
     stream = (site_lines("AC1", [("GLY", "A", 52)]) + site_lines("AC2", [("GLY", "A", 52, "A")])
               + site_lines("AC3", [("ALA", "A", 1), ("GLY", "A", 52, "A")]))
     counters: dict = {}
@@ -408,6 +413,49 @@ def test_site_residues_match_insertion_codes():
     assert [p.atoms.atom_ordinals.tolist() for p in patches] == [[0, 1, 2], [3, 4, 5], [3, 4, 5]]
     assert [p.atoms.residue_ordinals.tolist() for p in patches] == [[0, 0, 0], [1, 1, 1], [1, 1, 1]]
     assert counters == {"site_residues_unresolved": 1}
+
+
+def test_protein_of_atom_records_has_blank_insertion_codes():
+    # residues 0 and 2 (GLY A 52 and GLY A 54) of a Protein built from
+    # AtomRecords, with no ordinal 1: every code is blank, so a slot without
+    # a code resolves and a slot with one does not
+    atoms = tuple(
+        AtomRecord(i, "C", name, ordinal, "GLY", Point3(float(i), float(i % 2), 0.0), "A", 52 + ordinal)
+        for i, (ordinal, name) in enumerate((o, n) for o in (0, 2) for n in ("N", "CA", "C"))
+    )
+    protein = Protein("P", atoms)
+    assert protein.insertion_codes == ("", "", "")
+    counters: dict = {}
+    patches = extract_site_patches(site_lines("AC1", [("GLY", "A", 54), ("GLY", "A", 52, "A")]), protein, counters)
+    assert [p.atoms.atom_ordinals.tolist() for p in patches] == [[3, 4, 5]]
+    assert counters == {"site_residues_unresolved": 1}
+
+
+def test_site_patch_rows_hold_80_bytes_of_columns():
+    # A SITE patch row holds a position (24 B), three int64s (24 B) and four
+    # str references (32 B): 80 B, where a per-atom insertion code column
+    # would make 88. Two sites that differ only in how many residues they name
+    # make the same objects besides their rows, so the difference of their
+    # traced memory is the rows' column bytes alone. A first extraction
+    # fills the interpreter's free lists, which would otherwise hold its
+    # freed per-slot tuples as traced memory.
+    generated = random_protein(random.Random(5), "MEM", 400)
+    protein = parse_structure_file(lines(structure_text(generated)))
+    refs = list({a.residue_ordinal: (a.residue_name, a.chain_id, a.residue_seq) for a in protein.atoms}.values())
+    extract_site_patches(site_lines("AC1", refs), protein)
+    held = []
+    for count in (100, 400):
+        stream = site_lines("AC1", refs[:count])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            patches = extract_site_patches(stream, protein)
+            held.append((tracemalloc.get_traced_memory()[0] - before, len(patches[0].atoms)))
+        finally:
+            tracemalloc.stop()
+        del patches
+    (small, small_rows), (large, large_rows) = held
+    assert (large - small) / (large_rows - small_rows) <= 80
 
 
 def test_extract_site_with_missing_residue():
@@ -490,7 +538,8 @@ def reference_extract_site_patches(stream, protein, counters=None):
                 continue
             slots.append((residue_name, chain_id, residue_seq, line[off + 9 : off + 10].strip()))
     atoms = protein.atoms
-    columns = (atoms.residue_names, atoms.chain_ids, atoms.residue_seqs, atoms.insertion_codes)
+    icodes = np.array(protein.insertion_codes, dtype=object)[atoms.residue_ordinals]
+    columns = (atoms.residue_names, atoms.chain_ids, atoms.residue_seqs, icodes)
     change = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
     bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(atoms)] if len(atoms) else []
     names, chains, seqs, icodes = columns
